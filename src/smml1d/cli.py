@@ -497,6 +497,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except ArithmeticError as exc:
+        print(f"error: solver failure: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

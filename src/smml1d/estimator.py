@@ -71,6 +71,8 @@ NOT_CRITICAL = "not-critical"
 
 DEFAULT_SEED = 1729
 _DEDUP_TOL = 1e-6
+# Rounding moves a length by ~1e-15; distinct minima differ by 5.4e-7 or more.
+_LENGTH_TIE = 1e-12
 _CRITICAL_GRAD_THRESHOLD = 1e-8
 
 
@@ -148,12 +150,14 @@ def codebook_from_cutpoints(family: FamilyModel, marginal: MarginalModel, cuts) 
     return CodeBook(cuts, tuple(log_q), tuple(theta), tuple(centroids))
 
 
-@lru_cache(maxsize=None)
+# Every make_* call builds new model objects, so these caches only serve
+# repeat calls with the same objects; a small bound keeps them from growing.
+@lru_cache(maxsize=16)
 def _carrier_constant(family: FamilyModel, marginal: MarginalModel) -> float:
     return expectation(marginal, lambda x: -np.asarray(family.log_carrier(x), dtype=float))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)
 def marginal_entropy(marginal: MarginalModel) -> float:
     """Cached differential entropy of the marginal (the one-part length)."""
     return differential_entropy(marginal)
@@ -611,10 +615,21 @@ def _insertion_starts(
 
 
 def _dedup_sorted(reports: list[SolveReport]) -> list[SolveReport]:
+    """Converged local minima, best first, one per cut-point configuration.
+
+    Lengths within ``_LENGTH_TIE`` of the first of a run are ties; ties go
+    most compact first (smallest largest |cut|), so the order does not hang
+    on the last bits of the lengths.
+    """
     kept = [r for r in reports if r.converged and r.classification == LOCAL_MINIMUM]
-    kept.sort(key=lambda r: (r.message_length, r.cuts))
+    kept.sort(key=lambda r: r.message_length)
+    ordered: list[SolveReport] = []
+    while len(ordered) < len(kept):
+        top = kept[len(ordered)].message_length + _LENGTH_TIE
+        ties = [r for r in kept[len(ordered):] if r.message_length <= top]
+        ordered += sorted(ties, key=lambda r: (max(map(abs, r.cuts)), r.cuts))
     deduped: list[SolveReport] = []
-    for report in kept:
+    for report in ordered:
         a = np.asarray(report.cuts)
         if all(
             np.max(np.abs(a - np.asarray(other.cuts))) > _DEDUP_TOL
@@ -686,8 +701,8 @@ def multi_start_solve(
     included at every stage) and returns the stage-``n`` solutions: converged
     local minima only (Newton happily converges to saddles of the expected
     length; those are not estimators), deduplicated at 1e-6 in cut-point
-    space, sorted by message length with ties broken by the cut-point
-    vectors.  May be empty if no start converges.
+    space, sorted by message length; lengths within 1e-12 are ties, ordered
+    most compact first.  May be empty if no start converges.
     """
     if n < 1:
         raise ValueError(f"need at least one cut-point, got n={n!r}")

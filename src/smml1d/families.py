@@ -16,6 +16,11 @@ Two built-in pairs:
     make_exponential_gamma(alpha, beta)
         Exponential data (rate -t) with a Gamma(alpha, beta) prior on the
         rate; the marginal is Lomax.
+
+Both built-in marginals carry closed forms for the mass and centroid of an
+interval (see :attr:`MarginalModel.closed_form`), written so that they keep
+full precision in the far tails; they decline only where a subtraction would
+cancel, which happens on narrow intervals.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import ndtr, ndtri
+from scipy.special import erfcx, ndtr, ndtri
 
 __all__ = [
     "FamilyModel",
@@ -38,6 +43,13 @@ __all__ = [
 ]
 
 _LOG_2PI = math.log(2.0 * math.pi)
+_SQRT2 = math.sqrt(2.0)
+_SQRT_HALF_PI = math.sqrt(0.5 * math.pi)
+
+# A closed form is used only when none of its subtractions leaves less than
+# 1/_MAX_CANCELLATION of the operands' magnitude, i.e. loses more than three
+# bits; the interval is then left to quadrature.
+_MAX_CANCELLATION = 8.0
 
 
 class ParameterError(ValueError):
@@ -85,6 +97,12 @@ class MarginalModel:
     (it anchors the scaled quadrature).  The density is strictly positive on
     the open support and has a finite first moment; the constructors below
     enforce the parameter ranges that guarantee this.
+
+    ``closed_form``, when given, maps an interval ``(lo, hi)`` inside the
+    support (either end may be infinite) to its ``(log_mass, centroid)``, or
+    to ``None`` where its formulas would lose precision to cancellation;
+    :func:`smml1d.quadrature.interval_integrals` integrates numerically
+    whenever it is absent or declines.
     """
 
     log_pdf: Callable[[np.ndarray], np.ndarray]
@@ -95,6 +113,7 @@ class MarginalModel:
     support_hi: float
     prior_params: tuple[float, ...]
     name: str
+    closed_form: Callable[[float, float], tuple[float, float] | None] | None = None
 
     def pdf(self, x):
         return np.exp(self.log_pdf(x))
@@ -142,6 +161,7 @@ def make_normal_normal(alpha: float) -> tuple[FamilyModel, MarginalModel]:
         support_hi=math.inf,
         prior_params=(alpha,),
         name="normal-normal",
+        closed_form=lambda lo, hi: _normal_interval(beta, lo, hi),
     )
     return family, marginal
 
@@ -206,8 +226,116 @@ def make_exponential_gamma(alpha: float, beta: float) -> tuple[FamilyModel, Marg
         support_hi=math.inf,
         prior_params=(alpha, beta),
         name="exponential-gamma",
+        closed_form=lambda lo, hi: _lomax_interval(alpha, beta, lo, hi),
     )
     return family, marginal
+
+
+def _cancellation(operand: float, difference: float) -> float:
+    """How many times the computed difference falls short of its operand."""
+    return operand / difference if difference > 0.0 else math.inf
+
+
+def _mills(z: float) -> float:
+    """Mills ratio R(z) = Q(z) / phi(z) of the standard normal."""
+    return _SQRT_HALF_PI * float(erfcx(z / _SQRT2))
+
+
+def _mills_complement(z: float, r: float) -> float:
+    """h(z) = 1 - z R(z) for z >= 0, given r = R(z)."""
+    if z < 2.0:
+        return 1.0 - z * r
+    # 1 - z R(z) ~ 1/z^2 cancels; Laplace's continued fraction
+    # R(z) = 1/(z + 1/(z + 2/(z + ...))) gives h = R / (z + 2/(z + 3/(z + ...))),
+    # which this depth resolves to the last bit for z >= 2.
+    t = z
+    for k in range(16 + int(640.0 / (z * z)), 1, -1):
+        t = z + k / t
+    return r / t
+
+
+def _normal_tail(a: float, w: float, s: float) -> tuple[float, float] | None:
+    """Standard-normal log mass of (a, a + w), a >= 0, and its mean minus a.
+
+    ``s`` is 2a + w; callers form ``w`` and ``s`` from the interval ends
+    directly, so neither carries the cancellation of b - a.
+    """
+    r_a = _mills(a)
+    log_phi_a = -0.5 * a * a - 0.5 * _LOG_2PI
+    if w == math.inf:
+        return log_phi_a + math.log(r_a), _mills_complement(a, r_a) / r_a
+    b = a + w
+    r_b = _mills(b)
+    arg = 0.5 * w * s                       # (b^2 - a^2) / 2
+    rho = math.exp(-arg)                    # phi(b) / phi(a)
+    # mass / phi(a), from the central masses (erf) or the upper tails (erfcx)
+    erf_a, erf_b = math.erf(a / _SQRT2), math.erf(b / _SQRT2)
+    central_cancel = _cancellation(erf_b, erf_b - erf_a)
+    tails = r_a - rho * r_b
+    tails_cancel = _cancellation(r_a, tails)
+    if min(central_cancel, tails_cancel) > _MAX_CANCELLATION:
+        return None
+    if central_cancel < tails_cancel:
+        log_mass = math.log(0.5 * (erf_b - erf_a))
+        scaled = math.exp(log_mass - log_phi_a)
+    else:
+        log_mass = log_phi_a + math.log(tails)
+        scaled = tails
+    # (first moment about a) / phi(a) = 1 - rho - a * mass / phi(a); in the
+    # tails the same quantity is h(a) - rho (h(b) + w R(b)), which does not
+    # cancel against a * R(a)
+    one_minus_rho = -math.expm1(-arg)
+    direct = one_minus_rho - a * scaled
+    direct_cancel = _cancellation(one_minus_rho, direct)
+    h_a = _mills_complement(a, r_a)
+    via_h = h_a - rho * (_mills_complement(b, r_b) + w * r_b)
+    via_h_cancel = _cancellation(h_a, via_h)
+    if min(direct_cancel, via_h_cancel) > _MAX_CANCELLATION:
+        return None
+    return log_mass, (direct if direct_cancel < via_h_cancel else via_h) / scaled
+
+
+def _normal_interval(sigma: float, lo: float, hi: float) -> tuple[float, float] | None:
+    """Log mass and centroid of N(0, sigma^2) over (lo, hi)."""
+    if lo < 0.0 < hi:
+        # the erf terms have opposite signs and phi(a) - phi(b) goes through
+        # expm1, so nothing cancels
+        a, b = lo / sigma, hi / sigma
+        mass = 0.5 * (math.erf(b / _SQRT2) - math.erf(a / _SQRT2))
+        if hi == -lo:
+            return math.log(mass), 0.0
+        # phi(a) - phi(b), factored at the end nearer the mode
+        gap = 0.5 * (hi + lo) * (hi - lo) / (sigma * sigma)   # (b^2 - a^2) / 2
+        near = a if gap > 0.0 else b
+        first = math.exp(-0.5 * near * near - 0.5 * _LOG_2PI) * -math.expm1(-abs(gap))
+        return math.log(mass), math.copysign(sigma * first / mass, gap)
+    # one-sided: work on the right of the mode, mirroring the left side
+    near, side = (hi, -1.0) if hi <= 0.0 else (lo, 1.0)
+    got = _normal_tail(side * near / sigma, (hi - lo) / sigma, side * (lo + hi) / sigma)
+    return None if got is None else (got[0], near + side * sigma * got[1])
+
+
+def _lomax_interval(
+    alpha: float, beta: float, lo: float, hi: float
+) -> tuple[float, float] | None:
+    """Log mass and centroid of the Lomax(alpha, beta) marginal over (lo, hi).
+
+    With S(x) = (1 + x/beta)^-alpha, the mass is S(lo) (1 - e^-u) for
+    u = alpha log((beta + hi)/(beta + lo)), and the first moment about lo is
+    the integral of S over (lo, hi) minus (hi - lo) S(hi).
+    """
+    scale = beta + lo
+    log_tail = -alpha * math.log1p(lo / beta)
+    if hi == math.inf:
+        return log_tail, lo + scale / (alpha - 1.0)
+    log_ratio = math.log1p((hi - lo) / scale)
+    u = alpha * log_ratio
+    whole = scale / (alpha - 1.0) * -math.expm1(-(alpha - 1.0) * log_ratio)
+    moment = whole - (hi - lo) * math.exp(-u)
+    if _cancellation(whole, moment) > _MAX_CANCELLATION:
+        return None
+    e0 = -math.expm1(-u)
+    return log_tail + math.log(e0), lo + moment / e0
 
 
 def mu_inverse_numeric(

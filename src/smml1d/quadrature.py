@@ -1,5 +1,12 @@
 """Log-domain adaptive quadrature over marginal-density intervals.
 
+:func:`interval_integrals` first asks the marginal's ``closed_form`` hook;
+the built-in normal and Lomax marginals answer from closed forms except on
+narrow intervals, where their formulas would cancel.  Everything else (those
+narrow intervals, and every marginal without the hook) goes through the
+adaptive quadrature below, which is also the reference the closed forms are
+tested against.
+
 Masses of far-tail intervals underflow double precision long before the
 quantities the solver needs (log masses, centroids, density/mass ratios)
 lose meaning.  Every integral here is therefore taken against the rescaled
@@ -265,15 +272,22 @@ def interval_integrals(
 ) -> IntervalIntegrals:
     """Log mass and centroid of the marginal over (lo, hi).
 
-    Both are computed against the density rescaled by its maximum over the
-    interval, so the result is accurate even when the mass itself is far
-    below the smallest positive double.  ``rel_tol`` loosens the target
-    accuracy of the scaled integrals; the default meets the solver's needs,
-    coarser values suit placement heuristics.
+    The marginal's ``closed_form`` answers when it has one and accepts the
+    interval.  Otherwise both are computed against the density rescaled by
+    its maximum over the interval, so the result is accurate even when the
+    mass itself is far below the smallest positive double.  ``rel_tol``
+    loosens the target accuracy of the scaled integrals; the default meets
+    the solver's needs, coarser values suit placement heuristics.  It does
+    not apply to closed forms, which are always exact to rounding.
     """
     lo, hi = float(lo), float(hi)
     _validate_interval(marginal, lo, hi)
     ref = min(max(marginal.mode, lo), hi)
+    if marginal.closed_form is not None:
+        exact = marginal.closed_form(lo, hi)
+        if exact is not None:
+            log_mass, centroid = exact
+            return IntervalIntegrals(log_mass=min(log_mass, 0.0), centroid=centroid, ref_point=ref)
     log_ref = float(marginal.log_pdf(ref))
     pieces = _pieces_for(marginal, lo, hi, ref)
 

@@ -1,10 +1,13 @@
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import smml1d
 from smml1d.cli import main
 
 EXP_TABLE = [0.058912861229508, 0.057904507855295, 0.057900816329763]
@@ -58,6 +61,30 @@ class TestSolve:
         code, _, err = run_cli(["solve", "--model", "normal-normal", "--alpha", "2"], capsys)
         assert code == 1
         assert "n" in err
+
+
+class TestSolverFailure:
+    def test_heavy_tailed_lomax_solves(self, capsys):
+        """alpha = 1.05: the Lomax tail is too heavy for the quadrature's tail
+        map; the closed-form tail integrals solve it."""
+        code, out, err = run_cli(
+            ["solve", "--model", "exponential-gamma", "--alpha", "1.05", "--beta", "1",
+             "--n", "2"], capsys)
+        assert code == 0, err
+        row = out.splitlines()[1].split(",")
+        assert row[2] == "local-minimum" and row[4] == "true"
+        np.testing.assert_allclose([float(c) for c in row[6:8]], [7.498, 238.44], rtol=1e-4)
+
+    def test_arithmetic_error_exits_2(self, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise ArithmeticError("degenerate interval mass over (0.9, inf)")
+
+        monkeypatch.setattr("smml1d.cli.solve_sweep", fail)
+        code, out, err = run_cli(
+            ["sweep", "--model", "normal-normal", "--alpha", "2", "--n", "2"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == "error: solver failure: degenerate interval mass over (0.9, inf)\n"
 
 
 class TestSweep:
@@ -214,17 +241,22 @@ class TestVerify:
         assert "FAIL" in out
 
 
+def run_module(argv):
+    """Run `python -m smml1d.cli` on the same smml1d the tests import."""
+    src = str(Path(smml1d.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "smml1d.cli", *argv],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
+
+
 class TestEntryPoint:
     def test_module_invocation(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "smml1d.cli", "solve", "--model", "normal-normal",
-             "--alpha", "2", "--n", "1", "--format", "text"],
-            capture_output=True, text=True)
+        proc = run_module(["solve", "--model", "normal-normal",
+                           "--alpha", "2", "--n", "1", "--format", "text"])
         assert proc.returncode == 0
         assert "0.2968787934" in proc.stdout
 
     def test_unknown_flag_exits_1(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "smml1d.cli", "solve", "--frobnicate"],
-            capture_output=True, text=True)
+        proc = run_module(["solve", "--frobnicate"])
         assert proc.returncode == 1

@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -8,7 +10,9 @@ from smml1d import (
     LOCAL_MINIMUM,
     NOT_CRITICAL,
     SADDLE,
+    CodeBook,
     CutPointVector,
+    SolveReport,
     SolverOptions,
     SupportError,
     classify_critical_point,
@@ -22,7 +26,7 @@ from smml1d import (
     multi_start_solve,
     newton_solve,
 )
-from smml1d.estimator import solve_sweep
+from smml1d.estimator import _dedup_sorted, solve_sweep
 
 BETA = math.sqrt(5.0)
 HALF_NORMAL_MEAN = BETA * math.sqrt(2.0 / math.pi)
@@ -341,6 +345,57 @@ class TestMultiStart:
         family, marginal = nn
         with pytest.raises(ValueError):
             multi_start_solve(family, marginal, 0)
+
+    def test_quadrature_path_finds_the_same_optima(self, nn, nn_sweep6):
+        """With the closed forms stripped, GK alone reaches the same best
+        redundancies."""
+        family, marginal = nn
+        stages = solve_sweep(family, dataclasses.replace(marginal, closed_form=None), 1, 6)
+        for n in range(1, 7):
+            assert stages[n][0].redundancy == pytest.approx(nn_sweep6[n][0].redundancy, abs=1e-12)
+
+
+def _minimum(cuts, length):
+    """A converged local-minimum report carrying only cuts and length."""
+    zeros = (0.0,) * (len(cuts) + 1)
+    book = CodeBook(CutPointVector(tuple(cuts)), zeros, zeros, zeros)
+    return SolveReport(
+        codebook=book, message_length=length, entropy=0.0, redundancy=length,
+        converged=True, iterations=0, final_grad_norm=0.0,
+        classification=LOCAL_MINIMUM, continuity_gaps=zeros[1:], grad_norm_trace=(0.0,),
+    )
+
+
+class TestDedupOrder:
+    LENGTH = 2.7
+    COMPACT = (-2.0, -1.0, 1.0, 2.0)
+    LEFT_HEAVY = (-3.0, -1.0, 1.0, 2.0)
+    RIGHT_HEAVY = (-2.0, -1.0, 1.0, 3.0)
+
+    def test_one_ulp_does_not_reorder_ties(self):
+        """Lengths 1 ulp apart are ties, ordered most compact first, and a
+        second run of ties 5e-7 worse keeps its own fixed order."""
+        ulp = math.ulp(self.LENGTH)
+        second = self.LENGTH + 5e-7
+        orders = set()
+        for shifts in itertools.permutations((-1, 0, 1)):
+            reports = [
+                _minimum(cuts, self.LENGTH + k * ulp)
+                for cuts, k in zip((self.LEFT_HEAVY, self.COMPACT, self.RIGHT_HEAVY), shifts)
+            ]
+            reports += [_minimum((-4.0, -1.0, 1.0, 4.0), second + shifts[0] * ulp),
+                        _minimum((-3.5, -1.0, 1.0, 5.0), second - shifts[0] * ulp)]
+            orders.add(tuple(r.cuts for r in _dedup_sorted(reports)))
+        assert len(orders) == 1
+        (order,) = orders
+        assert order[0] == self.COMPACT
+        assert order[3:] == ((-4.0, -1.0, 1.0, 4.0), (-3.5, -1.0, 1.0, 5.0))
+
+    def test_distinct_minima_sort_by_length(self):
+        compact = _minimum(self.COMPACT, self.LENGTH + 5e-7)
+        lopsided = _minimum(self.LEFT_HEAVY, self.LENGTH)
+        assert [r.cuts for r in _dedup_sorted([compact, lopsided])] == [
+            self.LEFT_HEAVY, self.COMPACT]
 
 
 class TestContinuityGaps:

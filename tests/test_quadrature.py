@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -100,6 +101,119 @@ class TestIntervalIntegrals:
         _, lomax = eg
         with pytest.raises(SupportError):
             interval_integrals(lomax, -2.0, -1.0)
+
+
+def _without_closed_form(pair):
+    family, marginal = pair
+    return family, dataclasses.replace(marginal, closed_form=None)
+
+
+class TestIntervalIntegralsQuadrature(TestIntervalIntegrals):
+    """The cases above on hook-stripped marginals: the adaptive GK path alone."""
+
+    @pytest.fixture
+    def nn(self, nn):
+        return _without_closed_form(nn)
+
+    @pytest.fixture
+    def eg(self, eg):
+        return _without_closed_form(eg)
+
+
+def _normal_intervals(rng):
+    """Bulk, narrow (down to 1e-4 sd), far-tail (out to 300 sd) and
+    half-infinite intervals of the alpha = 2 normal marginal."""
+    out = [(0.0, math.inf), (-math.inf, -1.9203), (93.45, math.inf),
+           (-300.0 * BETA, -299.0 * BETA), (-0.5, 0.7), (-math.inf, 2.0)]
+    for _ in range(40):
+        lo = rng.uniform(-4.0, 4.0) * BETA
+        out.append((lo, lo + 10.0 ** rng.uniform(-4.0, 0.7) * BETA))
+    for _ in range(40):
+        lo = 10.0 ** rng.uniform(0.5, math.log10(299.0)) * BETA
+        hi = min(lo + 10.0 ** rng.uniform(-4.0, 1.0) * BETA, 300.0 * BETA)
+        out.append((lo, hi) if rng.random() < 0.5 else (-hi, -lo))
+    for _ in range(20):
+        x = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-2.0, math.log10(300.0)) * BETA
+        out.append((x, math.inf) if rng.random() < 0.5 else (-math.inf, x))
+    return [(float(lo), float(hi)) for lo, hi in out]
+
+
+def _lomax_intervals(rng):
+    """The alpha = 2, beta = 1 Lomax table partition up to the 403 274.23 cut,
+    plus random bulk, narrow, far and half-infinite intervals out to 1e6."""
+    edges = (0.0, 4.42, 80.17, 1374.64, 23496.46, 403274.23, math.inf)
+    out = list(zip(edges, edges[1:])) + [(403274.23, 1e6), (0.0, math.inf)]
+    for _ in range(80):
+        lo = 0.0 if rng.random() < 0.1 else 10.0 ** rng.uniform(-3.0, 5.9)
+        if rng.random() < 0.2:
+            out.append((lo, math.inf))
+        else:
+            out.append((lo, min(lo + 10.0 ** rng.uniform(-4.0, 1.0) * (1.0 + lo), 1e6)))
+    return [(float(lo), float(hi)) for lo, hi in out]
+
+
+def _normal_exact(mpmath, lo, hi):
+    """Log mass and centroid of N(0, 5) over (lo, hi) from erf/erfc and the
+    antiderivative -phi of z phi(z)."""
+    s = mpmath.sqrt(5)
+    a, b = (mpmath.mpf(v) / s for v in (lo, hi))
+    half = lambda z: z / mpmath.sqrt(2)  # noqa: E731
+    if lo >= 0.0:
+        mass = (mpmath.erfc(half(a)) - mpmath.erfc(half(b))) / 2
+    elif hi <= 0.0:
+        mass = (mpmath.erfc(-half(b)) - mpmath.erfc(-half(a))) / 2
+    else:
+        mass = (mpmath.erf(half(b)) - mpmath.erf(half(a))) / 2
+    return mpmath.log(mass), s * (mpmath.npdf(a) - mpmath.npdf(b)) / mass
+
+
+def _lomax_exact(mpmath, lo, hi):
+    """Log mass and centroid of Lomax(2, 1) over (lo, hi) from its survival
+    function S(x) = (1 + x)^-2 and the integral of S."""
+    lo, hi = mpmath.mpf(lo), mpmath.mpf(hi)
+    surv = lambda x: (1 + x) ** -2  # noqa: E731
+    mass = surv(lo) - surv(hi)
+    tail_moment = 1 / (1 + lo) - 1 / (1 + hi)  # integral of S over (lo, hi)
+    if hi != mpmath.inf:
+        tail_moment -= (hi - lo) * surv(hi)
+    return mpmath.log(mass), lo + tail_moment / mass
+
+
+class TestClosedForms:
+    @pytest.mark.parametrize("pair_name, intervals, exact", [
+        ("nn", _normal_intervals, _normal_exact),
+        ("eg", _lomax_intervals, _lomax_exact),
+    ])
+    def test_match_quadrature_and_mpmath(self, pair_name, intervals, exact, request):
+        """Where a closed form answers, it matches 50-digit mpmath and the GK
+        path to 1e-13: the log mass relative to max(1, |log mass|), the
+        centroid relative to its offset from the interval end nearer 0, plus
+        the half ulp of rounding the centroid itself (four ulp against GK,
+        whose nodes sit in absolute coordinates).  Where it declines,
+        interval_integrals returns the GK result unchanged."""
+        mpmath = pytest.importorskip("mpmath")
+        _, marginal = request.getfixturevalue(pair_name)
+        quadrature = dataclasses.replace(marginal, closed_form=None)
+        answered = declined = 0
+        with mpmath.workdps(50):
+            for lo, hi in intervals(np.random.default_rng(20240611)):
+                got = marginal.closed_form(lo, hi)
+                gk = interval_integrals(quadrature, lo, hi)
+                if got is None:
+                    declined += 1
+                    assert interval_integrals(marginal, lo, hi) == gk
+                    continue
+                answered += 1
+                log_mass, centroid = exact(mpmath, lo, hi)
+                near = lo if abs(lo) <= abs(hi) else hi
+                offset = float(abs(centroid - near))
+                refs = (("mpmath", float(log_mass), float(centroid), 0.5),
+                        ("GK", gk.log_mass, gk.centroid, 4.0))
+                for name, ref_lm, ref_c, ulps in refs:
+                    where = f"({lo!r}, {hi!r}) against {name}"
+                    assert abs(got[0] - ref_lm) <= 1e-13 * max(1.0, abs(ref_lm)), where
+                    assert abs(got[1] - ref_c) <= 1e-13 * offset + ulps * math.ulp(got[1]), where
+        assert answered > 0 and declined > 0
 
 
 class TestDensityMassRatio:
