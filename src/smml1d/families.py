@@ -269,14 +269,15 @@ def _normal_tail(a: float, w: float, s: float) -> tuple[float, float] | None:
     arg = 0.5 * w * s                       # (b^2 - a^2) / 2
     rho = math.exp(-arg)                    # phi(b) / phi(a)
     # mass / phi(a), from the central masses (erf) or the upper tails (erfcx)
-    erf_a, erf_b = math.erf(a / _SQRT2), math.erf(b / _SQRT2)
-    central_cancel = _cancellation(erf_b, erf_b - erf_a)
+    erf_b = math.erf(b / _SQRT2)
+    central = 0.5 * (erf_b - math.erf(a / _SQRT2))
+    central_cancel = _cancellation(0.5 * erf_b, central)
     tails = r_a - rho * r_b
     tails_cancel = _cancellation(r_a, tails)
     if min(central_cancel, tails_cancel) > _MAX_CANCELLATION:
         return None
     if central_cancel < tails_cancel:
-        log_mass = math.log(0.5 * (erf_b - erf_a))
+        log_mass = math.log(central)
         scaled = math.exp(log_mass - log_phi_a)
     else:
         log_mass = log_phi_a + math.log(tails)
@@ -302,6 +303,8 @@ def _normal_interval(sigma: float, lo: float, hi: float) -> tuple[float, float] 
         # expm1, so nothing cancels
         a, b = lo / sigma, hi / sigma
         mass = 0.5 * (math.erf(b / _SQRT2) - math.erf(a / _SQRT2))
+        if not mass > 0.0:  # a subnormal interval: the erf sum underflows
+            return None
         if hi == -lo:
             return math.log(mass), 0.0
         # phi(a) - phi(b), factored at the end nearer the mode

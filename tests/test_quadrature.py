@@ -215,6 +215,13 @@ class TestClosedForms:
                     assert abs(got[1] - ref_c) <= 1e-13 * offset + ulps * math.ulp(got[1]), where
         assert answered > 0 and declined > 0
 
+    def test_subnormal_intervals_decline(self, nn):
+        """An interval whose mass underflows the erf sum goes to GK rather
+        than raising from log(0)."""
+        _, marginal = nn
+        for lo, hi in ((-5e-324, 5e-324), (0.0, 5e-324), (-5e-324, 0.0)):
+            assert marginal.closed_form(lo, hi) is None
+
 
 class TestDensityMassRatio:
     def test_whole_support_denominator(self, nn, eg):
