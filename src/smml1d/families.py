@@ -17,10 +17,11 @@ Two built-in pairs:
         Exponential data (rate -t) with a Gamma(alpha, beta) prior on the
         rate; the marginal is Lomax.
 
-Both built-in marginals carry closed forms for the mass and centroid of an
-interval (see :attr:`MarginalModel.closed_form`), written so that they keep
-full precision in the far tails; they decline only where a subtraction would
-cancel, which happens on narrow intervals.
+Both built-in marginals give the mass and centroid of an interval exactly to
+rounding (see :attr:`MarginalModel.closed_form`): from closed forms written
+so that they keep full precision in the far tails, and, on intervals too
+narrow for those, where a subtraction would cancel, from a fixed
+Gauss-Legendre rule.
 """
 
 from __future__ import annotations
@@ -47,9 +48,18 @@ _SQRT2 = math.sqrt(2.0)
 _SQRT_HALF_PI = math.sqrt(0.5 * math.pi)
 
 # A closed form is used only when none of its subtractions leaves less than
-# 1/_MAX_CANCELLATION of the operands' magnitude, i.e. loses more than three
-# bits; the interval is then left to quadrature.
+# 1/_MAX_CANCELLATION of its operand, i.e. loses more than three bits.  The
+# narrow intervals where one would go instead to a 12-point Gauss-Legendre
+# rule in coordinates offset from the interval's end, where every term is
+# positive.  That rule is exact to rounding for both marginals while the log
+# density changes by at most _NARROW_LOG_SPAN across the interval (checked
+# against 40-digit quadrature at that edge); the closed forms decline only
+# where it changes by about 0.6 or less.
 _MAX_CANCELLATION = 8.0
+_NARROW_LOG_SPAN = 1.0
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
+_GL_NODES = 0.5 * (_GL_NODES + 1.0)  # on [0, 1]
+_GL_WEIGHTS = 0.5 * _GL_WEIGHTS
 
 
 class ParameterError(ValueError):
@@ -99,9 +109,9 @@ class MarginalModel:
     enforce the parameter ranges that guarantee this.
 
     ``closed_form``, when given, maps an interval ``(lo, hi)`` inside the
-    support (either end may be infinite) to its ``(log_mass, centroid)``, or
-    to ``None`` where its formulas would lose precision to cancellation;
-    :func:`smml1d.quadrature.interval_integrals` integrates numerically
+    support (either end may be infinite) to its ``(log_mass, centroid)``
+    exact to rounding, or to ``None`` where it cannot vouch for that;
+    :func:`smml1d.quadrature.interval_integrals` integrates adaptively
     whenever it is absent or declines.
     """
 
@@ -236,6 +246,20 @@ def _cancellation(operand: float, difference: float) -> float:
     return operand / difference if difference > 0.0 else math.inf
 
 
+def _narrow(
+    width: float, log_ratio: Callable[[np.ndarray], np.ndarray]
+) -> tuple[float, float]:
+    """Integral of exp(log_ratio(t)) over (0, width), and the mean of t.
+
+    ``log_ratio`` is the log density relative to the interval's end; see
+    ``_NARROW_LOG_SPAN`` for where the fixed rule is exact.
+    """
+    t = width * _GL_NODES
+    f = _GL_WEIGHTS * np.exp(log_ratio(t))
+    total = float(f.sum())
+    return width * total, float(t @ f) / total
+
+
 def _mills(z: float) -> float:
     """Mills ratio R(z) = Q(z) / phi(z) of the standard normal."""
     return _SQRT_HALF_PI * float(erfcx(z / _SQRT2))
@@ -274,26 +298,29 @@ def _normal_tail(a: float, w: float, s: float) -> tuple[float, float] | None:
     central_cancel = _cancellation(0.5 * erf_b, central)
     tails = r_a - rho * r_b
     tails_cancel = _cancellation(r_a, tails)
-    if min(central_cancel, tails_cancel) > _MAX_CANCELLATION:
+    if min(central_cancel, tails_cancel) <= _MAX_CANCELLATION:
+        if central_cancel < tails_cancel:
+            log_mass = math.log(central)
+            scaled = math.exp(log_mass - log_phi_a)
+        else:
+            log_mass = log_phi_a + math.log(tails)
+            scaled = tails
+        # (first moment about a) / phi(a) = 1 - rho - a * mass / phi(a); in
+        # the tails the same quantity is h(a) - rho (h(b) + w R(b)), which
+        # does not cancel against a * R(a)
+        one_minus_rho = -math.expm1(-arg)
+        direct = one_minus_rho - a * scaled
+        direct_cancel = _cancellation(one_minus_rho, direct)
+        h_a = _mills_complement(a, r_a)
+        via_h = h_a - rho * (_mills_complement(b, r_b) + w * r_b)
+        via_h_cancel = _cancellation(h_a, via_h)
+        if min(direct_cancel, via_h_cancel) <= _MAX_CANCELLATION:
+            return log_mass, (direct if direct_cancel < via_h_cancel else via_h) / scaled
+    # narrow: log phi(a + t) - log phi(a) = -t (2a + t) / 2 spans arg
+    if not 0.0 < arg <= _NARROW_LOG_SPAN:
         return None
-    if central_cancel < tails_cancel:
-        log_mass = math.log(central)
-        scaled = math.exp(log_mass - log_phi_a)
-    else:
-        log_mass = log_phi_a + math.log(tails)
-        scaled = tails
-    # (first moment about a) / phi(a) = 1 - rho - a * mass / phi(a); in the
-    # tails the same quantity is h(a) - rho (h(b) + w R(b)), which does not
-    # cancel against a * R(a)
-    one_minus_rho = -math.expm1(-arg)
-    direct = one_minus_rho - a * scaled
-    direct_cancel = _cancellation(one_minus_rho, direct)
-    h_a = _mills_complement(a, r_a)
-    via_h = h_a - rho * (_mills_complement(b, r_b) + w * r_b)
-    via_h_cancel = _cancellation(h_a, via_h)
-    if min(direct_cancel, via_h_cancel) > _MAX_CANCELLATION:
-        return None
-    return log_mass, (direct if direct_cancel < via_h_cancel else via_h) / scaled
+    scaled, offset = _narrow(w, lambda t: -0.5 * t * (2.0 * a + t))
+    return log_phi_a + math.log(scaled), offset
 
 
 def _normal_interval(sigma: float, lo: float, hi: float) -> tuple[float, float] | None:
@@ -335,10 +362,14 @@ def _lomax_interval(
     u = alpha * log_ratio
     whole = scale / (alpha - 1.0) * -math.expm1(-(alpha - 1.0) * log_ratio)
     moment = whole - (hi - lo) * math.exp(-u)
-    if _cancellation(whole, moment) > _MAX_CANCELLATION:
+    if _cancellation(whole, moment) <= _MAX_CANCELLATION:
+        e0 = -math.expm1(-u)
+        return log_tail + math.log(e0), lo + moment / e0
+    # narrow: r(lo + t) = r(lo) (1 + t/scale)^-(alpha+1), r(lo) = alpha/scale S(lo)
+    if not 0.0 < (alpha + 1.0) * log_ratio <= _NARROW_LOG_SPAN:
         return None
-    e0 = -math.expm1(-u)
-    return log_tail + math.log(e0), lo + moment / e0
+    mass, offset = _narrow(hi - lo, lambda t: -(alpha + 1.0) * np.log1p(t / scale))
+    return log_tail + math.log(alpha / scale * mass), lo + offset
 
 
 def mu_inverse_numeric(

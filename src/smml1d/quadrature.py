@@ -1,11 +1,11 @@
 """Log-domain adaptive quadrature over marginal-density intervals.
 
 :func:`interval_integrals` first asks the marginal's ``closed_form`` hook;
-the built-in normal and Lomax marginals answer from closed forms except on
-narrow intervals, where their formulas would cancel.  Everything else (those
-narrow intervals, and every marginal without the hook) goes through the
-adaptive quadrature below, which is also the reference the closed forms are
-tested against.
+the built-in normal and Lomax marginals answer it exactly to rounding (closed
+forms, and a fixed Gauss-Legendre rule on intervals too narrow for them).
+Every marginal without the hook, and any interval the hook declines, goes
+through the adaptive quadrature below, which is also the reference the hook
+is tested against.
 
 Masses of far-tail intervals underflow double precision long before the
 quantities the solver needs (log masses, centroids, density/mass ratios)
@@ -278,7 +278,7 @@ def interval_integrals(
     mass itself is far below the smallest positive double.  ``rel_tol``
     loosens the target accuracy of the scaled integrals; the default meets
     the solver's needs, coarser values suit placement heuristics.  It does
-    not apply to closed forms, which are always exact to rounding.
+    not apply to the hook, which is always exact to rounding.
     """
     lo, hi = float(lo), float(hi)
     _validate_interval(marginal, lo, hi)

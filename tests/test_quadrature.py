@@ -11,6 +11,7 @@ from smml1d import (
     differential_entropy,
     interval_integrals,
 )
+from smml1d import families
 
 BETA = math.sqrt(5.0)
 HALF_NORMAL_MEAN = BETA * math.sqrt(2.0 / math.pi)
@@ -184,26 +185,28 @@ class TestClosedForms:
         ("nn", _normal_intervals, _normal_exact),
         ("eg", _lomax_intervals, _lomax_exact),
     ])
-    def test_match_quadrature_and_mpmath(self, pair_name, intervals, exact, request):
-        """Where a closed form answers, it matches 50-digit mpmath and the GK
-        path to 1e-13: the log mass relative to max(1, |log mass|), the
-        centroid relative to its offset from the interval end nearer 0, plus
-        the half ulp of rounding the centroid itself (four ulp against GK,
-        whose nodes sit in absolute coordinates).  Where it declines,
-        interval_integrals returns the GK result unchanged."""
+    def test_match_quadrature_and_mpmath(self, pair_name, intervals, exact, request,
+                                         monkeypatch):
+        """The hook matches 50-digit mpmath and the GK path to 1e-13: the log
+        mass relative to max(1, |log mass|), the centroid relative to its
+        offset from the interval end nearer 0, plus the half ulp of rounding
+        the centroid itself (four ulp against GK, whose nodes sit in absolute
+        coordinates).  Both its closed forms and, on the narrow intervals,
+        its Gauss-Legendre rule are exercised."""
         mpmath = pytest.importorskip("mpmath")
         _, marginal = request.getfixturevalue(pair_name)
         quadrature = dataclasses.replace(marginal, closed_form=None)
-        answered = declined = 0
+        narrow_calls = []
+        narrow = families._narrow
+        monkeypatch.setattr(families, "_narrow",
+                            lambda *args: narrow_calls.append(args) or narrow(*args))
+        answered = 0
         with mpmath.workdps(50):
             for lo, hi in intervals(np.random.default_rng(20240611)):
                 got = marginal.closed_form(lo, hi)
-                gk = interval_integrals(quadrature, lo, hi)
-                if got is None:
-                    declined += 1
-                    assert interval_integrals(marginal, lo, hi) == gk
-                    continue
+                assert got is not None, (lo, hi)
                 answered += 1
+                gk = interval_integrals(quadrature, lo, hi)
                 log_mass, centroid = exact(mpmath, lo, hi)
                 near = lo if abs(lo) <= abs(hi) else hi
                 offset = float(abs(centroid - near))
@@ -213,14 +216,19 @@ class TestClosedForms:
                     where = f"({lo!r}, {hi!r}) against {name}"
                     assert abs(got[0] - ref_lm) <= 1e-13 * max(1.0, abs(ref_lm)), where
                     assert abs(got[1] - ref_c) <= 1e-13 * offset + ulps * math.ulp(got[1]), where
-        assert answered > 0 and declined > 0
+        assert 0 < len(narrow_calls) < answered
 
-    def test_subnormal_intervals_decline(self, nn):
-        """An interval whose mass underflows the erf sum goes to GK rather
-        than raising from log(0)."""
+    def test_subnormal_intervals_fall_back(self, nn):
+        """An interval whose mass underflows the erf sum gets None from the
+        hook, and interval_integrals then answers as GK does: here, that the
+        mass is degenerate."""
         _, marginal = nn
+        quadrature = dataclasses.replace(marginal, closed_form=None)
         for lo, hi in ((-5e-324, 5e-324), (0.0, 5e-324), (-5e-324, 0.0)):
             assert marginal.closed_form(lo, hi) is None
+            for m in (marginal, quadrature):
+                with pytest.raises(ArithmeticError, match="degenerate interval mass"):
+                    interval_integrals(m, lo, hi)
 
 
 class TestDensityMassRatio:
