@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 invalid input, 2 solver failure.  All lengths are
 reported in nats unless --bits is given.  CSV output is byte-identical for
-identical configuration and seed.
+identical configuration; --seed only draws the random configurations of
+verify.
 """
 
 from __future__ import annotations
@@ -58,7 +59,6 @@ class RunConfig:
     n_max: int | None = None
     tol: float = 1e-12
     max_iter: int = 200
-    extra_starts: int = 8
     seed: int = DEFAULT_SEED
     out: str | None = None
     fmt: str = "csv"
@@ -67,12 +67,7 @@ class RunConfig:
     digits: int | None = None
 
     def solver_options(self) -> SolverOptions:
-        return SolverOptions(
-            tol=self.tol,
-            max_iter=self.max_iter,
-            extra_starts=self.extra_starts,
-            seed=self.seed,
-        )
+        return SolverOptions(tol=self.tol, max_iter=self.max_iter)
 
     def models(self) -> tuple[FamilyModel, MarginalModel]:
         if self.model == "normal-normal":
@@ -99,7 +94,6 @@ _CONFIG_KEYS = {
     "n_max": int,
     "tol": float,
     "max_iter": int,
-    "extra_starts": int,
     "seed": int,
     "out": str,
     "format": str,
@@ -159,8 +153,7 @@ def _build_parser() -> _Parser:
     common.add_argument("--beta", type=float)
     common.add_argument("--tol", type=float, help="gradient max-norm tolerance")
     common.add_argument("--max-iter", type=int, dest="max_iter")
-    common.add_argument("--extra-starts", type=int, dest="extra_starts")
-    common.add_argument("--seed", type=int)
+    common.add_argument("--seed", type=int, help="seed of verify's random configurations")
     common.add_argument("--out", help="output path (default: stdout)")
     common.add_argument("--format", choices=("csv", "text"), dest="fmt")
     common.add_argument("--bits", action=argparse.BooleanOptionalAction,
@@ -226,8 +219,6 @@ def _validate(cfg: RunConfig) -> None:
         raise UsageError(f"tol must be positive, got {cfg.tol!r}")
     if cfg.max_iter < 1:
         raise UsageError(f"max_iter must be at least 1, got {cfg.max_iter!r}")
-    if cfg.extra_starts < 0:
-        raise UsageError(f"extra_starts must be non-negative, got {cfg.extra_starts!r}")
     if cfg.digits is not None and cfg.digits < 1:
         raise UsageError(f"digits must be at least 1, got {cfg.digits!r}")
 
@@ -386,7 +377,7 @@ def cmd_curves(cfg: RunConfig, x_min: float | None, x_max: float | None, points:
 def _verify_model(cfg: RunConfig, name: str) -> list[tuple[str, bool, str]]:
     checks: list[tuple[str, bool, str]] = []
     sub = RunConfig(model=name, alpha=cfg.alpha, beta=cfg.beta, tol=cfg.tol,
-                    max_iter=cfg.max_iter, extra_starts=cfg.extra_starts, seed=cfg.seed)
+                    max_iter=cfg.max_iter)
     family, marginal = sub.models()
     opts = sub.solver_options()
     rng = np.random.default_rng(cfg.seed)

@@ -19,8 +19,8 @@ jump of the log code density across ``a_j``,
 
 and ``dL/da_j = r(a_j) * G_j``.  ``G`` has a tridiagonal Jacobian, so a
 Newton step costs O(n): :func:`newton_solve` runs a damped Newton iteration
-on ``G``, and :func:`multi_start_solve` adds deterministic random restarts,
-keeps the converged local minima and ranks them by code length.
+on ``G``, and :func:`solve_sweep` starts it from continuation and quantile
+starts, keeps the converged local minima and ranks them by code length.
 
 All q-dependent arithmetic stays on ``log q`` and every density/mass ratio is
 formed as ``exp(log r - log q)``, so the solver keeps working when interval
@@ -69,6 +69,7 @@ LOCAL_MINIMUM = "local-minimum"
 SADDLE = "saddle/indefinite"
 NOT_CRITICAL = "not-critical"
 
+# Seed of the random configurations `smml1d verify` draws; the solver is not random.
 DEFAULT_SEED = 1729
 _DEDUP_TOL = 1e-6
 # Rounding moves a length by ~1e-15; distinct minima differ by 5.4e-7 or more.
@@ -307,22 +308,17 @@ def continuity_gaps(family: FamilyModel, marginal: MarginalModel, codebook: Code
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Damped-Newton and multi-start controls.
+    """Damped-Newton controls.
 
     ``tol`` bounds the max-norm of the gradient map at convergence.  Each
     rejected step is halved at most ``backtrack_max`` times; a candidate is
     accepted only if it keeps strict ordering inside the support and lowers
-    the gradient norm.  Multi-start adds ``extra_starts`` runs whose quantile
-    levels are jittered by +-``perturbation`` (relative), drawn from a
-    generator seeded with ``seed`` so results are reproducible.
+    the gradient norm.
     """
 
     tol: float = 1e-12
     max_iter: int = 200
     backtrack_max: int = 30
-    extra_starts: int = 8
-    perturbation: float = 0.2
-    seed: int = DEFAULT_SEED
 
 
 @dataclass(frozen=True)
@@ -445,22 +441,6 @@ def newton_solve(
     )
 
 
-def _quantile_starts(
-    marginal: MarginalModel, n: int, opts: SolverOptions, stage: int
-) -> list[np.ndarray]:
-    levels = np.arange(1, n + 1) / (n + 1)
-    starts = [np.array([marginal.quantile(p) for p in levels])]
-    rng = np.random.default_rng([opts.seed, stage])
-    for _ in range(opts.extra_starts):
-        jitter = 1.0 + opts.perturbation * rng.uniform(-1.0, 1.0, size=n)
-        p = np.sort(np.clip(levels * jitter, 1e-9, 1.0 - 1e-9))
-        for i in range(1, n):
-            if p[i] <= p[i - 1]:
-                p[i] = p[i - 1] + 1e-12
-        starts.append(np.array([marginal.quantile(v) for v in p]))
-    return starts
-
-
 _SCAN_TOL = 1e-6  # placement scans only need a few digits
 
 
@@ -576,58 +556,74 @@ def _insertion_candidates(
     return out
 
 
-def _outer_extension(
-    family: FamilyModel, marginal: MarginalModel, base: np.ndarray, side: int
-) -> float | None:
-    cands = _insertion_candidates(family, marginal, base, side)
-    return _outward_root(family, marginal, base, side, cands)
-
-
 def _insertion_starts(
     family: FamilyModel,
     marginal: MarginalModel,
     parents: Sequence[SolveReport],
     grandparents: Sequence[SolveReport],
+    roots: dict[tuple[tuple[float, ...], int], float | None],
 ) -> list[np.ndarray]:
     """Continuation starts: parents extended by one cut, grandparents by two.
 
     Single-side extensions track how the optima for successive n share their
     inner cut-points; the simultaneous left+right extension covers the
     parity-preserving growth (even n from n-2, odd from odd) seen when a new
-    outermost interval appears on both flanks at once.
+    outermost interval appears on both flanks at once.  ``roots`` memoises
+    the outer-extension roots by (cuts, side): the grandparents were the
+    previous stage's parents, so their scans are already in it.
     """
+
+    def root(cuts: tuple[float, ...], side: int) -> float | None:
+        if (cuts, side) not in roots:
+            base = np.asarray(cuts)
+            cands = _insertion_candidates(family, marginal, base, side)
+            roots[cuts, side] = _outward_root(family, marginal, base, side, cands)
+        return roots[cuts, side]
+
     starts: list[np.ndarray] = []
     for sol in parents[:2]:
-        base = np.asarray(sol.cuts)
         for side in (1, -1):
-            root = _outer_extension(family, marginal, base, side)
-            if root is None:
-                continue
-            cand = np.append(base, root) if side > 0 else np.insert(base, 0, root)
-            starts.append(cand)
+            x = root(sol.cuts, side)
+            if x is not None:
+                starts.append(np.array(sorted((*sol.cuts, x))))
     for sol in grandparents[:2]:
-        base = np.asarray(sol.cuts)
-        right = _outer_extension(family, marginal, base, 1)
-        left = _outer_extension(family, marginal, base, -1)
+        right, left = root(sol.cuts, 1), root(sol.cuts, -1)
         if right is not None and left is not None:
-            starts.append(np.concatenate([[left], base, [right]]))
+            starts.append(np.array((left, *sol.cuts, right)))
     return starts
+
+
+def _tie_runs(items: list[SolveReport], key, tol: float) -> list[list[SolveReport]]:
+    """Split `items`, sorted by `key`, into runs within `tol` of each run's first."""
+    runs: list[list[SolveReport]] = []
+    for item in items:
+        if runs and key(item) <= key(runs[-1][0]) + tol:
+            runs[-1].append(item)
+        else:
+            runs.append([item])
+    return runs
+
+
+def _spread(report: SolveReport) -> float:
+    return max(map(abs, report.cuts))
 
 
 def _dedup_sorted(reports: list[SolveReport]) -> list[SolveReport]:
     """Converged local minima, best first, one per cut-point configuration.
 
     Lengths within ``_LENGTH_TIE`` of the first of a run are ties; ties go
-    most compact first (smallest largest |cut|), so the order does not hang
-    on the last bits of the lengths.
+    most compact first (smallest largest |cut|).  Largest |cuts| within
+    ``_DEDUP_TOL`` are ties too, as for mirror images, and go by the cut
+    vector, greatest first: of a mirror pair, the image reaching less far
+    left.  So the order does not hang on the last bits of either.
     """
     kept = [r for r in reports if r.converged and r.classification == LOCAL_MINIMUM]
     kept.sort(key=lambda r: r.message_length)
     ordered: list[SolveReport] = []
-    while len(ordered) < len(kept):
-        top = kept[len(ordered)].message_length + _LENGTH_TIE
-        ties = [r for r in kept[len(ordered):] if r.message_length <= top]
-        ordered += sorted(ties, key=lambda r: (max(map(abs, r.cuts)), r.cuts))
+    for ties in _tie_runs(kept, lambda r: r.message_length, _LENGTH_TIE):
+        ties.sort(key=_spread)
+        for same in _tie_runs(ties, _spread, _DEDUP_TOL):
+            ordered += sorted(same, key=lambda r: r.cuts, reverse=True)
     deduped: list[SolveReport] = []
     for report in ordered:
         a = np.asarray(report.cuts)
@@ -652,13 +648,14 @@ def solve_sweep(
     direct scan of the scalar residual.  Each later stage seeds Newton with
     the previous stage's best solutions extended by one new outer cut on
     either side (placed at the outermost scalar stationarity root), plus the
-    quantile start and its jittered variants.  This follows the empirical
+    one quantile start at levels i/(n+1).  This follows the empirical
     structure of the optima, whose cut-point sets nest as n grows; quantile
     starts alone land in interior saddle basins and, for far-out cuts, the
     required quantile levels are not even representable in double precision.
 
     Returns the deduplicated, best-first solution lists for each n in
-    [n_min, n_max].  Deterministic for a fixed option set.
+    [n_min, n_max].  Deterministic for a fixed option set; nothing is kept
+    between calls.
     """
     if not 1 <= n_min <= n_max:
         raise ValueError(f"need 1 <= n_min <= n_max, got ({n_min!r}, {n_max!r})")
@@ -666,6 +663,7 @@ def solve_sweep(
     stages: dict[int, list[SolveReport]] = {}
     parents: list[SolveReport] = []
     grandparents: list[SolveReport] = []
+    roots: dict[tuple[tuple[float, ...], int], float | None] = {}
     for stage in range(1, n_max + 1):
         starts: list[np.ndarray] = []
         if stage == 1:
@@ -675,8 +673,9 @@ def solve_sweep(
             if root is not None:
                 starts.append(np.array([root]))
         else:
-            starts.extend(_insertion_starts(family, marginal, parents, grandparents))
-        starts.extend(_quantile_starts(marginal, stage, opts, stage))
+            starts.extend(_insertion_starts(family, marginal, parents, grandparents, roots))
+        levels = np.arange(1, stage + 1) / (stage + 1)
+        starts.append(np.array([marginal.quantile(p) for p in levels]))
         reports = []
         for start in starts:
             if not _feasible(family, start):
@@ -697,12 +696,12 @@ def multi_start_solve(
     """Deterministic multi-start Newton for a fixed number of cut-points.
 
     Runs the continuation pipeline of :func:`solve_sweep` up to ``n`` (the
-    quantile start at levels i/(n+1) and its seeded jitters are always
-    included at every stage) and returns the stage-``n`` solutions: converged
-    local minima only (Newton happily converges to saddles of the expected
-    length; those are not estimators), deduplicated at 1e-6 in cut-point
-    space, sorted by message length; lengths within 1e-12 are ties, ordered
-    most compact first.  May be empty if no start converges.
+    quantile start at levels i/(n+1) is included at every stage) and returns
+    the stage-``n`` solutions: converged local minima only (Newton happily
+    converges to saddles of the expected length; those are not estimators),
+    deduplicated at 1e-6 in cut-point space, sorted by message length;
+    lengths within 1e-12 are ties, ordered most compact first.  May be empty
+    if no start converges.
     """
     if n < 1:
         raise ValueError(f"need at least one cut-point, got n={n!r}")

@@ -166,10 +166,11 @@ class TestConfigFile:
 
     def test_unknown_key_exits_1(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text("modle = normal-normal\n", encoding="utf-8")
-        code, _, err = run_cli(["sweep", "--config", str(cfg), "--n", "1"], capsys)
-        assert code == 1
-        assert "modle" in err
+        for key in ("modle = normal-normal", "extra_starts = 8"):
+            cfg.write_text(key + "\n", encoding="utf-8")
+            code, _, err = run_cli(["sweep", "--config", str(cfg), "--n", "1"], capsys)
+            assert code == 1
+            assert key.split()[0] in err
 
 
 class TestCurves:
@@ -258,5 +259,6 @@ class TestEntryPoint:
         assert "0.2968787934" in proc.stdout
 
     def test_unknown_flag_exits_1(self):
-        proc = run_module(["solve", "--frobnicate"])
-        assert proc.returncode == 1
+        for flags in (["--frobnicate"], ["--n", "1", "--extra-starts", "8"]):
+            proc = run_module(["solve", *flags])
+            assert proc.returncode == 1

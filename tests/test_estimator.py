@@ -50,6 +50,17 @@ EXP_REDUNDANCY = {
     4: 0.057900803640766,
     5: 0.057900803597306,
 }
+# Every deduplicated minimum of the acceptance sweeps, best first.  From n=5
+# the five-cut mirror pair and its one-cut extensions rank beside the best;
+# from n=7 so do books tied with it that add cuts only where the mass underflows.
+NORMAL_MINIMA = {
+    **{n: [NORMAL_REDUNDANCY[n]] for n in range(1, 5)},
+    5: [NORMAL_SIX_CUT_SECOND_MINIMUM] * 2,
+    6: [NORMAL_REDUNDANCY[6]] + [NORMAL_SIX_CUT_SECOND_MINIMUM] * 2,
+    7: [NORMAL_REDUNDANCY[6]] * 2 + [NORMAL_SIX_CUT_SECOND_MINIMUM],
+    **{n: [NORMAL_REDUNDANCY[6]] * 3 for n in range(8, 17)},
+}
+EXP_MINIMA = {n: [red] for n, red in EXP_REDUNDANCY.items()}
 
 
 @pytest.fixture(scope="module")
@@ -346,6 +357,21 @@ class TestMultiStart:
         with pytest.raises(ValueError):
             multi_start_solve(family, marginal, 0)
 
+    @pytest.mark.parametrize("pair_name,n_max,minima", [
+        ("nn", 16, NORMAL_MINIMA),
+        ("eg", 5, EXP_MINIMA),
+    ])
+    def test_every_minimum_per_stage(self, pair_name, n_max, minima, request):
+        """The count and the redundancies of all deduplicated minima at every
+        stage, so that no change to the starts loses one silently."""
+        family, marginal = request.getfixturevalue(pair_name)
+        stages = solve_sweep(family, marginal, 1, n_max)
+        assert {n: len(reps) for n, reps in stages.items()} == {
+            n: len(want) for n, want in minima.items()}
+        for n, want in minima.items():
+            np.testing.assert_allclose([r.redundancy for r in stages[n]], want,
+                                       rtol=0.0, atol=1e-9, err_msg=f"n={n}")
+
     def test_quadrature_path_finds_the_same_optima(self, nn, nn_sweep6):
         """With the closed forms stripped, GK alone reaches the same best
         redundancies."""
@@ -390,6 +416,24 @@ class TestDedupOrder:
         (order,) = orders
         assert order[0] == self.COMPACT
         assert order[3:] == ((-4.0, -1.0, 1.0, 4.0), (-3.5, -1.0, 1.0, 5.0))
+
+    def test_mirror_pair_one_ulp_apart_keeps_one_order(self):
+        """Mirror images whose largest |cut| differ by 1 ulp are ties too, and
+        go by the cut vector, greatest first: the image reaching less far left."""
+        far = 10.861025503272964
+        ulp = math.ulp(far)
+
+        def images(k_left, k_right):
+            left = (-(far + k_left * ulp), -5.99776, -1.93615, 1.90439, 5.96185)
+            right = tuple(-c for c in reversed(left[1:])) + (far + k_right * ulp,)
+            return [_minimum(left, self.LENGTH), _minimum(right, self.LENGTH)]
+
+        orders = set()
+        for shifts in ((0, 1), (1, 0)):
+            for reports in itertools.permutations(images(*shifts)):
+                orders.add(tuple("left" if -r.cuts[0] > r.cuts[-1] else "right"
+                                 for r in _dedup_sorted(list(reports))))
+        assert orders == {("right", "left")}
 
     def test_distinct_minima_sort_by_length(self):
         compact = _minimum(self.COMPACT, self.LENGTH + 5e-7)
