@@ -593,37 +593,20 @@ def _insertion_starts(
     return starts
 
 
-def _tie_runs(items: list[SolveReport], key, tol: float) -> list[list[SolveReport]]:
-    """Split `items`, sorted by `key`, into runs within `tol` of each run's first."""
-    runs: list[list[SolveReport]] = []
-    for item in items:
-        if runs and key(item) <= key(runs[-1][0]) + tol:
-            runs[-1].append(item)
-        else:
-            runs.append([item])
-    return runs
-
-
-def _spread(report: SolveReport) -> float:
-    return max(map(abs, report.cuts))
-
-
 def _dedup_sorted(reports: list[SolveReport]) -> list[SolveReport]:
     """Converged local minima, best first, one per cut-point configuration.
 
     Lengths within ``_LENGTH_TIE`` of the first of a run are ties; ties go
-    most compact first (smallest largest |cut|).  Largest |cuts| within
-    ``_DEDUP_TOL`` are ties too, as for mirror images, and go by the cut
-    vector, greatest first: of a mirror pair, the image reaching less far
-    left.  So the order does not hang on the last bits of either.
+    most compact first (smallest largest |cut|), so the order does not hang
+    on the last bits of the lengths.
     """
     kept = [r for r in reports if r.converged and r.classification == LOCAL_MINIMUM]
     kept.sort(key=lambda r: r.message_length)
     ordered: list[SolveReport] = []
-    for ties in _tie_runs(kept, lambda r: r.message_length, _LENGTH_TIE):
-        ties.sort(key=_spread)
-        for same in _tie_runs(ties, _spread, _DEDUP_TOL):
-            ordered += sorted(same, key=lambda r: r.cuts, reverse=True)
+    while len(ordered) < len(kept):
+        top = kept[len(ordered)].message_length + _LENGTH_TIE
+        ties = [r for r in kept[len(ordered):] if r.message_length <= top]
+        ordered += sorted(ties, key=lambda r: (max(map(abs, r.cuts)), r.cuts))
     deduped: list[SolveReport] = []
     for report in ordered:
         a = np.asarray(report.cuts)

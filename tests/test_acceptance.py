@@ -95,14 +95,6 @@ def normal_sweep6(nn):
 
 
 @pytest.fixture(scope="module")
-def normal_sweep16(nn):
-    family, marginal = nn
-    start = time.perf_counter()
-    stages = solve_sweep(family, marginal, 1, 16)
-    return stages, time.perf_counter() - start
-
-
-@pytest.fixture(scope="module")
 def exp_sweep5(eg):
     family, marginal = eg
     start = time.perf_counter()
