@@ -215,8 +215,8 @@ def _validate(cfg: RunConfig) -> None:
             )
         if not (math.isfinite(cfg.beta) and cfg.beta > 0):
             raise ParameterError(f"beta must be a positive real, got {cfg.beta!r}")
-    if cfg.tol <= 0:
-        raise UsageError(f"tol must be positive, got {cfg.tol!r}")
+    if not (math.isfinite(cfg.tol) and cfg.tol > 0):
+        raise UsageError(f"tol must be a positive finite number, got {cfg.tol!r}")
     if cfg.max_iter < 1:
         raise UsageError(f"max_iter must be at least 1, got {cfg.max_iter!r}")
     if cfg.digits is not None and cfg.digits < 1:

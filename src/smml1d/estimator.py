@@ -75,6 +75,11 @@ _DEDUP_TOL = 1e-6
 # Rounding moves a length by ~1e-15; distinct minima differ by 5.4e-7 or more.
 _LENGTH_TIE = 1e-12
 _CRITICAL_GRAD_THRESHOLD = 1e-8
+_SCAN_TOL = 1e-6  # placement scans only need a few digits
+# A Newton run whose last two accepted steps each kept more than this share of
+# the gradient norm has stalled; runs that reach a minimum cut it by at least
+# 11% in one of any two steps in a row.
+_STALL_RATIO = 0.99
 
 
 @dataclass(frozen=True)
@@ -313,7 +318,10 @@ class SolverOptions:
     ``tol`` bounds the max-norm of the gradient map at convergence.  Each
     rejected step is halved at most ``backtrack_max`` times; a candidate is
     accepted only if it keeps strict ordering inside the support and lowers
-    the gradient norm.
+    the gradient norm.  A run stops unconverged after ``max_iter`` accepted
+    steps, or earlier on one of three faults: a singular or non-finite
+    Newton step, ``backtrack_max`` halvings that all fail, or a stall, where
+    two accepted steps in a row each lower the gradient norm by less than 1%.
     """
 
     tol: float = 1e-12
@@ -329,7 +337,10 @@ class SolveReport:
     the one-part length, ``redundancy`` their difference.  ``converged``
     holds exactly when ``final_grad_norm <= tol``; non-convergence is
     reported here, never raised.  ``grad_norm_trace`` records the gradient
-    norm at every accepted iterate.
+    norm at every accepted iterate.  ``diagnostic`` names the fault that
+    ended an unconverged run: a singular or non-finite Newton step, exhausted
+    step halvings, or a stall, each with its iteration; it is empty when the
+    run converged or used up ``max_iter``.
     """
 
     codebook: CodeBook
@@ -386,9 +397,12 @@ def newton_solve(
 
     Each step solves the tridiagonal system J d = -G directly; the step is
     then halved until the candidate stays strictly ordered inside the support
-    and strictly lowers the gradient max-norm.  A singular system or an
-    exhausted back-tracking loop ends the run with ``converged=False`` and a
-    diagnostic message.
+    and strictly lowers the gradient max-norm.  Three faults end the run
+    early with ``converged=False`` and a diagnostic message: a singular
+    system or non-finite step, a back-tracking loop that exhausts its
+    halvings, and a stall, where two accepted steps in a row each lower the
+    gradient max-norm by less than 1%.  A run that creeps towards a fold of G
+    would otherwise keep taking steps that need a dozen or more halvings.
     """
     opts = options or SolverOptions()
     a = _as_cuts(initial).as_array()
@@ -431,6 +445,18 @@ def newton_solve(
             break
         iterations += 1
         trace.append(grad_norm)
+        if (
+            grad_norm > opts.tol
+            and len(trace) >= 3
+            and trace[-1] > _STALL_RATIO * trace[-2]
+            and trace[-2] > _STALL_RATIO * trace[-3]
+        ):
+            diagnostic = (
+                f"stalled at iteration {iterations}: two steps each lowered the "
+                f"gradient norm by less than {1 - _STALL_RATIO:.0%} "
+                f"(gradient norm {grad_norm:.3e})"
+            )
+            break
 
     return _report(
         family, marginal, codebook, grad_norm,
@@ -439,9 +465,6 @@ def newton_solve(
         trace=trace,
         diagnostic=diagnostic,
     )
-
-
-_SCAN_TOL = 1e-6  # placement scans only need a few digits
 
 
 def _insertion_residual(

@@ -57,6 +57,15 @@ class TestSolve:
         assert code == 1
         assert "alpha" in err and "exceed 1" in err
 
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    def test_nonfinite_tol_exits_1(self, tol, capsys):
+        code, out, err = run_cli(
+            ["solve", "--model", "normal-normal", "--alpha", "2", "--n", "2",
+             f"--tol={tol}"], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "tol" in err
+
     def test_missing_n_exits_1(self, capsys):
         code, _, err = run_cli(["solve", "--model", "normal-normal", "--alpha", "2"], capsys)
         assert code == 1

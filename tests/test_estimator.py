@@ -72,6 +72,11 @@ ALPHA1_MINIMA = {
     3: [ALPHA1_BEST] * 2 + [ALPHA1_ONE_CUT],
     **{n: [ALPHA1_BEST] * 3 for n in range(4, 9)},
 }
+# Normal with prior sd 3, n<=8: one minimum per stage.  Its n=7 and n=8
+# insertion starts creep towards a fold of G, which the stall stop cuts short.
+ALPHA3_MINIMA = {n: [red] for n, red in enumerate([
+    0.85875577222501, 0.34699967077792, 0.21353502565965, 0.18215707820569,
+    0.17684620603671, 0.17628733955822, 0.17625356404286, 0.17625247671774], start=1)}
 
 
 @pytest.fixture(scope="module")
@@ -94,6 +99,12 @@ def nn_sweep16(normal_sweep16):
 @pytest.fixture(scope="module")
 def nn_alpha1_sweep8():
     family, marginal = make_normal_normal(1.0)
+    return solve_sweep(family, marginal, 1, 8)
+
+
+@pytest.fixture(scope="module")
+def nn_alpha3_sweep8():
+    family, marginal = make_normal_normal(3.0)
     return solve_sweep(family, marginal, 1, 8)
 
 
@@ -315,6 +326,30 @@ class TestNewtonSolve:
         assert report.final_grad_norm > 1e-18
         assert report.diagnostic  # names the reason instead of raising
 
+    @pytest.mark.parametrize("start", [
+        [-3.8977, 0.0, 3.8977, 8.2816],
+        [-8.2816, -3.8977, 0.0, 3.8977],
+    ], ids=["right", "left"])
+    def test_stalled_run_stops_early(self, nn, start, monkeypatch):
+        """The mirror-image n=4 insertion starts of the sd-2 sweep creep
+        towards a fold of G at |G| = 6.4e-3; the run ends as a stall after a
+        few code-book builds instead of exhausting its step halvings."""
+        family, marginal = nn
+        builds = 0
+        build = codebook_from_cutpoints
+
+        def counting_build(*args):
+            nonlocal builds
+            builds += 1
+            return build(*args)
+
+        monkeypatch.setattr("smml1d.estimator.codebook_from_cutpoints", counting_build)
+        report = newton_solve(family, marginal, start)
+        assert not report.converged
+        assert report.classification == NOT_CRITICAL
+        assert report.diagnostic.startswith("stalled at iteration")
+        assert builds <= 40
+
     def test_infeasible_start_raises(self, nn):
         family, marginal = nn
         with pytest.raises(ValueError):
@@ -383,7 +418,8 @@ class TestMultiStart:
         ("nn_sweep16", NORMAL_MINIMA),
         ("eg_sweep5", EXP_MINIMA),
         ("nn_alpha1_sweep8", ALPHA1_MINIMA),
-    ], ids=["nn", "eg", "nn-alpha1"])
+        ("nn_alpha3_sweep8", ALPHA3_MINIMA),
+    ], ids=["nn", "eg", "nn-alpha1", "nn-alpha3"])
     def test_every_minimum_per_stage(self, sweep, minima, request):
         """The count and the redundancies of all deduplicated minima at every
         stage, so that no change to the starts loses one silently."""
