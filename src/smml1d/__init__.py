@@ -22,7 +22,6 @@ from .quadrature import (
     interval_integrals,
 )
 from .estimator import (
-    DEFAULT_SEED,
     LOCAL_MINIMUM,
     NOT_CRITICAL,
     SADDLE,
@@ -44,6 +43,7 @@ from .estimator import (
     newton_solve,
     solve_sweep,
 )
+from .checks import DEFAULT_SEED
 
 __version__ = "0.1.0"
 

@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -22,23 +22,21 @@ from .families import (
     FamilyModel,
     MarginalModel,
     ParameterError,
-    SupportError,
     make_exponential_gamma,
     make_normal_normal,
 )
 from .estimator import (
-    DEFAULT_SEED,
     SolverOptions,
     SolveReport,
     codebook_from_cutpoints,
     curve_samples,
     gradient,
     jacobian,
-    message_length,
     multi_start_solve,
     newton_solve,
     solve_sweep,
 )
+from .checks import DEFAULT_SEED, gradient_fd, length_fd, separated_cuts
 
 MODELS = ("normal-normal", "exponential-gamma")
 
@@ -47,25 +45,47 @@ class UsageError(ValueError):
     """Malformed command line or config file."""
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated run parameters; mirrors the model constructors' domains."""
+@dataclasses.dataclass(frozen=True)
+class Option:
+    """A ``RunConfig`` field and config key ``name``, and the flag ``--name``
+    (dashes for underscores; bools also ``--no-name``) on ``commands``, or
+    on every subcommand when that is None."""
 
-    model: str = "normal-normal"
-    alpha: float = 2.0
-    beta: float = 1.0
-    n: int | None = None
-    n_min: int | None = None
-    n_max: int | None = None
-    tol: float = 1e-12
-    max_iter: int = 200
-    seed: int = DEFAULT_SEED
-    out: str | None = None
-    fmt: str = "csv"
-    bits: bool = False
-    full_cuts: bool = False
-    digits: int | None = None
+    name: str
+    kind: type
+    default: object = None
+    help: str | None = None
+    choices: tuple[str, ...] | None = None
+    commands: tuple[str, ...] | None = None
 
+
+OPTIONS = (
+    Option("model", str, "normal-normal", choices=MODELS),
+    Option("alpha", float, 2.0, "prior standard deviation (normal) or shape (gamma)"),
+    Option("beta", float, 1.0, "gamma prior rate"),
+    Option("tol", float, SolverOptions.tol, "gradient max-norm tolerance"),
+    Option("max_iter", int, SolverOptions.max_iter, "Newton steps per start"),
+    Option("seed", int, DEFAULT_SEED, "seed of verify's random configurations"),
+    Option("out", str, None, "output path (default: stdout)"),
+    Option("format", str, "csv", choices=("csv", "text")),
+    Option("bits", bool, False, "report lengths in bits instead of nats"),
+    Option("full_cuts", bool, False, "print every cut-point, not only the non-negative ones"),
+    Option("digits", int, None, "significant digits for CSV numbers (default: full precision)"),
+    Option("n", int, None, "cut-point count; for sweep, shorthand for --n-min N --n-max N",
+           commands=("solve", "sweep", "curves")),
+    Option("n_min", int, commands=("sweep",)),
+    Option("n_max", int, commands=("sweep",)),
+    Option("x_min", float, None, "left end of the grid (default: the 5e-4 quantile)",
+           commands=("curves",)),
+    Option("x_max", float, None, "right end of the grid (default: the 1 - 5e-4 quantile)",
+           commands=("curves",)),
+    Option("points", int, 500, "grid size", commands=("curves",)),
+)
+_CONFIG_KEYS = {opt.name: opt for opt in OPTIONS}
+_BOOLEANS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
+
+
+class _RunConfigMethods:
     def solver_options(self) -> SolverOptions:
         return SolverOptions(tol=self.tol, max_iter=self.max_iter)
 
@@ -85,25 +105,14 @@ class RunConfig:
         return 1.0 / math.log(2.0) if self.bits else 1.0
 
 
-_CONFIG_KEYS = {
-    "model": str,
-    "alpha": float,
-    "beta": float,
-    "n": int,
-    "n_min": int,
-    "n_max": int,
-    "tol": float,
-    "max_iter": int,
-    "seed": int,
-    "out": str,
-    "format": str,
-    "bits": bool,
-    "full_cuts": bool,
-    "digits": int,
-    "x_min": float,
-    "x_max": float,
-    "points": int,
-}
+# Run parameters: one frozen field per option, with the option's default.
+RunConfig = dataclasses.make_dataclass(
+    "RunConfig",
+    [(opt.name, opt.kind if opt.default is not None else opt.kind | None, opt.default)
+     for opt in OPTIONS],
+    bases=(_RunConfigMethods,),
+    frozen=True,
+)
 
 
 def _read_config_file(path: str) -> dict:
@@ -124,16 +133,14 @@ def _read_config_file(path: str) -> dict:
         val = val.strip()
         if key not in _CONFIG_KEYS:
             raise UsageError(f"config: unknown key {key!r} on line {lineno}")
-        kind = _CONFIG_KEYS[key]
+        opt = _CONFIG_KEYS[key]
         try:
-            if kind is bool:
-                if val.lower() not in ("true", "false", "1", "0", "yes", "no"):
-                    raise ValueError(val)
-                values[key] = val.lower() in ("true", "1", "yes")
-            else:
-                values[key] = kind(val)
-        except ValueError as exc:
+            value = _BOOLEANS[val.lower()] if opt.kind is bool else opt.kind(val)
+            if opt.choices and value not in opt.choices:
+                raise ValueError(val)
+        except (KeyError, ValueError) as exc:
             raise UsageError(f"config: bad value for {key} on line {lineno}: {val!r}") from exc
+        values[key] = value
     return values
 
 
@@ -142,79 +149,42 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _add_flags(parser: _Parser, options) -> None:
+    for opt in options:
+        kind = ({"action": argparse.BooleanOptionalAction} if opt.kind is bool
+                else {"type": opt.kind, "choices": opt.choices})
+        text = opt.help
+        if opt.default is not None:
+            text = f"{text or ''} (default: {opt.default})".lstrip()
+        parser.add_argument("--" + opt.name.replace("_", "-"), dest=opt.name, help=text, **kind)
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="smml1d", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    common = _Parser(add_help=False)
+    common = _Parser(add_help=False)  # built once, copied into each subcommand
     common.add_argument("--config", help="key=value config file; flags override it")
-    common.add_argument("--model", choices=MODELS)
-    common.add_argument("--alpha", type=float)
-    common.add_argument("--beta", type=float)
-    common.add_argument("--tol", type=float, help="gradient max-norm tolerance")
-    common.add_argument("--max-iter", type=int, dest="max_iter")
-    common.add_argument("--seed", type=int, help="seed of verify's random configurations")
-    common.add_argument("--out", help="output path (default: stdout)")
-    common.add_argument("--format", choices=("csv", "text"), dest="fmt")
-    common.add_argument("--bits", action=argparse.BooleanOptionalAction,
-                        help="report lengths in bits instead of nats")
-    common.add_argument("--full-cuts", action=argparse.BooleanOptionalAction,
-                        dest="full_cuts",
-                        help="print every cut-point, not only the non-negative ones")
-    common.add_argument("--digits", type=int,
-                        help="significant digits for CSV numbers (default: full precision)")
-
-    p = sub.add_parser("solve", parents=[common], help="solve for one cut-point count")
-    p.add_argument("--n", type=int)
-
-    p = sub.add_parser("sweep", parents=[common], help="solve a range of cut-point counts")
-    p.add_argument("--n", type=int, help="shorthand for --n-min N --n-max N")
-    p.add_argument("--n-min", type=int, dest="n_min")
-    p.add_argument("--n-max", type=int, dest="n_max")
-
-    p = sub.add_parser("curves", parents=[common],
-                       help="pointwise code-length densities for a solved model")
-    p.add_argument("--n", type=int)
-    p.add_argument("--x-min", type=float, dest="x_min")
-    p.add_argument("--x-max", type=float, dest="x_max")
-    p.add_argument("--points", type=int)
-
-    sub.add_parser("verify", parents=[common],
-                   help="run the invariant suite on both built-in models")
+    _add_flags(common, [opt for opt in OPTIONS if opt.commands is None])
+    for command, (_, help_text) in COMMANDS.items():
+        p = sub.add_parser(command, parents=[common], help=help_text)
+        _add_flags(p, [opt for opt in OPTIONS if command in (opt.commands or ())])
     return parser
 
 
-def _merged_config(args: argparse.Namespace) -> tuple[RunConfig, dict]:
-    file_vals = _read_config_file(args.config) if getattr(args, "config", None) else {}
-    merged = dict(file_vals)
-    for key in vars(args):
-        if key in ("command", "config"):
-            continue
-        val = getattr(args, key)
-        if val is not None:
-            merged[key] = val
-    extras = {k: merged.pop(k) for k in ("x_min", "x_max", "points") if k in merged}
-    if "format" in merged:
-        merged["fmt"] = merged.pop("format")
+def _merged_config(args: argparse.Namespace) -> RunConfig:
+    """Config-file values, overridden by the flags given."""
+    merged = _read_config_file(args.config) if args.config else {}
+    for opt in OPTIONS:
+        if getattr(args, opt.name, None) is not None:
+            merged[opt.name] = getattr(args, opt.name)
     cfg = RunConfig(**merged)
     _validate(cfg)
-    return cfg, extras
+    return cfg
 
 
 def _validate(cfg: RunConfig) -> None:
-    if cfg.model not in MODELS:
-        raise UsageError(f"model must be one of {MODELS}, got {cfg.model!r}")
-    if not (math.isfinite(cfg.alpha)):
-        raise UsageError(f"alpha must be finite, got {cfg.alpha!r}")
-    if cfg.model == "normal-normal" and cfg.alpha <= 0:
-        raise ParameterError(f"alpha must be a positive real, got {cfg.alpha!r}")
-    if cfg.model == "exponential-gamma":
-        if cfg.alpha <= 1:
-            raise ParameterError(
-                f"alpha must exceed 1 (the marginal needs a finite mean), got {cfg.alpha!r}"
-            )
-        if not (math.isfinite(cfg.beta) and cfg.beta > 0):
-            raise ParameterError(f"beta must be a positive real, got {cfg.beta!r}")
+    """Checks of the solver and output options; the model constructors
+    check alpha and beta, and ``RunConfig.models`` the model name."""
     if not (math.isfinite(cfg.tol) and cfg.tol > 0):
         raise UsageError(f"tol must be a positive finite number, got {cfg.tol!r}")
     if cfg.max_iter < 1:
@@ -243,10 +213,13 @@ def _csv_text(rows: list[list[str]]) -> str:
 
 
 def _emit(text: str, out: str | None) -> None:
-    if out:
-        Path(out).write_text(text, encoding="utf-8")
-    else:
+    if not out:
         sys.stdout.write(text)
+        return
+    try:
+        Path(out).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise UsageError(f"cannot write {out!r}: {exc}") from exc
 
 
 def _solution_rows(cfg: RunConfig, reports: list[SolveReport]) -> list[list[str]]:
@@ -297,7 +270,7 @@ def cmd_solve(cfg: RunConfig) -> int:
     if not reports:
         print("no start converged to a local minimum", file=sys.stderr)
         return 2
-    if cfg.fmt == "text":
+    if cfg.format == "text":
         _emit(_solution_text(cfg, reports), cfg.out)
     else:
         _emit(_csv_text(_solution_rows(cfg, reports)), cfg.out)
@@ -327,7 +300,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
         row += [_fmt_num(c, cfg.digits) for c in cuts]
         row += [""] * (width - len(cuts))
         rows.append(row)
-    if cfg.fmt == "text":
+    if cfg.format == "text":
         text_lines = ["  ".join(f"{cell:>14s}" for cell in row) for row in rows]
         _emit("\n".join(text_lines) + "\n", cfg.out)
     else:
@@ -335,25 +308,22 @@ def cmd_sweep(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_curves(cfg: RunConfig, x_min: float | None, x_max: float | None, points: int | None) -> int:
+def cmd_curves(cfg: RunConfig) -> int:
     if cfg.n is None or cfg.n < 1:
         raise UsageError(f"n must be a positive integer, got {cfg.n!r}")
-    points = 500 if points is None else points
-    if points < 2:
-        raise UsageError(f"points must be at least 2, got {points!r}")
+    if cfg.points < 2:
+        raise UsageError(f"points must be at least 2, got {cfg.points!r}")
     family, marginal = cfg.models()
-    if x_min is None:
-        x_min = marginal.quantile(5e-4)
-    if x_max is None:
-        x_max = marginal.quantile(1 - 5e-4)
-    if not x_min < x_max:
-        raise UsageError(f"need x_min < x_max, got ({x_min!r}, {x_max!r})")
+    x_min = marginal.quantile(5e-4) if cfg.x_min is None else cfg.x_min
+    x_max = marginal.quantile(1 - 5e-4) if cfg.x_max is None else cfg.x_max
+    if not (math.isfinite(x_min) and math.isfinite(x_max) and x_min < x_max):
+        raise UsageError(f"need finite x_min < x_max, got ({x_min!r}, {x_max!r})")
     reports = multi_start_solve(family, marginal, cfg.n, cfg.solver_options())
     if not reports:
         print("no start converged to a local minimum", file=sys.stderr)
         return 2
     best = reports[0]
-    table = curve_samples(family, marginal, best.codebook, x_min, x_max, points)
+    table = curve_samples(family, marginal, best.codebook, x_min, x_max, cfg.points)
     rows = [["x", f"one_part_density_{cfg.unit}", f"two_part_density_{cfg.unit}", "marginal_pdf"]]
     for x, one, two, dens in table.rows():
         rows.append([
@@ -376,62 +346,33 @@ def cmd_curves(cfg: RunConfig, x_min: float | None, x_max: float | None, points:
 
 def _verify_model(cfg: RunConfig, name: str) -> list[tuple[str, bool, str]]:
     checks: list[tuple[str, bool, str]] = []
-    sub = RunConfig(model=name, alpha=cfg.alpha, beta=cfg.beta, tol=cfg.tol,
-                    max_iter=cfg.max_iter)
-    family, marginal = sub.models()
-    opts = sub.solver_options()
+    family, marginal = dataclasses.replace(cfg, model=name).models()
+    opts = cfg.solver_options()
     rng = np.random.default_rng(cfg.seed)
 
-    def random_cuts(n):
-        for _ in range(100):
-            p = np.sort(rng.uniform(0.08, 0.92, size=n))
-            cuts = np.array([marginal.quantile(v) for v in p])
-            if np.all(np.diff(cuts) > 0.05):
-                return cuts
-        raise ArithmeticError("could not draw separated random cut-points")
-
-    # gradient vs finite differences of the length
+    # r(a) * gradient vs finite differences of the length
     worst = 0.0
     for _ in range(3):
-        cuts = random_cuts(3)
+        cuts = separated_cuts(marginal, rng, 3)
         book = codebook_from_cutpoints(family, marginal, cuts)
-        grad = gradient(family, marginal, book)
-        dens = np.exp(np.asarray(marginal.log_pdf(cuts), dtype=float))
-        h = 1e-5
-        for j in range(cuts.size):
-            up, dn = cuts.copy(), cuts.copy()
-            up[j] += h
-            dn[j] -= h
-            fd = (
-                message_length(family, marginal, codebook_from_cutpoints(family, marginal, up))
-                - message_length(family, marginal, codebook_from_cutpoints(family, marginal, dn))
-            ) / (2 * h)
-            worst = max(worst, abs(fd - dens[j] * grad[j]) / abs(fd))
+        slope = np.exp(np.asarray(marginal.log_pdf(cuts), dtype=float)) * gradient(
+            family, marginal, book)
+        fd = length_fd(family, marginal, cuts)
+        worst = max(worst, float(np.max(np.abs(fd - slope) / np.abs(fd))))
     checks.append(("gradient-fd", worst < 1e-4, f"max rel err {worst:.2e}"))
 
     # tridiagonal jacobian vs finite differences of the gradient
-    worst = 0.0
-    cuts = random_cuts(3)
-    book = codebook_from_cutpoints(family, marginal, cuts)
-    J = jacobian(family, marginal, book).to_dense()
-    h = 1e-5
-    for k in range(cuts.size):
-        up, dn = cuts.copy(), cuts.copy()
-        up[k] += h
-        dn[k] -= h
-        fd = (
-            gradient(family, marginal, codebook_from_cutpoints(family, marginal, up))
-            - gradient(family, marginal, codebook_from_cutpoints(family, marginal, dn))
-        ) / (2 * h)
-        for j in range(cuts.size):
-            if abs(J[j, k]) > 1e-8:
-                worst = max(worst, abs(fd[j] - J[j, k]) / abs(J[j, k]))
+    cuts = separated_cuts(marginal, rng, 3)
+    J = jacobian(family, marginal, codebook_from_cutpoints(family, marginal, cuts)).to_dense()
+    band = np.abs(J) > 1e-8
+    fd = gradient_fd(family, marginal, cuts)
+    worst = float(np.max(np.abs(fd[band] - J[band]) / np.abs(J[band]), initial=0.0))
     checks.append(("jacobian-fd", worst < 1e-4, f"max rel err {worst:.2e}"))
 
     # coding probabilities sum to one
     worst = 0.0
     for n in (1, 4):
-        book = codebook_from_cutpoints(family, marginal, random_cuts(n))
+        book = codebook_from_cutpoints(family, marginal, separated_cuts(marginal, rng, n))
         worst = max(worst, abs(math.fsum(math.exp(lq) for lq in book.log_q) - 1.0))
     checks.append(("normalization", worst < 1e-9, f"max |sum q - 1| {worst:.2e}"))
 
@@ -469,23 +410,20 @@ def cmd_verify(cfg: RunConfig) -> int:
     return 0 if all_ok else 1
 
 
+COMMANDS = {
+    "solve": (cmd_solve, "solve for one cut-point count"),
+    "sweep": (cmd_sweep, "solve a range of cut-point counts"),
+    "curves": (cmd_curves, "pointwise code-length densities for a solved model"),
+    "verify": (cmd_verify, "run the invariant suite on both built-in models"),
+}
+
+
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        cfg, extras = _merged_config(args)
-        if args.command == "solve":
-            return cmd_solve(cfg)
-        if args.command == "sweep":
-            return cmd_sweep(cfg)
-        if args.command == "curves":
-            return cmd_curves(cfg, extras.get("x_min"), extras.get("x_max"), extras.get("points"))
-        if args.command == "verify":
-            return cmd_verify(cfg)
-        raise UsageError(f"unknown command {args.command!r}")
-    except (UsageError, ParameterError, SupportError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+        command, _ = COMMANDS[args.command]
+        return command(_merged_config(args))
+    except ValueError as exc:  # UsageError, ParameterError and SupportError too
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ArithmeticError as exc:

@@ -45,7 +45,6 @@ __all__ = [
     "LOCAL_MINIMUM",
     "SADDLE",
     "NOT_CRITICAL",
-    "DEFAULT_SEED",
     "CutPointVector",
     "CodeBook",
     "Tridiagonal",
@@ -69,8 +68,6 @@ LOCAL_MINIMUM = "local-minimum"
 SADDLE = "saddle/indefinite"
 NOT_CRITICAL = "not-critical"
 
-# Seed of the random configurations `smml1d verify` draws; the solver is not random.
-DEFAULT_SEED = 1729
 _DEDUP_TOL = 1e-6
 # Rounding moves a length by ~1e-15; distinct minima differ by 5.4e-7 or more.
 _LENGTH_TIE = 1e-12
@@ -289,26 +286,12 @@ def classify_critical_point(
 
 
 def continuity_gaps(family: FamilyModel, marginal: MarginalModel, codebook: CodeBook) -> np.ndarray:
-    """Jump of the log two-part code density across each cut-point.
+    """|G|: the size of the jump of the log two-part code density at each cut.
 
-    Recomputed from the code book's log masses, assertions and the carrier
-    rather than from :func:`gradient`, then cross-checked against it; the two
-    agree identically up to floating-point rounding, and at a converged
-    solution all gaps sit at the solver tolerance.
+    The log carrier is continuous, so the jump of the log code density is
+    the jump of the bracket that :func:`gradient` differences.
     """
-    a = codebook.cuts.as_array()
-    lq = np.asarray(codebook.log_q)
-    th = np.asarray(codebook.theta_hat)
-    lp = np.array([family.log_partition(t) for t in codebook.theta_hat])
-    lh = np.asarray(family.log_carrier(a), dtype=float)
-    below = lq[:-1] + a * th[:-1] - lp[:-1] + lh
-    above = lq[1:] + a * th[1:] - lp[1:] + lh
-    gaps = np.abs(above - below)
-    residuals = np.abs(gradient(family, marginal, codebook))
-    scale = np.maximum(1.0, np.maximum(np.abs(below), np.abs(above)))
-    if np.any(np.abs(gaps - residuals) > 1e-12 * scale):
-        raise ArithmeticError("continuity gaps diverge from the gradient residuals")
-    return gaps
+    return np.abs(gradient(family, marginal, codebook))
 
 
 @dataclass(frozen=True)
@@ -336,11 +319,12 @@ class SolveReport:
     ``message_length`` is the expected two-part length (nats), ``entropy``
     the one-part length, ``redundancy`` their difference.  ``converged``
     holds exactly when ``final_grad_norm <= tol``; non-convergence is
-    reported here, never raised.  ``grad_norm_trace`` records the gradient
-    norm at every accepted iterate.  ``diagnostic`` names the fault that
-    ended an unconverged run: a singular or non-finite Newton step, exhausted
-    step halvings, or a stall, each with its iteration; it is empty when the
-    run converged or used up ``max_iter``.
+    reported here, never raised.  ``continuity_gaps`` is |G| at the final
+    cuts, so its maximum is ``final_grad_norm``.  ``grad_norm_trace``
+    records the gradient norm at every accepted iterate.  ``diagnostic``
+    says why an unconverged run ended: a singular or non-finite Newton step,
+    exhausted step halvings, a stall, or ``max_iter`` used up; it is empty
+    when the run converged.
     """
 
     codebook: CodeBook
@@ -369,9 +353,11 @@ def _feasible(family: FamilyModel, a: np.ndarray) -> bool:
     )
 
 
-def _report(family, marginal, codebook, grad_norm, converged, iterations, trace, diagnostic=""):
+def _report(family, marginal, codebook, residual, converged, iterations, trace, diagnostic):
     length = message_length(family, marginal, codebook)
     entropy = marginal_entropy(marginal)
+    gaps = np.abs(residual)
+    grad_norm = float(np.max(gaps))
     return SolveReport(
         codebook=codebook,
         message_length=length,
@@ -381,7 +367,7 @@ def _report(family, marginal, codebook, grad_norm, converged, iterations, trace,
         iterations=iterations,
         final_grad_norm=grad_norm,
         classification=classify_critical_point(family, marginal, codebook, grad_norm),
-        continuity_gaps=tuple(continuity_gaps(family, marginal, codebook).tolist()),
+        continuity_gaps=tuple(gaps.tolist()),
         grad_norm_trace=tuple(trace),
         diagnostic=diagnostic,
     )
@@ -403,6 +389,7 @@ def newton_solve(
     halvings, and a stall, where two accepted steps in a row each lower the
     gradient max-norm by less than 1%.  A run that creeps towards a fold of G
     would otherwise keep taking steps that need a dozen or more halvings.
+    A run that uses up ``max_iter`` unconverged says so in its diagnostic.
     """
     opts = options or SolverOptions()
     a = _as_cuts(initial).as_array()
@@ -457,9 +444,12 @@ def newton_solve(
                 f"(gradient norm {grad_norm:.3e})"
             )
             break
+    else:
+        if grad_norm > opts.tol:
+            diagnostic = f"reached max_iter={opts.max_iter} (gradient norm {grad_norm:.3e})"
 
     return _report(
-        family, marginal, codebook, grad_norm,
+        family, marginal, codebook, residual,
         converged=grad_norm <= opts.tol,
         iterations=iterations,
         trace=trace,

@@ -23,9 +23,9 @@ from smml1d import (
     continuity_gaps,
     gradient,
     jacobian,
-    message_length,
     newton_solve,
 )
+from smml1d.checks import gradient_fd, length_fd, separated_cuts
 from smml1d.cli import main
 from smml1d.estimator import solve_sweep
 
@@ -104,14 +104,7 @@ def exp_sweep5(eg):
 
 def _random_configs(marginal, seed, count):
     rng = np.random.default_rng(seed)
-    out = []
-    while len(out) < count:
-        n = int(rng.integers(1, 6))
-        p = np.sort(rng.uniform(0.08, 0.92, size=n))
-        cuts = np.array([marginal.quantile(v) for v in p])
-        if n == 1 or np.min(np.diff(cuts)) > 0.05:
-            out.append(cuts)
-    return out
+    return [separated_cuts(marginal, rng, 1, 5) for _ in range(count)]
 
 
 def test_criterion_1_table1_reproduction(normal_sweep6):
@@ -227,20 +220,12 @@ def test_criterion_5_table2_reproduction(exp_sweep5):
 def test_criterion_6_gradient_oracle(pair_name, seed, request):
     family, marginal = request.getfixturevalue(pair_name)
     worst = 0.0
-    h = 1e-5
     for cuts in _random_configs(marginal, seed, 50):
         book = codebook_from_cutpoints(family, marginal, cuts)
         grad = gradient(family, marginal, book)
         dens = np.exp(np.asarray(marginal.log_pdf(cuts), dtype=float))
-        for j in range(cuts.size):
-            up, dn = cuts.copy(), cuts.copy()
-            up[j] += h
-            dn[j] -= h
-            fd = (
-                message_length(family, marginal, codebook_from_cutpoints(family, marginal, up))
-                - message_length(family, marginal, codebook_from_cutpoints(family, marginal, dn))
-            ) / (2 * h)
-            worst = max(worst, abs(dens[j] * grad[j] - fd) / abs(fd))
+        fd = length_fd(family, marginal, cuts)
+        worst = max(worst, np.max(np.abs(dens * grad - fd) / np.abs(fd)))
     _criterion(6, worst <= 1e-4, f"{pair_name}: max rel err {worst:.2e} over 50 configs")
 
 
@@ -249,25 +234,14 @@ def test_criterion_7_jacobian_oracle(pair_name, seed, request):
     family, marginal = request.getfixturevalue(pair_name)
     worst = 0.0
     structural_ok = True
-    h = 1e-5
     for cuts in _random_configs(marginal, seed, 50):
         book = codebook_from_cutpoints(family, marginal, cuts)
-        tri = jacobian(family, marginal, book)
-        dense = tri.to_dense()
+        dense = jacobian(family, marginal, book).to_dense()
         n = cuts.size
-        structural_ok &= all(
-            dense[j, k] == 0.0 for j in range(n) for k in range(n) if abs(j - k) > 1
-        )
-        for k in range(n):
-            up, dn = cuts.copy(), cuts.copy()
-            up[k] += h
-            dn[k] -= h
-            fd = (
-                gradient(family, marginal, codebook_from_cutpoints(family, marginal, up))
-                - gradient(family, marginal, codebook_from_cutpoints(family, marginal, dn))
-            ) / (2 * h)
-            for j in range(max(0, k - 1), min(n, k + 2)):
-                worst = max(worst, abs(dense[j, k] - fd[j]) / max(abs(fd[j]), 1e-12))
+        band = np.abs(np.subtract.outer(np.arange(n), np.arange(n))) <= 1
+        structural_ok &= bool(np.all(dense[~band] == 0.0))
+        fd = gradient_fd(family, marginal, cuts)[band]
+        worst = max(worst, np.max(np.abs(dense[band] - fd) / np.maximum(np.abs(fd), 1e-12)))
     ok = worst <= 1e-4 and structural_ok
     _criterion(7, ok,
                f"{pair_name}: max rel err {worst:.2e}, off-band zeros {structural_ok}")

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import smml1d
-from smml1d.cli import main
+from smml1d.cli import COMMANDS, OPTIONS, RunConfig, _build_parser, _merged_config, main
 
 EXP_TABLE = [0.058912861229508, 0.057904507855295, 0.057900816329763]
 
@@ -65,6 +65,12 @@ class TestSolve:
         assert code == 1
         assert out == ""
         assert err.startswith("error:") and "tol" in err
+
+    def test_unwritable_out_exits_1(self, tmp_path, capsys):
+        out_path = str(tmp_path / "missing" / "x.csv")
+        code, out, err = run_cli(["solve", "--n", "1", "--out", out_path], capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: cannot write") and err.count("\n") == 1
 
     def test_missing_n_exits_1(self, capsys):
         code, _, err = run_cli(["solve", "--model", "normal-normal", "--alpha", "2"], capsys)
@@ -175,11 +181,52 @@ class TestConfigFile:
 
     def test_unknown_key_exits_1(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
-        for key in ("modle = normal-normal", "extra_starts = 8"):
+        for key in ("modle = normal-normal", "extra_starts = 8", "fmt = csv", "config = x"):
             cfg.write_text(key + "\n", encoding="utf-8")
             code, _, err = run_cli(["sweep", "--config", str(cfg), "--n", "1"], capsys)
             assert code == 1
             assert key.split()[0] in err
+
+    @pytest.mark.parametrize("line", ["format = xml", "model = foo"])
+    def test_values_checked_like_flags(self, line, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line + "\n", encoding="utf-8")
+        code, out, err = run_cli(["solve", "--config", str(cfg), "--n", "1"], capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and line.split()[0] in err
+
+
+def _config_of(argv):
+    return _merged_config(_build_parser().parse_args(argv))
+
+
+class TestOptionTable:
+    """OPTIONS is the one declaration of every flag, config key and field."""
+
+    def test_flag_and_config_key_give_the_same_value(self, tmp_path):
+        cfg_file = tmp_path / "run.cfg"
+        for opt in OPTIONS:  # a value other than the default, as a flag argument
+            value = opt.choices[-1] if opt.choices else {
+                bool: "true", int: "7", float: "0.5", str: "x.csv"}[opt.kind]
+            cfg_file.write_text(f"{opt.name} = {value}\n", encoding="utf-8")
+            flag = ["--" + opt.name.replace("_", "-")] + ([] if opt.kind is bool else [value])
+            for command in COMMANDS:
+                from_file = getattr(_config_of([command, "--config", str(cfg_file)]), opt.name)
+                assert from_file == opt.kind(value) != getattr(RunConfig(), opt.name)
+                if opt.commands is None or command in opt.commands:
+                    assert getattr(_config_of([command, *flag]), opt.name) == from_file
+                else:
+                    with pytest.raises(ValueError, match="unrecognized|ambiguous"):
+                        _config_of([command, *flag])
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_help_lists_the_table(self, command, capsys):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        listed = capsys.readouterr().out.split("options:")[1].splitlines()
+        assert [line.split()[0].rstrip(",") for line in listed if line.startswith("  -")] == [
+            "-h", "--config", *("--" + opt.name.replace("_", "-") for opt in OPTIONS
+                                if opt.commands is None or command in opt.commands)]
 
 
 class TestCurves:
@@ -203,6 +250,13 @@ class TestCurves:
              "--points", "1"], capsys)
         assert code == 1
         assert "points" in err
+
+    @pytest.mark.parametrize("bounds", [
+        ["--x-min=-inf", "--x-max", "3"], ["--x-max=inf"], ["--x-min=nan"]])
+    def test_nonfinite_range_exits_1(self, bounds, capsys):
+        code, out, err = run_cli(["curves", "--n", "1", "--points", "5", *bounds], capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and "x_min < x_max" in err
 
     def test_density_column_integrates_to_cdf_mass(self, tmp_path):
         out = tmp_path / "c.csv"

@@ -27,6 +27,7 @@ from smml1d import (
     multi_start_solve,
     newton_solve,
 )
+from smml1d.checks import gradient_fd, length_fd, separated_cuts
 from smml1d.estimator import _dedup_sorted, solve_sweep
 
 BETA = math.sqrt(5.0)
@@ -110,14 +111,7 @@ def nn_alpha3_sweep8():
 
 def _random_configs(marginal, rng, count, n_range=(1, 5)):
     """Well-separated random cut-point sets drawn through the quantile map."""
-    out = []
-    while len(out) < count:
-        n = int(rng.integers(n_range[0], n_range[1] + 1))
-        p = np.sort(rng.uniform(0.08, 0.92, size=n))
-        cuts = np.array([marginal.quantile(v) for v in p])
-        if n == 1 or np.min(np.diff(cuts)) > 0.05:
-            out.append(cuts)
-    return out
+    return [separated_cuts(marginal, rng, *n_range) for _ in range(count)]
 
 
 class TestCutPointVector:
@@ -223,20 +217,11 @@ class TestGradient:
         """r(a_j) * G_j must equal the length's centered difference quotient."""
         family, marginal = request.getfixturevalue(pair_name)
         rng = np.random.default_rng(42)
-        h = 1e-5
         for cuts in _random_configs(marginal, rng, 6):
             book = codebook_from_cutpoints(family, marginal, cuts)
             grad = gradient(family, marginal, book)
             dens = np.exp(np.asarray(marginal.log_pdf(cuts), dtype=float))
-            for j in range(cuts.size):
-                up, dn = cuts.copy(), cuts.copy()
-                up[j] += h
-                dn[j] -= h
-                fd = (
-                    message_length(family, marginal, codebook_from_cutpoints(family, marginal, up))
-                    - message_length(family, marginal, codebook_from_cutpoints(family, marginal, dn))
-                ) / (2 * h)
-                assert dens[j] * grad[j] == pytest.approx(fd, rel=1e-4)
+            assert dens * grad == pytest.approx(length_fd(family, marginal, cuts), rel=1e-4)
 
 
 class TestJacobian:
@@ -263,24 +248,14 @@ class TestJacobian:
     def test_matches_finite_differences_of_gradient(self, pair_name, request):
         family, marginal = request.getfixturevalue(pair_name)
         rng = np.random.default_rng(17)
-        h = 1e-5
         for cuts in _random_configs(marginal, rng, 5, n_range=(2, 5)):
             book = codebook_from_cutpoints(family, marginal, cuts)
             dense = jacobian(family, marginal, book).to_dense()
             scale = np.max(np.abs(dense))
-            for k in range(cuts.size):
-                up, dn = cuts.copy(), cuts.copy()
-                up[k] += h
-                dn[k] -= h
-                fd = (
-                    gradient(family, marginal, codebook_from_cutpoints(family, marginal, up))
-                    - gradient(family, marginal, codebook_from_cutpoints(family, marginal, dn))
-                ) / (2 * h)
-                for j in range(cuts.size):
-                    if abs(j - k) > 1:
-                        assert abs(fd[j]) < 1e-7 * max(1.0, scale)
-                    else:
-                        assert fd[j] == pytest.approx(dense[j, k], rel=1e-4, abs=1e-8 * scale)
+            fd = gradient_fd(family, marginal, cuts)
+            band = np.abs(np.subtract.outer(np.arange(cuts.size), np.arange(cuts.size))) <= 1
+            assert np.all(np.abs(fd[~band]) < 1e-7 * max(1.0, scale))
+            assert fd[band] == pytest.approx(dense[band], rel=1e-4, abs=1e-8 * scale)
 
 
 class TestNewtonSolve:
@@ -349,6 +324,13 @@ class TestNewtonSolve:
         assert report.classification == NOT_CRITICAL
         assert report.diagnostic.startswith("stalled at iteration")
         assert builds <= 40
+
+    def test_max_iter_run_names_its_stop(self, nn):
+        family, marginal = nn
+        report = newton_solve(family, marginal, [-2.2, 1.8], SolverOptions(max_iter=1))
+        assert not report.converged and report.iterations == 1
+        assert report.diagnostic == (
+            f"reached max_iter=1 (gradient norm {report.final_grad_norm:.3e})")
 
     def test_infeasible_start_raises(self, nn):
         family, marginal = nn
