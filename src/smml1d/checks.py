@@ -1,15 +1,18 @@
-"""Finite-difference oracles shared by ``smml1d verify`` and the tests.
+"""Oracles shared by ``smml1d verify`` and the tests.
 
 The length has slope ``r(a_j) * G_j`` in cut ``a_j``, and G has a
 tridiagonal Jacobian; callers compare both with the centred quotients here,
 on cuts from :func:`separated_cuts`, at their own seeds and tolerances.
+G_j itself is the jump of the log code density across ``a_j``, which
+:func:`log_code_jumps` reads off the sampled curves without calling
+:func:`~smml1d.estimator.gradient`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .estimator import codebook_from_cutpoints, gradient, message_length
+from .estimator import codebook_from_cutpoints, curve_samples, gradient, message_length
 
 # Seed of the random configurations `smml1d verify` draws; the solver is not random.
 DEFAULT_SEED = 1729
@@ -44,3 +47,15 @@ def gradient_fd(family, marginal, cuts: np.ndarray, h: float = 1e-5) -> np.ndarr
     def residual(a):
         return gradient(family, marginal, codebook_from_cutpoints(family, marginal, a))
     return _centred(residual, cuts, h).T
+
+
+def log_code_jumps(family, marginal, book) -> np.ndarray:
+    """Jump of the log two-part code density across each cut: ``-two_part /
+    density`` of :func:`~smml1d.estimator.curve_samples` at the cut minus
+    that at the next double below it."""
+    jumps = []
+    for a in book.cuts.points:
+        table = curve_samples(family, marginal, book, np.nextafter(a, -np.inf), a, 2)
+        below, above = -table.two_part / table.density
+        jumps.append(above - below)
+    return np.array(jumps)

@@ -145,6 +145,9 @@ def _read_config_file(path: str) -> dict:
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):  # a flag is spelled out, never abbreviated
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     def error(self, message):  # exit code 1 for bad usage, not argparse's 2
         raise UsageError(message)
 

@@ -36,7 +36,7 @@ from itertools import pairwise
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dgtsv, dstevd
 
 from .families import FamilyModel, MarginalModel, SupportError
 from .quadrature import differential_entropy, expectation, interval_integrals
@@ -247,12 +247,19 @@ def jacobian(family: FamilyModel, marginal: MarginalModel, codebook: CodeBook) -
 
 
 def _solve_tridiagonal(J: Tridiagonal, rhs: np.ndarray) -> np.ndarray:
-    n = J.n
-    ab = np.zeros((3, n))
-    ab[0, 1:] = J.sup
-    ab[1, :] = J.diag
-    ab[2, :-1] = J.sub
-    return scipy.linalg.solve_banded((1, 1), ab, rhs, overwrite_ab=True, check_finite=False)
+    """Solve ``J x = rhs``; a 1x1 system is a division.
+
+    Larger systems go straight to LAPACK ``dgtsv`` (Gaussian elimination with
+    partial pivoting), the routine ``scipy.linalg.solve_banded`` calls for one
+    sub- and one super-diagonal, without that wrapper's per-call checks.
+    Raises ``LinAlgError`` when elimination meets an exactly zero pivot.
+    """
+    if J.n == 1:
+        return rhs / J.diag[0]
+    _, _, _, x, info = dgtsv(J.sub, J.diag, J.sup, rhs)
+    if info > 0:
+        raise np.linalg.LinAlgError("singular matrix")
+    return x
 
 
 def classify_critical_point(
@@ -268,7 +275,9 @@ def classify_critical_point(
     diag(r(a_1),...,r(a_n)) times the Jacobian of G; away from a zero the
     identity carries an error term proportional to G, so configurations with
     ``grad_norm`` above ``threshold`` are reported as not critical rather
-    than misclassified.
+    than misclassified.  The eigenvalues come from LAPACK ``dstevd`` without
+    eigenvectors, the driver ``scipy.linalg.eigvalsh_tridiagonal`` picks for
+    the whole spectrum; ``LinAlgError`` means it did not converge.
     """
     if not grad_norm <= threshold:
         return NOT_CRITICAL
@@ -281,7 +290,9 @@ def classify_critical_point(
     if J.n == 1:
         return LOCAL_MINIMUM if J.diag[0] > 0.0 else SADDLE
     off = np.sign(J.sup) * np.sqrt(np.maximum(J.sub * J.sup, 0.0))
-    eigenvalues = scipy.linalg.eigvalsh_tridiagonal(J.diag, off)
+    eigenvalues, _, info = dstevd(J.diag, off, compute_v=0)
+    if info > 0:
+        raise np.linalg.LinAlgError(f"dstevd did not converge (LAPACK info={info})")
     return LOCAL_MINIMUM if np.all(eigenvalues > 0.0) else SADDLE
 
 
@@ -345,12 +356,9 @@ class SolveReport:
 
 
 def _feasible(family: FamilyModel, a: np.ndarray) -> bool:
-    return bool(
-        np.all(np.isfinite(a))
-        and np.all(np.diff(a) > 0.0)
-        and a[0] > family.support_lo
-        and a[-1] < family.support_hi
-    )
+    """Strictly increasing inside the open support, hence finite (NaN fails)."""
+    bounds = (family.support_lo, *a.tolist(), family.support_hi)
+    return all(lo < hi for lo, hi in pairwise(bounds))
 
 
 def _report(family, marginal, codebook, residual, converged, iterations, trace, diagnostic):
@@ -405,7 +413,7 @@ def newton_solve(
     while grad_norm > opts.tol and iterations < opts.max_iter:
         try:
             step = _solve_tridiagonal(jacobian(family, marginal, codebook), -residual)
-        except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:
+        except np.linalg.LinAlgError as exc:
             diagnostic = f"singular tridiagonal system at iteration {iterations}: {exc}"
             break
         if not np.all(np.isfinite(step)):
@@ -552,11 +560,12 @@ def _first_cut_candidates(marginal: MarginalModel) -> list[float]:
 def _insertion_candidates(
     family: FamilyModel, marginal: MarginalModel, base: np.ndarray, side: int
 ) -> list[float]:
-    if base.size >= 2:
-        scale = base[-1] - base[-2] if side > 0 else base[1] - base[0]
+    pts = base.tolist()
+    if len(pts) >= 2:
+        scale = pts[-1] - pts[-2] if side > 0 else pts[1] - pts[0]
     else:
         scale = max(marginal.quantile(0.75) - marginal.quantile(0.25), 1e-6)
-    edge = base[-1] if side > 0 else base[0]
+    edge = pts[-1] if side > 0 else pts[0]
     bound = family.support_hi if side > 0 else family.support_lo
     out: list[float] = []
     step = 0.05 * scale
@@ -650,8 +659,9 @@ def solve_sweep(
     required quantile levels are not even representable in double precision.
 
     Returns the deduplicated, best-first solution lists for each n in
-    [n_min, n_max].  Deterministic for a fixed option set; nothing is kept
-    between calls.
+    [n_min, n_max].  Deterministic for a fixed option set.  No solver state
+    is kept between calls; only the bounded memo of the normal Mills-ratio
+    terms persists, and as a memo of pure functions it cannot change a result.
     """
     if not 1 <= n_min <= n_max:
         raise ValueError(f"need 1 <= n_min <= n_max, got ({n_min!r}, {n_max!r})")

@@ -216,8 +216,18 @@ class TestOptionTable:
                 if opt.commands is None or command in opt.commands:
                     assert getattr(_config_of([command, *flag]), opt.name) == from_file
                 else:
-                    with pytest.raises(ValueError, match="unrecognized|ambiguous"):
+                    with pytest.raises(ValueError, match="unrecognized"):
                         _config_of([command, *flag])
+
+    @pytest.mark.parametrize("argv, unrecognized", [
+        (["solve", "--n", "1", "--dig", "3", "--form", "text"], "--dig 3 --form text"),
+        (["verify", "--n", "1"], "--n 1"),
+    ])
+    def test_abbreviated_flags_are_rejected(self, argv, unrecognized, capsys):
+        """A prefix of a flag is not that flag, even when only one flag has it."""
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (1, "")
+        assert f"unrecognized arguments: {unrecognized}" in err
 
     @pytest.mark.parametrize("command", list(COMMANDS))
     def test_help_lists_the_table(self, command, capsys):

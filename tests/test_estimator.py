@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.integrate import quad
 
 from smml1d import (
@@ -15,6 +16,7 @@ from smml1d import (
     SolveReport,
     SolverOptions,
     SupportError,
+    Tridiagonal,
     classify_critical_point,
     codebook_from_cutpoints,
     continuity_gaps,
@@ -27,8 +29,9 @@ from smml1d import (
     multi_start_solve,
     newton_solve,
 )
-from smml1d.checks import gradient_fd, length_fd, separated_cuts
-from smml1d.estimator import _dedup_sorted, solve_sweep
+from smml1d import estimator
+from smml1d.checks import gradient_fd, length_fd, log_code_jumps, separated_cuts
+from smml1d.estimator import _dedup_sorted, _solve_tridiagonal, solve_sweep
 
 BETA = math.sqrt(5.0)
 HALF_NORMAL_MEAN = BETA * math.sqrt(2.0 / math.pi)
@@ -332,6 +335,43 @@ class TestNewtonSolve:
         assert report.diagnostic == (
             f"reached max_iter=1 (gradient norm {report.final_grad_norm:.3e})")
 
+    def test_step_matches_solve_banded(self):
+        """The direct dgtsv call gives scipy.linalg.solve_banded's solution bit
+        for bit, also where a zero leading diagonal forces a row swap, and
+        leaves J and the right-hand side as they were."""
+        rng = np.random.default_rng(1301)
+        for n in range(1, 18):
+            for zero_lead in ((False, True) if n > 1 else (False,)):
+                sub, diag, sup = rng.normal(size=n - 1), rng.normal(size=n), rng.normal(size=n - 1)
+                if zero_lead:
+                    diag[0] = 0.0
+                rhs = rng.normal(size=n)
+                ab = np.zeros((3, n))
+                ab[0, 1:], ab[1], ab[2, :-1] = sup, diag, sub
+                expected = scipy.linalg.solve_banded((1, 1), ab, rhs)
+                J = Tridiagonal(sub=sub.copy(), diag=diag.copy(), sup=sup.copy())
+                got = _solve_tridiagonal(J, rhs.copy())
+                assert got.shape == (n,) and got.tobytes() == expected.tobytes(), (n, zero_lead)
+                for kept, orig in ((J.sub, sub), (J.diag, diag), (J.sup, sup)):
+                    assert kept.tobytes() == orig.tobytes()
+
+    def test_singular_system_raises(self):
+        J = Tridiagonal(sub=np.array([1.0]), diag=np.array([1.0, 1.0]), sup=np.array([1.0]))
+        with pytest.raises(np.linalg.LinAlgError):
+            _solve_tridiagonal(J, np.array([1.0, 2.0]))
+
+    def test_singular_jacobian_ends_run(self, nn, monkeypatch):
+        family, marginal = nn
+
+        def zero_jacobian(family, marginal, codebook):
+            n = codebook.n
+            return Tridiagonal(sub=np.zeros(n - 1), diag=np.zeros(n), sup=np.zeros(n - 1))
+
+        monkeypatch.setattr("smml1d.estimator.jacobian", zero_jacobian)
+        report = newton_solve(family, marginal, [-2.2, 1.8])
+        assert not report.converged and report.iterations == 0
+        assert report.diagnostic.startswith("singular tridiagonal system at iteration 0")
+
     def test_infeasible_start_raises(self, nn):
         family, marginal = nn
         with pytest.raises(ValueError):
@@ -353,6 +393,33 @@ class TestClassification:
         family, marginal = nn
         book = codebook_from_cutpoints(family, marginal, [1.0])
         assert classify_critical_point(family, marginal, book, 0.1) == NOT_CRITICAL
+
+    def test_eigenvalues_match_eigvalsh_tridiagonal(self, nn, monkeypatch):
+        """The direct dstevd call gives scipy.linalg.eigvalsh_tridiagonal's
+        spectrum bit for bit, on indefinite and on positive definite J."""
+        family, marginal = nn
+        book = codebook_from_cutpoints(family, marginal, [0.0])
+        spectra = []
+        dstevd = estimator.dstevd
+
+        def recording_dstevd(*args, **kwargs):
+            out = dstevd(*args, **kwargs)
+            spectra.append(out[0].copy())
+            return out
+
+        monkeypatch.setattr("smml1d.estimator.dstevd", recording_dstevd)
+        rng = np.random.default_rng(1302)
+        for n in range(2, 18):
+            indefinite = rng.normal(size=n)
+            indefinite[0], indefinite[-1] = -1.0 - abs(indefinite[0]), 1.0 + abs(indefinite[-1])
+            dominant = 2.5 + rng.uniform(size=n)  # Gershgorin: every eigenvalue > 0.5
+            for diag, off, kind in ((indefinite, rng.normal(size=n - 1), SADDLE),
+                                    (dominant, rng.uniform(-1.0, 1.0, n - 1), LOCAL_MINIMUM)):
+                J = Tridiagonal(sub=off, diag=diag, sup=off)
+                monkeypatch.setattr("smml1d.estimator.jacobian", lambda *_, J=J: J)
+                assert classify_critical_point(family, marginal, book, 0.0) == kind
+                expected = scipy.linalg.eigvalsh_tridiagonal(diag, off)
+                assert spectra[-1].tobytes() == expected.tobytes(), (n, kind)
 
     def test_symmetric_five_cut_saddle(self, nn):
         """The symmetric five-cut stationary book is a saddle, which is why
@@ -466,13 +533,14 @@ class TestDedupOrder:
 
 class TestContinuityGaps:
     def test_equals_gradient_magnitude(self, nn):
+        """|G| is the size of the jump of the code density that the curves show."""
         family, marginal = nn
         rng = np.random.default_rng(23)
         for cuts in _random_configs(marginal, rng, 5):
             book = codebook_from_cutpoints(family, marginal, cuts)
             gaps = continuity_gaps(family, marginal, book)
             np.testing.assert_allclose(
-                gaps, np.abs(gradient(family, marginal, book)), atol=1e-12)
+                gaps, np.abs(log_code_jumps(family, marginal, book)), atol=1e-12)
 
     def test_zero_at_symmetric_cut(self, nn):
         family, marginal = nn

@@ -218,6 +218,27 @@ class TestClosedForms:
                     assert abs(got[1] - ref_c) <= 1e-13 * offset + ulps * math.ulp(got[1]), where
         assert 0 < len(narrow_calls) < answered
 
+    def test_mills_memo_does_not_depend_on_order(self, nn):
+        """The memoised Mills-ratio terms give the same bits whichever
+        intervals filled the memo before, and from a full memo."""
+        _, marginal = nn
+        intervals = _normal_intervals(np.random.default_rng(20240611))
+
+        def bits(order):
+            return {iv: tuple(map(float.hex, marginal.closed_form(*iv))) for iv in order}
+
+        memos = (families._mills, families._mills_complement)
+        for memo in memos:
+            memo.cache_clear()
+        forwards = bits(intervals)
+        for memo in memos:
+            memo.cache_clear()
+        backwards = bits(intervals[::-1])
+        hits = [memo.cache_info().hits for memo in memos]
+        again = bits(intervals[::-1])
+        assert forwards == backwards == again
+        assert all(memo.cache_info().hits > h for memo, h in zip(memos, hits))
+
     def test_subnormal_intervals_fall_back(self, nn):
         """An interval whose mass underflows the erf sum gets None from the
         hook, and interval_integrals then answers as GK does: here, that the
