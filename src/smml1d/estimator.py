@@ -20,7 +20,8 @@ jump of the log code density across ``a_j``,
 and ``dL/da_j = r(a_j) * G_j``.  ``G`` has a tridiagonal Jacobian, so a
 Newton step costs O(n): :func:`newton_solve` runs a damped Newton iteration
 on ``G``, and :func:`solve_sweep` starts it from continuation and quantile
-starts, keeps the converged local minima and ranks them by code length.
+starts, keeps the local minima (converged, or at the rounding floor of ``G``)
+and ranks them by code length.
 
 All q-dependent arithmetic stays on ``log q`` and every density/mass ratio is
 formed as ``exp(log r - log q)``, so the solver keeps working when interval
@@ -77,6 +78,15 @@ _SCAN_TOL = 1e-6  # placement scans only need a few digits
 # the gradient norm has stalled; runs that reach a minimum cut it by at least
 # 11% in one of any two steps in a row.
 _STALL_RATIO = 0.99
+# G_j is a difference of terms (log q, a*theta, A(theta)) that reach 1e4 and
+# more at far-out cuts, so it cannot be resolved below a few ulps of the
+# largest of them.  On the normal sweeps the floor stops reach 4.5 ulps at
+# alpha=2, n <= 40 (a bound of 4 loses an n=40 minimum), and 8.0 at
+# alpha=30, n <= 50.
+_FLOOR_ULPS = 8.0
+# The insertion root is refined until its Newton step or its bracket is this
+# share of the scan bracket: the width 30 bisection halvings reach.
+_ROOT_REL_WIDTH = 2.0**-30
 
 
 @dataclass(frozen=True)
@@ -153,16 +163,33 @@ def codebook_from_cutpoints(family: FamilyModel, marginal: MarginalModel, cuts) 
     return CodeBook(cuts, tuple(log_q), tuple(theta), tuple(centroids))
 
 
+def _carrier_constant(family: FamilyModel, marginal: MarginalModel) -> float:
+    """K = -E_r[log carrier]: the marginal's closed form, else quadrature."""
+    if marginal.carrier_constant is not None:
+        return marginal.carrier_constant
+    return _quadrature_carrier_constant(family, marginal)
+
+
+def marginal_entropy(marginal: MarginalModel) -> float:
+    """Differential entropy of the marginal (the one-part length).
+
+    The built-in marginals carry it in closed form; any other marginal is
+    integrated by quadrature, cached per model object.
+    """
+    if marginal.entropy is not None:
+        return marginal.entropy
+    return _quadrature_entropy(marginal)
+
+
 # Every make_* call builds new model objects, so these caches only serve
 # repeat calls with the same objects; a small bound keeps them from growing.
 @lru_cache(maxsize=16)
-def _carrier_constant(family: FamilyModel, marginal: MarginalModel) -> float:
+def _quadrature_carrier_constant(family: FamilyModel, marginal: MarginalModel) -> float:
     return expectation(marginal, lambda x: -np.asarray(family.log_carrier(x), dtype=float))
 
 
 @lru_cache(maxsize=16)
-def marginal_entropy(marginal: MarginalModel) -> float:
-    """Cached differential entropy of the marginal (the one-part length)."""
+def _quadrature_entropy(marginal: MarginalModel) -> float:
     return differential_entropy(marginal)
 
 
@@ -330,12 +357,18 @@ class SolveReport:
     ``message_length`` is the expected two-part length (nats), ``entropy``
     the one-part length, ``redundancy`` their difference.  ``converged``
     holds exactly when ``final_grad_norm <= tol``; non-convergence is
-    reported here, never raised.  ``continuity_gaps`` is |G| at the final
-    cuts, so its maximum is ``final_grad_norm``.  ``grad_norm_trace``
-    records the gradient norm at every accepted iterate.  ``diagnostic``
-    says why an unconverged run ended: a singular or non-finite Newton step,
-    exhausted step halvings, a stall, or ``max_iter`` used up; it is empty
-    when the run converged.
+    reported here, never raised.  ``at_floor`` marks the other way a run can
+    find a stationary book: it ended unconverged with every |G_j| within
+    ``_FLOOR_ULPS`` ulps of the largest term forming G_j, so G is rounding
+    noise there and ``tol`` is out of reach; :func:`solve_sweep` keeps such
+    local minima beside the converged ones.  ``continuity_gaps`` is |G| at
+    the final cuts, so its maximum is ``final_grad_norm``.
+    ``grad_norm_trace`` records the gradient norm at every accepted iterate.
+    ``diagnostic`` says why an unconverged run ended: the rounding floor, a
+    singular or non-finite Newton step, exhausted step halvings, a stall,
+    ``max_iter`` used up, or a start whose code book cannot be built (then
+    the lengths, G and its norm are NaN); it is empty when the run
+    converged.
     """
 
     codebook: CodeBook
@@ -349,6 +382,7 @@ class SolveReport:
     continuity_gaps: tuple[float, ...]
     grad_norm_trace: tuple[float, ...]
     diagnostic: str = ""
+    at_floor: bool = False
 
     @property
     def cuts(self) -> tuple[float, ...]:
@@ -361,7 +395,25 @@ def _feasible(family: FamilyModel, a: np.ndarray) -> bool:
     return all(lo < hi for lo, hi in pairwise(bounds))
 
 
-def _report(family, marginal, codebook, residual, converged, iterations, trace, diagnostic):
+def _at_floor(family: FamilyModel, codebook: CodeBook, residual: np.ndarray) -> bool:
+    """Every |G_j| lies within ``_FLOOR_ULPS`` ulps of the largest term of G_j.
+
+    Only near-critical books are checked: a local minimum has to pass the
+    ``_CRITICAL_GRAD_THRESHOLD`` gate of :func:`classify_critical_point`.
+    """
+    gaps = np.abs(residual)
+    if not gaps.max() <= _CRITICAL_GRAD_THRESHOLD:
+        return False
+    a = codebook.cuts.as_array()
+    lq = np.asarray(codebook.log_q)
+    th = np.asarray(codebook.theta_hat)
+    lp = np.array([family.log_partition(t) for t in codebook.theta_hat])
+    terms = np.abs([lq[1:], a * th[1:], lp[1:], lq[:-1], a * th[:-1], lp[:-1]])
+    return bool(np.all(gaps <= _FLOOR_ULPS * np.spacing(terms.max(axis=0))))
+
+
+def _report(family, marginal, codebook, residual, converged, iterations, trace, diagnostic,
+            at_floor):
     length = message_length(family, marginal, codebook)
     entropy = marginal_entropy(marginal)
     gaps = np.abs(residual)
@@ -378,6 +430,7 @@ def _report(family, marginal, codebook, residual, converged, iterations, trace, 
         continuity_gaps=tuple(gaps.tolist()),
         grad_norm_trace=tuple(trace),
         diagnostic=diagnostic,
+        at_floor=at_floor,
     )
 
 
@@ -391,19 +444,31 @@ def newton_solve(
 
     Each step solves the tridiagonal system J d = -G directly; the step is
     then halved until the candidate stays strictly ordered inside the support
-    and strictly lowers the gradient max-norm.  Three faults end the run
+    and strictly lowers the gradient max-norm.  A candidate whose code book
+    cannot be built (an interval integral raises ``ArithmeticError``) is
+    rejected like one that does not lower the norm.  Three faults end the run
     early with ``converged=False`` and a diagnostic message: a singular
     system or non-finite step, a back-tracking loop that exhausts its
     halvings, and a stall, where two accepted steps in a row each lower the
     gradient max-norm by less than 1%.  A run that creeps towards a fold of G
     would otherwise keep taking steps that need a dozen or more halvings.
     A run that uses up ``max_iter`` unconverged says so in its diagnostic.
+
+    Once every |G_j| is within ``_FLOOR_ULPS`` ulps of the largest term
+    forming it, the residual is rounding noise: a step there is tried once at
+    full length, since halving a step aimed at noise cannot help, and a run
+    that then ends unconverged ends with ``at_floor`` set and a diagnostic
+    naming the floor.  A start whose code book cannot be built gives a
+    not-converged report with NaN lengths and residuals.
     """
     opts = options or SolverOptions()
     a = _as_cuts(initial).as_array()
     if not _feasible(family, a):
         raise SupportError(f"initial cut-points are infeasible: {a.tolist()}")
-    codebook = codebook_from_cutpoints(family, marginal, a)
+    try:
+        codebook = codebook_from_cutpoints(family, marginal, a)
+    except ArithmeticError as exc:
+        return _unbuildable_report(marginal, a, exc)
     residual = gradient(family, marginal, codebook)
     grad_norm = float(np.max(np.abs(residual)))
     trace = [grad_norm]
@@ -420,18 +485,21 @@ def newton_solve(
             diagnostic = f"non-finite Newton step at iteration {iterations}"
             break
         accepted = False
-        scale = 1.0
-        for _ in range(opts.backtrack_max + 1):
-            candidate = a + scale * step
-            if _feasible(family, candidate):
+        at_floor = _at_floor(family, codebook, residual)
+        for halvings in range(1 if at_floor else opts.backtrack_max + 1):
+            candidate = a + 0.5**halvings * step
+            if not _feasible(family, candidate):
+                continue
+            try:
                 cand_book = codebook_from_cutpoints(family, marginal, candidate)
-                cand_res = gradient(family, marginal, cand_book)
-                cand_norm = float(np.max(np.abs(cand_res)))
-                if math.isfinite(cand_norm) and cand_norm < grad_norm:
-                    a, codebook, residual, grad_norm = candidate, cand_book, cand_res, cand_norm
-                    accepted = True
-                    break
-            scale *= 0.5
+            except ArithmeticError:  # an unbuildable candidate is a rejected trial
+                continue
+            cand_res = gradient(family, marginal, cand_book)
+            cand_norm = float(np.max(np.abs(cand_res)))
+            if math.isfinite(cand_norm) and cand_norm < grad_norm:
+                a, codebook, residual, grad_norm = candidate, cand_book, cand_res, cand_norm
+                accepted = True
+                break
         if not accepted:
             diagnostic = (
                 f"no damped step reduced the residual at iteration {iterations} "
@@ -456,22 +524,55 @@ def newton_solve(
         if grad_norm > opts.tol:
             diagnostic = f"reached max_iter={opts.max_iter} (gradient norm {grad_norm:.3e})"
 
+    at_floor = grad_norm > opts.tol and _at_floor(family, codebook, residual)
+    if at_floor:
+        diagnostic = (
+            f"reached the rounding floor of G at iteration {iterations}: every |G_j| is "
+            f"within {_FLOOR_ULPS:g} ulps of its largest term (gradient norm {grad_norm:.3e})"
+        )
     return _report(
         family, marginal, codebook, residual,
         converged=grad_norm <= opts.tol,
         iterations=iterations,
         trace=trace,
         diagnostic=diagnostic,
+        at_floor=at_floor,
+    )
+
+
+def _unbuildable_report(marginal: MarginalModel, a: np.ndarray, exc: ArithmeticError) -> SolveReport:
+    nan = (math.nan,) * (a.size + 1)
+    return SolveReport(
+        codebook=CodeBook(_as_cuts(a), nan, nan, nan),
+        message_length=math.nan,
+        entropy=marginal_entropy(marginal),
+        redundancy=math.nan,
+        converged=False,
+        iterations=0,
+        final_grad_norm=math.nan,
+        classification=NOT_CRITICAL,
+        continuity_gaps=nan[1:],
+        grad_norm_trace=(math.nan,),
+        diagnostic=f"the start's code book cannot be built: {exc}",
     )
 
 
 def _insertion_residual(
-    family: FamilyModel, marginal: MarginalModel, base: np.ndarray, x: float, side: int
-) -> float:
+    family: FamilyModel,
+    marginal: MarginalModel,
+    base: np.ndarray,
+    x: float,
+    side: int,
+    slope: bool = False,
+) -> float | tuple[float, float]:
     """Stationarity residual at a new cut `x` placed outside the cuts `base`.
 
     Only the two intervals adjacent to the new cut matter, so this costs two
     loose-tolerance interval integrals regardless of the size of `base`.
+    With ``slope`` it returns the pair (G, dG/dx); the slope is the diagonal
+    of :func:`jacobian` for this one cut,
+    theta_above - theta_below - sum of r(x)/q (1 + (x - mu)^2 / v(theta))
+    over the two intervals, formed as exp(log r - log q).
     """
     if side > 0:
         lo_edge = base[-1] if base.size else family.support_lo
@@ -483,12 +584,20 @@ def _insertion_residual(
         inner = interval_integrals(marginal, x, hi_edge, rel_tol=_SCAN_TOL)
         outer = interval_integrals(marginal, family.support_lo, x, rel_tol=_SCAN_TOL)
         below, above = outer, inner
+    th_below = family.invert_mean(below.centroid)
+    th_above = family.invert_mean(above.centroid)
 
-    def bracket(iv):
-        th = family.invert_mean(iv.centroid)
+    def bracket(iv, th):
         return iv.log_mass + x * th - family.log_partition(th)
 
-    return bracket(above) - bracket(below)
+    residual = bracket(above, th_above) - bracket(below, th_below)
+    if not slope:
+        return residual
+    log_r = float(marginal.log_pdf(x))
+    return residual, th_above - th_below - sum(
+        math.exp(log_r - iv.log_mass) * (1.0 + (x - iv.centroid) ** 2 / family.variance(th))
+        for iv, th in ((above, th_above), (below, th_below))
+    )
 
 
 def _outward_root(
@@ -498,14 +607,17 @@ def _outward_root(
     side: int,
     candidates: Sequence[float],
 ) -> float | None:
-    """Outermost sign change of the insertion residual, refined by bisection.
+    """Outermost sign change of the insertion residual, refined by Newton.
 
     `candidates` must be ordered outward (away from the existing cuts).  The
     residual is oriented by `side` (mirror antisymmetry flips its sign on the
     left): so oriented, it diverges to +inf against the nearest cut and grows
     again in the far tail, dipping negative around the useful stationary
     placements.  The outermost crossing back to positive marks the new outer
-    cut.
+    cut.  Its bracket on the candidate grid is refined by 1-D Newton from the
+    midpoint, safeguarded by the bracket: a step that leaves it, or a
+    non-finite slope, falls back to the midpoint.  Refinement stops when the
+    Newton step or the bracket is ``_ROOT_REL_WIDTH`` of the grid bracket.
     """
 
     def oriented(x: float) -> float:
@@ -533,19 +645,27 @@ def _outward_root(
     if pick is None:
         return None
     near, far = pick
-    for _ in range(30):
-        mid = 0.5 * (near + far)
-        if mid == near or mid == far:
-            break
+    width = _ROOT_REL_WIDTH * abs(far - near)
+    x = 0.5 * (near + far)
+    # each midpoint fallback halves the bracket, so 30 of them reach `width`;
+    # Newton steps converge quadratically and need far fewer
+    for _ in range(60):
         try:
-            fm = oriented(mid)
+            g, slope = _insertion_residual(family, marginal, base, x, side, slope=True)
         except (ValueError, SupportError, ArithmeticError):
-            break
-        if fm <= 0.0:
-            near = mid
+            return 0.5 * (near + far)
+        if side * g <= 0.0:
+            near = x
         else:
-            far = mid
-    return 0.5 * (near + far)
+            far = x
+        # the orientation cancels from the Newton step
+        nxt = x - g / slope if math.isfinite(slope) and slope != 0.0 else math.nan
+        if not min(near, far) < nxt < max(near, far):
+            nxt = 0.5 * (near + far)
+        if abs(nxt - x) <= width or abs(far - near) <= width:
+            return nxt
+        x = nxt
+    return x
 
 
 def _first_cut_candidates(marginal: MarginalModel) -> list[float]:
@@ -616,13 +736,15 @@ def _insertion_starts(
 
 
 def _dedup_sorted(reports: list[SolveReport]) -> list[SolveReport]:
-    """Converged local minima, best first, one per cut-point configuration.
+    """Local minima, converged or at the floor, best first, one per cut-point
+    configuration.
 
     Lengths within ``_LENGTH_TIE`` of the first of a run are ties; ties go
     most compact first (smallest largest |cut|), so the order does not hang
     on the last bits of the lengths.
     """
-    kept = [r for r in reports if r.converged and r.classification == LOCAL_MINIMUM]
+    kept = [r for r in reports
+            if (r.converged or r.at_floor) and r.classification == LOCAL_MINIMUM]
     kept.sort(key=lambda r: r.message_length)
     ordered: list[SolveReport] = []
     while len(ordered) < len(kept):
@@ -652,14 +774,20 @@ def solve_sweep(
     Stage 1 locates the outermost stationary placement of a single cut by a
     direct scan of the scalar residual.  Each later stage seeds Newton with
     the previous stage's best solutions extended by one new outer cut on
-    either side (placed at the outermost scalar stationarity root), plus the
-    one quantile start at levels i/(n+1).  This follows the empirical
-    structure of the optima, whose cut-point sets nest as n grows; quantile
-    starts alone land in interior saddle basins and, for far-out cuts, the
-    required quantile levels are not even representable in double precision.
+    either side (placed at the outermost scalar stationarity root, bracketed
+    by a candidate scan and refined by safeguarded Newton, see
+    :func:`_outward_root`), plus the one quantile start at levels i/(n+1).
+    This follows the empirical structure of the optima, whose cut-point sets
+    nest as n grows; quantile starts alone land in interior saddle basins
+    and, for far-out cuts, the required quantile levels are not even
+    representable in double precision.
 
-    Returns the deduplicated, best-first solution lists for each n in
-    [n_min, n_max].  Deterministic for a fixed option set.  No solver state
+    Returns the deduplicated, best-first local minima for each n in
+    [n_min, n_max]: runs that converged and runs that ended at the rounding
+    floor of G (``SolveReport.at_floor``).  A code book that cannot be built
+    ends its run or rejects its step, so no ``ArithmeticError`` escapes; a
+    stage where nothing succeeds has an empty list.  Deterministic for a
+    fixed option set.  No solver state
     is kept between calls; only the bounded memo of the normal Mills-ratio
     terms persists, and as a memo of pure functions it cannot change a result.
     """
@@ -703,11 +831,11 @@ def multi_start_solve(
 
     Runs the continuation pipeline of :func:`solve_sweep` up to ``n`` (the
     quantile start at levels i/(n+1) is included at every stage) and returns
-    the stage-``n`` solutions: converged local minima only (Newton happily
-    converges to saddles of the expected length; those are not estimators),
-    deduplicated at 1e-6 in cut-point space, sorted by message length;
-    lengths within 1e-12 are ties, ordered most compact first.  May be empty
-    if no start converges.
+    the stage-``n`` solutions: local minima only, converged or at the
+    rounding floor of G (Newton happily converges to saddles of the expected
+    length; those are not estimators), deduplicated at 1e-6 in cut-point
+    space, sorted by message length; lengths within 1e-12 are ties, ordered
+    most compact first.  May be empty if no start reaches a minimum.
     """
     if n < 1:
         raise ValueError(f"need at least one cut-point, got n={n!r}")

@@ -119,7 +119,10 @@ class MarginalModel:
     support (either end may be infinite) to its ``(log_mass, centroid)``
     exact to rounding, or to ``None`` where it cannot vouch for that;
     :func:`smml1d.quadrature.interval_integrals` integrates adaptively
-    whenever it is absent or declines.
+    whenever it is absent or declines.  ``entropy`` and ``carrier_constant``,
+    when given, are closed forms of the marginal's differential entropy and
+    of ``-E_r[log carrier]`` for the family built with it; the estimator
+    integrates them by quadrature when they are absent.
     """
 
     log_pdf: Callable[[np.ndarray], np.ndarray]
@@ -131,6 +134,8 @@ class MarginalModel:
     prior_params: tuple[float, ...]
     name: str
     closed_form: Callable[[float, float], tuple[float, float] | None] | None = None
+    entropy: float | None = None
+    carrier_constant: float | None = None
 
     def pdf(self, x):
         return np.exp(self.log_pdf(x))
@@ -179,6 +184,8 @@ def make_normal_normal(alpha: float) -> tuple[FamilyModel, MarginalModel]:
         prior_params=(alpha,),
         name="normal-normal",
         closed_form=lambda lo, hi: _normal_interval(beta, lo, hi),
+        entropy=log_norm + 0.5,
+        carrier_constant=0.5 * (1.0 + alpha * alpha + _LOG_2PI),
     )
     return family, marginal
 
@@ -244,6 +251,8 @@ def make_exponential_gamma(alpha: float, beta: float) -> tuple[FamilyModel, Marg
         prior_params=(alpha, beta),
         name="exponential-gamma",
         closed_form=lambda lo, hi: _lomax_interval(alpha, beta, lo, hi),
+        entropy=1.0 + 1.0 / alpha - log_ab,
+        carrier_constant=0.0,
     )
     return family, marginal
 

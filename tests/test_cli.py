@@ -315,13 +315,17 @@ class TestVerify:
         assert "FAIL" in out
 
 
-def run_module(argv):
-    """Run `python -m smml1d.cli` on the same smml1d the tests import."""
+def run_python(args):
+    """Run a fresh interpreter on the same smml1d the tests import."""
     src = str(Path(smml1d.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-m", "smml1d.cli", *argv],
-                          capture_output=True, text=True,
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": path})
+
+
+def run_module(argv):
+    """Run `python -m smml1d.cli`."""
+    return run_python(["-m", "smml1d.cli", *argv])
 
 
 class TestEntryPoint:
@@ -330,6 +334,13 @@ class TestEntryPoint:
                            "--alpha", "2", "--n", "1", "--format", "text"])
         assert proc.returncode == 0
         assert "0.2968787934" in proc.stdout
+
+    def test_import_leaves_out_scipy_optimize(self):
+        """`scipy.optimize` would add 60-160 ms to a ~170 ms import, and the
+        package uses none of it."""
+        proc = run_python(["-c", "import sys, smml1d; print('scipy.optimize' in sys.modules)"])
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
     def test_unknown_flag_exits_1(self):
         for flags in (["--frobnicate"], ["--n", "1", "--extra-starts", "8"]):

@@ -23,6 +23,7 @@ from smml1d import (
     curve_samples,
     gradient,
     jacobian,
+    make_exponential_gamma,
     make_normal_normal,
     marginal_entropy,
     message_length,
@@ -32,6 +33,7 @@ from smml1d import (
 from smml1d import estimator
 from smml1d.checks import gradient_fd, length_fd, log_code_jumps, separated_cuts
 from smml1d.estimator import _dedup_sorted, _solve_tridiagonal, solve_sweep
+from test_quadrature import _lomax_exact, _normal_exact
 
 BETA = math.sqrt(5.0)
 HALF_NORMAL_MEAN = BETA * math.sqrt(2.0 / math.pi)
@@ -81,6 +83,21 @@ ALPHA1_MINIMA = {
 ALPHA3_MINIMA = {n: [red] for n, red in enumerate([
     0.85875577222501, 0.34699967077792, 0.21353502565965, 0.18215707820569,
     0.17684620603671, 0.17628733955822, 0.17625356404286, 0.17625247671774], start=1)}
+# Prior sd 2 past the table: the plateau books keep adding cuts where the mass
+# underflows, out to |cut| ~ 2400 by n=30, and from n=19 every one of them
+# ends at the rounding floor of G rather than under tol.
+ALPHA2_MINIMA_30 = {**NORMAL_MINIMA, **{n: [NORMAL_REDUNDANCY[6]] * 3 for n in range(17, 31)}}
+# Prior sd 0.5, n<=8: n=2 beats n=1 by only 8e-7, and from n=3 most books are
+# floor minima.
+ALPHA05_BEST, ALPHA05_ONE_CUT = 0.01342657258609, 0.01342739824267
+ALPHA05_MINIMA = {
+    1: [ALPHA05_ONE_CUT],
+    2: [ALPHA05_BEST, ALPHA05_ONE_CUT],
+    3: [ALPHA05_BEST] * 2 + [ALPHA05_ONE_CUT],
+    **{n: [ALPHA05_BEST] * 3 for n in range(4, 7)},
+    7: [ALPHA05_BEST] * 2,
+    8: [ALPHA05_BEST],
+}
 
 
 @pytest.fixture(scope="module")
@@ -110,6 +127,26 @@ def nn_alpha1_sweep8():
 def nn_alpha3_sweep8():
     family, marginal = make_normal_normal(3.0)
     return solve_sweep(family, marginal, 1, 8)
+
+
+@pytest.fixture(scope="module")
+def nn_sweep30(nn):
+    family, marginal = nn
+    return solve_sweep(family, marginal, 1, 30)
+
+
+@pytest.fixture(scope="module")
+def nn_alpha05_sweep8():
+    family, marginal = make_normal_normal(0.5)
+    return solve_sweep(family, marginal, 1, 8)
+
+
+@pytest.fixture
+def heavy_gk():
+    """Lomax(1.05, 1) without its closed form: the GK tail map divides by zero
+    on its heavy tail and some code books cannot be built."""
+    family, marginal = make_exponential_gamma(1.05, 1.0)
+    return family, dataclasses.replace(marginal, closed_form=None)
 
 
 def _random_configs(marginal, rng, count, n_range=(1, 5)):
@@ -292,7 +329,7 @@ class TestNewtonSolve:
         family, marginal = nn
         opts = SolverOptions(tol=1e-10)
         report = newton_solve(family, marginal, [-2.2, 1.8], opts)
-        assert report.converged
+        assert report.converged and not report.at_floor
         assert report.final_grad_norm <= 1e-10
         assert report.grad_norm_trace[-1] == report.final_grad_norm
 
@@ -376,6 +413,60 @@ class TestNewtonSolve:
         family, marginal = nn
         with pytest.raises(ValueError):
             newton_solve(family, marginal, [1.0, 1.0])
+
+    def test_floor_run_ends_as_floor_outcome(self, monkeypatch):
+        """The sd-1 seven-cut book with its far cut at +302.0 bottoms out at
+        |G| = 3.6e-12, under one ulp of its largest terms (a*theta ~ 9e4).
+        The run ends there as a floor minimum, at most two code-book builds
+        after it first reaches the floor, instead of after 31 futile step
+        halvings."""
+        family, marginal = make_normal_normal(1.0)
+        books = []
+        build = codebook_from_cutpoints
+
+        def recording_build(*args):
+            books.append(build(*args))
+            return books[-1]
+
+        monkeypatch.setattr("smml1d.estimator.codebook_from_cutpoints", recording_build)
+        report = newton_solve(family, marginal, [-10.8, -2.7, 2.7, 10.8, 33.4, 100.6, 302.0])
+        assert not report.converged and report.at_floor
+        assert report.final_grad_norm > SolverOptions().tol
+        assert report.classification == LOCAL_MINIMUM
+        assert report.diagnostic.startswith("reached the rounding floor of G at iteration")
+        residuals = [gradient(family, marginal, book) for book in books]
+        reached = next(
+            i for i, (book, res) in enumerate(zip(books, residuals))
+            if estimator._at_floor(family, book, res)
+            and float(np.max(np.abs(res))) in report.grad_norm_trace
+        )
+        assert len(books) - 1 - reached <= 2
+
+    def test_unbuildable_start_reports_failure(self, heavy_gk):
+        family, marginal = heavy_gk
+        with np.errstate(divide="ignore", invalid="ignore"):
+            report = newton_solve(family, marginal, [0.9350635570477831])
+        assert not report.converged and not report.at_floor
+        assert report.classification == NOT_CRITICAL
+        assert math.isnan(report.final_grad_norm) and math.isnan(report.redundancy)
+        assert report.diagnostic.startswith(
+            "the start's code book cannot be built: degenerate interval mass")
+
+    def test_unbuildable_candidate_is_a_rejected_trial(self, nn, monkeypatch):
+        family, marginal = nn
+        builds = 0
+        build = codebook_from_cutpoints
+
+        def failing_first_step(*args):
+            nonlocal builds
+            builds += 1
+            if builds == 2:
+                raise ArithmeticError("degenerate interval mass")
+            return build(*args)
+
+        monkeypatch.setattr("smml1d.estimator.codebook_from_cutpoints", failing_first_step)
+        report = newton_solve(family, marginal, [-2.2, 1.8])
+        assert report.converged and builds > 2
 
     def test_report_gap_nonnegative_at_minima(self, nn_sweep6):
         for reports in nn_sweep6.values():
@@ -468,7 +559,9 @@ class TestMultiStart:
         ("eg_sweep5", EXP_MINIMA),
         ("nn_alpha1_sweep8", ALPHA1_MINIMA),
         ("nn_alpha3_sweep8", ALPHA3_MINIMA),
-    ], ids=["nn", "eg", "nn-alpha1", "nn-alpha3"])
+        ("nn_sweep30", ALPHA2_MINIMA_30),
+        ("nn_alpha05_sweep8", ALPHA05_MINIMA),
+    ], ids=["nn", "eg", "nn-alpha1", "nn-alpha3", "nn-n30", "nn-alpha05"])
     def test_every_minimum_per_stage(self, sweep, minima, request):
         """The count and the redundancies of all deduplicated minima at every
         stage, so that no change to the starts loses one silently."""
@@ -486,6 +579,77 @@ class TestMultiStart:
         stages = solve_sweep(family, dataclasses.replace(marginal, closed_form=None), 1, 6)
         for n in range(1, 7):
             assert stages[n][0].redundancy == pytest.approx(nn_sweep6[n][0].redundancy, abs=1e-12)
+
+    def test_sweep_survives_unbuildable_books(self, heavy_gk):
+        """Code books the GK path cannot build end runs or reject trials;
+        the sweep still returns every stage instead of raising."""
+        family, marginal = heavy_gk
+        with np.errstate(divide="ignore", invalid="ignore"):
+            stages = solve_sweep(family, marginal, 1, 3)
+        assert sorted(stages) == [1, 2, 3]
+        for reports in stages.values():
+            assert all(r.classification == LOCAL_MINIMUM for r in reports)
+
+
+# A new outer cut beside the best two-cut books of the two acceptance models,
+# at points on both sides of the existing cuts.
+INSERTIONS = [
+    ("nn", [-1.97396226317, 1.97396226317], 6.0, 1),
+    ("nn", [-1.97396226317, 1.97396226317], -6.0, -1),
+    ("eg", [4.42187055929, 80.5547698108], 1500.0, 1),
+    ("eg", [4.42187055929, 80.5547698108], 1.0, -1),
+]
+
+
+class TestInsertionRoot:
+    @pytest.mark.parametrize("pair_name,base,x,side", INSERTIONS,
+                             ids=["nn-right", "nn-left", "eg-right", "eg-left"])
+    def test_slope_matches_central_differences(self, pair_name, base, x, side, request):
+        family, marginal = request.getfixturevalue(pair_name)
+        base = np.asarray(base)
+
+        def residual(at):
+            return estimator._insertion_residual(family, marginal, base, at, side)
+
+        value, slope = estimator._insertion_residual(family, marginal, base, x, side, slope=True)
+        assert value == residual(x)
+        h = 1e-4 * abs(x)
+        fd = (residual(x + h) - residual(x - h)) / (2.0 * h)
+        assert slope == pytest.approx(fd, rel=1e-6)
+
+    @pytest.mark.parametrize("pair_name,base", [
+        ("nn", [-1.97396226317, 1.97396226317]),
+        ("eg", []),
+        ("eg", [4.42187055929, 80.5547698108]),
+    ], ids=["nn", "eg-first-cut", "eg"])
+    def test_refined_root_matches_mpmath(self, pair_name, base, request):
+        """The Newton-refined outer root lies within its stopping width,
+        2^-30 of its grid bracket, of the 50-digit root of the same residual."""
+        mpmath = pytest.importorskip("mpmath")
+        family, marginal = request.getfixturevalue(pair_name)
+        base = np.asarray(base, dtype=float)
+        if base.size:
+            candidates = estimator._insertion_candidates(family, marginal, base, 1)
+        else:
+            candidates = estimator._first_cut_candidates(marginal)
+        root = estimator._outward_root(family, marginal, base, 1, candidates)
+        lo, hi = next((a, b) for a, b in itertools.pairwise(candidates) if a <= root <= b)
+        edge = base[-1] if base.size else family.support_lo
+        if pair_name == "nn":
+            exact, theta, log_partition = _normal_exact, lambda m: m, lambda t: t * t / 2
+        else:
+            exact, theta, log_partition = _lomax_exact, lambda m: -1 / m, lambda t: -mpmath.log(-t)
+
+        def residual(x):
+            def bracket(log_mass, centroid):
+                t = theta(centroid)
+                return log_mass + x * t - log_partition(t)
+
+            return bracket(*exact(mpmath, x, mpmath.inf)) - bracket(*exact(mpmath, edge, x))
+
+        with mpmath.workdps(50):
+            reference = float(mpmath.findroot(residual, mpmath.mpf(root)))
+        assert abs(root - reference) <= 2.0**-30 * (hi - lo)
 
 
 def _minimum(cuts, length):
@@ -523,6 +687,12 @@ class TestDedupOrder:
         (order,) = orders
         assert order[0] == self.COMPACT
         assert order[3:] == ((-4.0, -1.0, 1.0, 4.0), (-3.5, -1.0, 1.0, 5.0))
+
+    def test_keeps_floor_minima(self):
+        floor = dataclasses.replace(
+            _minimum(self.COMPACT, self.LENGTH), converged=False, at_floor=True)
+        stalled = dataclasses.replace(_minimum(self.LEFT_HEAVY, self.LENGTH), converged=False)
+        assert [r.cuts for r in _dedup_sorted([floor, stalled])] == [self.COMPACT]
 
     def test_distinct_minima_sort_by_length(self):
         compact = _minimum(self.COMPACT, self.LENGTH + 5e-7)

@@ -6,10 +6,12 @@ import pytest
 from smml1d import (
     ParameterError,
     SupportError,
+    differential_entropy,
     make_exponential_gamma,
     make_normal_normal,
     mu_inverse_numeric,
 )
+from smml1d.quadrature import expectation
 
 BETA = math.sqrt(5.0)
 
@@ -180,3 +182,49 @@ class TestMeanInverseNumeric:
         family, _ = eg
         t = mu_inverse_numeric(family, 8.0e5)
         assert family.mean(t) == pytest.approx(8.0e5, rel=1e-12)
+
+
+LOMAX_GRID = [(a, b) for a in (1.05, 1.2, 1.5, 2.0, 3.0, 10.0, 50.0) for b in (1e-3, 1.0, 1e3, 1e6)]
+
+
+class TestClosedFormConstants:
+    """The built-in pairs carry the marginal entropy and the carrier constant
+    K = -E[log carrier] in closed form; they match 50-digit quadrature of
+    their definitions, and the GK quadrature stays within its own accuracy."""
+
+    @pytest.mark.parametrize("alpha", [0.5, 2.0, 10.0, 100.0])
+    def test_normal_against_mpmath(self, alpha):
+        mpmath = pytest.importorskip("mpmath")
+        family, marginal = make_normal_normal(alpha)
+        with mpmath.workdps(50):
+            sd = mpmath.sqrt(1 + mpmath.mpf(alpha) ** 2)
+            log_r = lambda x: -(x / sd) ** 2 / 2 - mpmath.log(sd * mpmath.sqrt(2 * mpmath.pi))  # noqa: E731
+            log_h = lambda x: -x * x / 2 - mpmath.log(2 * mpmath.pi) / 2  # noqa: E731
+            split = [-mpmath.inf, -sd, 0, sd, mpmath.inf]
+            entropy = mpmath.quad(lambda x: -mpmath.exp(log_r(x)) * log_r(x), split)
+            carrier = mpmath.quad(lambda x: -mpmath.exp(log_r(x)) * log_h(x), split)
+        assert marginal.entropy == pytest.approx(float(entropy), rel=1e-14)
+        assert marginal.carrier_constant == pytest.approx(float(carrier), rel=1e-14)
+        gk_carrier = expectation(marginal, lambda x: -np.asarray(family.log_carrier(x)))
+        assert differential_entropy(marginal) == pytest.approx(marginal.entropy, rel=1e-13)
+        assert gk_carrier == pytest.approx(marginal.carrier_constant, rel=1e-13)
+
+    @pytest.mark.parametrize("alpha,beta", LOMAX_GRID)
+    def test_lomax_against_mpmath(self, alpha, beta):
+        """The entropy integral is taken over the survival level s = S(x),
+        where the heavy tail becomes an integrable log singularity at s = 0;
+        the carrier is 1, so K is 0."""
+        mpmath = pytest.importorskip("mpmath")
+        family, marginal = make_exponential_gamma(alpha, beta)
+        with mpmath.workdps(50):
+            a, b = mpmath.mpf(alpha), mpmath.mpf(beta)
+
+            def log_r(s):  # log density at the point whose survival is s
+                x = b * (s ** (-1 / a) - 1)
+                return mpmath.log(a / b) - (a + 1) * mpmath.log1p(x / b)
+
+            entropy = mpmath.quad(lambda s: -log_r(s), [0, 1])
+        assert marginal.entropy == pytest.approx(float(entropy), rel=1e-14)
+        assert marginal.carrier_constant == 0.0
+        assert np.all(family.log_carrier(np.array([0.5, 1e6])) == 0.0)
+        assert differential_entropy(marginal) == pytest.approx(marginal.entropy, rel=1e-13)
