@@ -271,7 +271,7 @@ def cmd_solve(cfg: RunConfig) -> int:
     family, marginal = cfg.models()
     reports = multi_start_solve(family, marginal, cfg.n, cfg.solver_options())
     if not reports:
-        print("no start converged to a local minimum", file=sys.stderr)
+        print(f"no local minimum for n={cfg.n}", file=sys.stderr)
         return 2
     if cfg.format == "text":
         _emit(_solution_text(cfg, reports), cfg.out)
@@ -291,7 +291,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
     stages = solve_sweep(family, marginal, n_min, n_max, cfg.solver_options())
     if any(not reps for reps in stages.values()):
         missing = [n for n, reps in stages.items() if not reps]
-        print(f"no converged local minimum for n in {missing}", file=sys.stderr)
+        print(f"no local minimum for n in {missing}", file=sys.stderr)
         return 2
     best = {n: reps[0] for n, reps in stages.items()}
     width = max(len(_shown_cuts(cfg, rep.cuts)) for rep in best.values())
@@ -323,7 +323,7 @@ def cmd_curves(cfg: RunConfig) -> int:
         raise UsageError(f"need finite x_min < x_max, got ({x_min!r}, {x_max!r})")
     reports = multi_start_solve(family, marginal, cfg.n, cfg.solver_options())
     if not reports:
-        print("no start converged to a local minimum", file=sys.stderr)
+        print(f"no local minimum for n={cfg.n}", file=sys.stderr)
         return 2
     best = reports[0]
     table = curve_samples(family, marginal, best.codebook, x_min, x_max, cfg.points)

@@ -19,9 +19,9 @@ jump of the log code density across ``a_j``,
 
 and ``dL/da_j = r(a_j) * G_j``.  ``G`` has a tridiagonal Jacobian, so a
 Newton step costs O(n): :func:`newton_solve` runs a damped Newton iteration
-on ``G``, and :func:`solve_sweep` starts it from continuation and quantile
-starts, keeps the local minima (converged, or at the rounding floor of ``G``)
-and ranks them by code length.
+on ``G``, and :func:`solve_sweep` starts it from continuation starts (the
+previous stages' books with new outer cuts), keeps the local minima
+(converged, or at the rounding floor of ``G``) and ranks them by code length.
 
 All q-dependent arithmetic stays on ``log q`` and every density/mass ratio is
 formed as ``exp(log r - log q)``, so the solver keeps working when interval
@@ -72,7 +72,8 @@ NOT_CRITICAL = "not-critical"
 _DEDUP_TOL = 1e-6
 # Rounding moves a length by ~1e-15; distinct minima differ by 5.4e-7 or more.
 _LENGTH_TIE = 1e-12
-_CRITICAL_GRAD_THRESHOLD = 1e-8
+_CRITICAL_GRAD_THRESHOLD = 1e-8  # |G| above it is not classified (not critical)
+_BACKTRACK_MAX = 30  # step halvings tried before a Newton run gives up
 _SCAN_TOL = 1e-6  # placement scans only need a few digits
 # A Newton run whose last two accepted steps each kept more than this share of
 # the gradient norm has stalled; runs that reach a minimum cut it by at least
@@ -294,19 +295,19 @@ def classify_critical_point(
     marginal: MarginalModel,
     codebook: CodeBook,
     grad_norm: float,
-    threshold: float = _CRITICAL_GRAD_THRESHOLD,
 ) -> str:
     """Classify a near-critical configuration via the length Hessian.
 
     At a zero of the gradient map the Hessian of the expected length equals
     diag(r(a_1),...,r(a_n)) times the Jacobian of G; away from a zero the
     identity carries an error term proportional to G, so configurations with
-    ``grad_norm`` above ``threshold`` are reported as not critical rather
-    than misclassified.  The eigenvalues come from LAPACK ``dstevd`` without
-    eigenvectors, the driver ``scipy.linalg.eigvalsh_tridiagonal`` picks for
-    the whole spectrum; ``LinAlgError`` means it did not converge.
+    ``grad_norm`` above ``_CRITICAL_GRAD_THRESHOLD`` (1e-8) are reported as
+    not critical rather than misclassified.  The eigenvalues come from LAPACK
+    ``dstevd`` without eigenvectors, the routine
+    ``scipy.linalg.eigvalsh_tridiagonal`` picks for the whole spectrum;
+    ``LinAlgError`` means it did not converge.
     """
-    if not grad_norm <= threshold:
+    if not grad_norm <= _CRITICAL_GRAD_THRESHOLD:
         return NOT_CRITICAL
     J = jacobian(family, marginal, codebook)
     # The Hessian is diag(r(a)) @ J, but the densities underflow for far-out
@@ -337,17 +338,16 @@ class SolverOptions:
     """Damped-Newton controls.
 
     ``tol`` bounds the max-norm of the gradient map at convergence.  Each
-    rejected step is halved at most ``backtrack_max`` times; a candidate is
-    accepted only if it keeps strict ordering inside the support and lowers
+    rejected step is halved at most ``_BACKTRACK_MAX`` (30) times; a candidate
+    is accepted only if it keeps strict ordering inside the support and lowers
     the gradient norm.  A run stops unconverged after ``max_iter`` accepted
     steps, or earlier on one of three faults: a singular or non-finite
-    Newton step, ``backtrack_max`` halvings that all fail, or a stall, where
-    two accepted steps in a row each lower the gradient norm by less than 1%.
+    Newton step, halvings that all fail, or a stall, where two accepted steps
+    in a row each lower the gradient norm by less than 1%.
     """
 
     tol: float = 1e-12
     max_iter: int = 200
-    backtrack_max: int = 30
 
 
 @dataclass(frozen=True)
@@ -486,7 +486,7 @@ def newton_solve(
             break
         accepted = False
         at_floor = _at_floor(family, codebook, residual)
-        for halvings in range(1 if at_floor else opts.backtrack_max + 1):
+        for halvings in range(1 if at_floor else _BACKTRACK_MAX + 1):
             candidate = a + 0.5**halvings * step
             if not _feasible(family, candidate):
                 continue
@@ -771,16 +771,18 @@ def solve_sweep(
 ) -> dict[int, list[SolveReport]]:
     """Solve for every cut-point count from 1 up to ``n_max`` by continuation.
 
-    Stage 1 locates the outermost stationary placement of a single cut by a
-    direct scan of the scalar residual.  Each later stage seeds Newton with
-    the previous stage's best solutions extended by one new outer cut on
-    either side (placed at the outermost scalar stationarity root, bracketed
-    by a candidate scan and refined by safeguarded Newton, see
-    :func:`_outward_root`), plus the one quantile start at levels i/(n+1).
-    This follows the empirical structure of the optima, whose cut-point sets
-    nest as n grows; quantile starts alone land in interior saddle basins
-    and, for far-out cuts, the required quantile levels are not even
-    representable in double precision.
+    Stage 1 starts Newton from the outermost stationary placement of a
+    single cut, found by a direct scan of the scalar residual, and from the
+    median.  Each later stage starts it only from continuation starts (see
+    :func:`_insertion_starts`): the previous stage's best solutions extended
+    by one new outer cut on either side, placed at the outermost scalar
+    stationarity root (bracketed by a candidate scan and refined by
+    safeguarded Newton, see :func:`_outward_root`), and the best books two
+    stages back extended on both sides.  This follows the empirical structure of the
+    optima, whose cut-point sets nest as n grows.  A quantile start at levels
+    i/(n+1) kept no minimum of its own from stage 2 on: it lands in interior
+    saddle basins and, for far-out cuts, the quantile levels it would need
+    are not even representable in double precision.
 
     Returns the deduplicated, best-first local minima for each n in
     [n_min, n_max]: runs that converged and runs that ended at the rounding
@@ -799,17 +801,13 @@ def solve_sweep(
     grandparents: list[SolveReport] = []
     roots: dict[tuple[tuple[float, ...], int], float | None] = {}
     for stage in range(1, n_max + 1):
-        starts: list[np.ndarray] = []
         if stage == 1:
             root = _outward_root(
                 family, marginal, np.empty(0), 1, _first_cut_candidates(marginal)
             )
-            if root is not None:
-                starts.append(np.array([root]))
+            starts = [np.array([x]) for x in (root, marginal.quantile(0.5)) if x is not None]
         else:
-            starts.extend(_insertion_starts(family, marginal, parents, grandparents, roots))
-        levels = np.arange(1, stage + 1) / (stage + 1)
-        starts.append(np.array([marginal.quantile(p) for p in levels]))
+            starts = _insertion_starts(family, marginal, parents, grandparents, roots)
         reports = []
         for start in starts:
             if not _feasible(family, start):
@@ -829,9 +827,9 @@ def multi_start_solve(
 ) -> list[SolveReport]:
     """Deterministic multi-start Newton for a fixed number of cut-points.
 
-    Runs the continuation pipeline of :func:`solve_sweep` up to ``n`` (the
-    quantile start at levels i/(n+1) is included at every stage) and returns
-    the stage-``n`` solutions: local minima only, converged or at the
+    Runs the continuation pipeline of :func:`solve_sweep` up to ``n`` (so a
+    stage past the first starts only from its continuation starts) and
+    returns the stage-``n`` solutions: local minima only, converged or at the
     rounding floor of G (Newton happily converges to saddles of the expected
     length; those are not estimators), deduplicated at 1e-6 in cut-point
     space, sorted by message length; lengths within 1e-12 are ties, ordered

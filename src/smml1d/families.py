@@ -47,6 +47,10 @@ __all__ = [
 _LOG_2PI = math.log(2.0 * math.pi)
 _SQRT2 = math.sqrt(2.0)
 _SQRT_HALF_PI = math.sqrt(0.5 * math.pi)
+# mu_inverse_numeric: relative accuracy of the mean, and the step budget of
+# its bracket march and of its root search
+_MU_INVERSE_REL_TOL = 1e-12
+_MU_INVERSE_MAX_ITER = 200
 
 # A closed form is used only when none of its subtractions leaves less than
 # 1/_MAX_CANCELLATION of its operand, i.e. loses more than three bits.  The
@@ -395,16 +399,10 @@ def _lomax_interval(
     return log_tail + math.log(alpha / scale * mass), lo + offset
 
 
-def mu_inverse_numeric(
-    family: FamilyModel,
-    m: float,
-    *,
-    rel_tol: float = 1e-12,
-    max_iter: int = 200,
-) -> float:
+def mu_inverse_numeric(family: FamilyModel, m: float) -> float:
     """Invert the mean map by safeguarded Newton with a bisection fallback.
 
-    Returns ``t`` with ``|mean(t) - m| <= rel_tol * max(1, |m|)``.  Works for
+    Returns ``t`` with ``|mean(t) - m| <= 1e-12 * max(1, |m|)``.  Works for
     any family whose mean map is strictly increasing (variance positive);
     raises :class:`SupportError` when ``m`` falls outside the open image of
     the mean map.
@@ -427,7 +425,7 @@ def mu_inverse_numeric(
         # Walk toward one end of the parameter interval until mean(t) brackets m.
         t, step = start, 1.0
         bound = hi_b if upward else lo_b
-        for _ in range(max_iter):
+        for _ in range(_MU_INVERSE_MAX_ITER):
             v = family.mean(t)
             if (v >= m) if upward else (v <= m):
                 return t
@@ -446,10 +444,10 @@ def mu_inverse_numeric(
     t_hi = _march(t0, upward=True)
     t_lo = _march(t0, upward=False)
 
-    tol = rel_tol * max(1.0, abs(m))
+    tol = _MU_INVERSE_REL_TOL * max(1.0, abs(m))
     lo, hi = t_lo, t_hi
     t = 0.5 * (lo + hi)
-    for _ in range(max_iter):
+    for _ in range(_MU_INVERSE_MAX_ITER):
         err = family.mean(t) - m
         if abs(err) <= tol:
             return t

@@ -169,7 +169,6 @@ def _adaptive(
     eval_rows: Callable[[_Piece, np.ndarray], np.ndarray],
     pieces: Sequence[_Piece],
     rel_tol: float = _REL_TOL,
-    cap: int = _MAX_SEGMENTS,
 ) -> np.ndarray:
     """Integrate the rows of `eval_rows` over all pieces simultaneously.
 
@@ -229,7 +228,7 @@ def _adaptive(
     for _ in range(200):
         tot_err = E.sum(axis=1)
         scale = np.maximum(A.sum(axis=1), 1e-300)
-        if np.all(tot_err <= rel_tol * scale) or ids.size >= cap:
+        if np.all(tot_err <= rel_tol * scale) or ids.size >= _MAX_SEGMENTS:
             break
         norm_err = (E / scale[:, None]).max(axis=0)
         width_ok = (hi - lo) > 4e-16 * np.maximum(np.maximum(np.abs(lo), np.abs(hi)), 1.0)

@@ -90,6 +90,19 @@ class TestSolverFailure:
         assert row[2] == "local-minimum" and row[4] == "true"
         np.testing.assert_allclose([float(c) for c in row[6:8]], [7.498, 238.44], rtol=1e-4)
 
+    @pytest.mark.parametrize("argv,message", [
+        (["solve", "--n", "1"], "no local minimum for n=1\n"),
+        (["sweep", "--n-min", "1", "--n-max", "3"], "no local minimum for n in [1, 2, 3]\n"),
+        (["curves", "--n", "1"], "no local minimum for n=1\n"),
+    ], ids=["solve", "sweep", "curves"])
+    def test_no_minimum_exits_2(self, argv, message, capsys):
+        """Prior sd 0.05: no stage has a local minimum, so each subcommand
+        exits 2 and names the n it could not solve."""
+        code, out, err = run_cli([*argv, "--model", "normal-normal", "--alpha", "0.05"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == message
+
     def test_arithmetic_error_exits_2(self, capsys, monkeypatch):
         def fail(*args, **kwargs):
             raise ArithmeticError("degenerate interval mass over (0.9, inf)")
