@@ -20,11 +20,14 @@ DEFAULT_SEED = 1729
 
 def separated_cuts(marginal, rng: np.random.Generator, n_min: int, n_max: int | None = None):
     """Cuts at sorted uniform quantile levels in (0.08, 0.92), n_min..n_max
-    of them, redrawn (at most 100 times) until neighbours are 0.05 apart."""
+    of them, redrawn (at most 100 times) until neighbours are more than
+    min(0.05, span/40) apart, where span is the range between those two
+    quantiles: a narrow marginal cannot fit cuts 0.05 apart."""
+    gap = min(0.05, (marginal.quantile(0.92) - marginal.quantile(0.08)) / 40)
     for _ in range(100):
         n = int(rng.integers(n_min, (n_max or n_min) + 1))
         cuts = np.array([marginal.quantile(p) for p in np.sort(rng.uniform(0.08, 0.92, n))])
-        if np.all(np.diff(cuts) > 0.05):
+        if np.all(np.diff(cuts) > gap):
             return cuts
     raise ArithmeticError("could not draw separated random cut-points")
 

@@ -710,17 +710,24 @@ def _insertion_starts(
     Single-side extensions track how the optima for successive n share their
     inner cut-points; the simultaneous left+right extension covers the
     parity-preserving growth (even n from n-2, odd from odd) seen when a new
-    outermost interval appears on both flanks at once.  ``roots`` memoises
-    the outer-extension roots by (cuts, side): the grandparents were the
-    previous stage's parents, so their scans are already in it.
+    outermost interval appears on both flanks at once.
+
+    A root depends only on the side, the outer cut and its neighbour: the
+    residual reads the outer cut, and the candidate grid reads it and the gap
+    to its neighbour (the marginal's IQR when there is no neighbour).  So
+    ``roots`` memoises them by (those two cuts, side).  The grandparents were
+    the previous stage's parents, so their scans are already in it, and a
+    parent that is its grandparent plus one cut shares the scan of its other
+    side with it.
     """
 
     def root(cuts: tuple[float, ...], side: int) -> float | None:
-        if (cuts, side) not in roots:
-            base = np.asarray(cuts)
+        outer = cuts[-2:] if side > 0 else cuts[:2]
+        if (outer, side) not in roots:
+            base = np.asarray(outer)
             cands = _insertion_candidates(family, marginal, base, side)
-            roots[cuts, side] = _outward_root(family, marginal, base, side, cands)
-        return roots[cuts, side]
+            roots[outer, side] = _outward_root(family, marginal, base, side, cands)
+        return roots[outer, side]
 
     starts: list[np.ndarray] = []
     for sol in parents[:2]:
@@ -784,6 +791,10 @@ def solve_sweep(
     saddle basins and, for far-out cuts, the quantile levels it would need
     are not even representable in double precision.
 
+    Each stage runs Newton once per distinct start: ``newton_solve`` is
+    deterministic, so a start equal (bit for bit) to an earlier one of the
+    stage would only repeat that run's report.
+
     Returns the deduplicated, best-first local minima for each n in
     [n_min, n_max]: runs that converged and runs that ended at the rounding
     floor of G (``SolveReport.at_floor``).  A code book that cannot be built
@@ -809,9 +820,12 @@ def solve_sweep(
         else:
             starts = _insertion_starts(family, marginal, parents, grandparents, roots)
         reports = []
+        seen: set[bytes] = set()
         for start in starts:
-            if not _feasible(family, start):
+            key = start.tobytes()
+            if key in seen or not _feasible(family, start):
                 continue
+            seen.add(key)
             reports.append(newton_solve(family, marginal, start, opts))
         stages[stage] = _dedup_sorted(reports)
         grandparents = parents

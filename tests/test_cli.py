@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 import smml1d
-from smml1d.cli import COMMANDS, OPTIONS, RunConfig, _build_parser, _merged_config, main
+from smml1d.cli import (
+    COMMANDS, OPTIONS, RunConfig, _build_parser, _merged_config, _verify_model, main,
+)
 
 EXP_TABLE = [0.058912861229508, 0.057904507855295, 0.057900816329763]
 
@@ -320,6 +322,23 @@ class TestVerify:
         assert "[normal-normal]" in out and "[exponential-gamma]" in out
         assert "all checks passed" in out
         assert "FAIL" not in out
+
+    @pytest.mark.parametrize("flags", [["--alpha", "10"], ["--beta", "0.1"]],
+                             ids=["alpha10", "beta0.1"])
+    def test_narrow_lomax_passes(self, flags, capsys):
+        """The random cuts fit a Lomax marginal whose 0.08 to 0.92 quantiles
+        span much less than 40 times the default 0.05 gap."""
+        code, out, _ = run_cli(["verify", *flags], capsys)
+        assert code == 0
+        assert "all checks passed" in out
+
+    def test_floor_minima_pass_mirror_symmetry(self):
+        """At prior sd 100 the best three-cut book and its mirror end at the
+        rounding floor of G; both are kept minima."""
+        cfg = _merged_config(_build_parser().parse_args(["verify", "--alpha", "100"]))
+        checks = _verify_model(cfg, "normal-normal")
+        assert "mirror-symmetry" in [name for name, _, _ in checks]
+        assert all(ok for _, ok, _ in checks), checks
 
     def test_unattainable_tolerance_names_failing_check(self, capsys):
         code, out, _ = run_cli(["verify", "--tol", "1e-16"], capsys)

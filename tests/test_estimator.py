@@ -707,6 +707,65 @@ class TestInsertionRoot:
             reference = float(mpmath.findroot(residual, mpmath.mpf(root)))
         assert abs(root - reference) <= 2.0**-30 * (hi - lo)
 
+    @pytest.mark.parametrize("pair_name,low,pair,high", [
+        ("nn", -6.0, [-1.97396226317, 1.97396226317], 6.0),
+        ("nn", 0.5, [1.2, 4.0], 7.5),
+        ("eg", 3.0, [10.0, 40.0], 77.0),
+    ], ids=["nn", "nn-one-sided", "eg"])
+    @pytest.mark.parametrize("side", [1, -1])
+    def test_root_reads_only_the_outer_two_cuts(self, pair_name, low, pair, high, side,
+                                                request):
+        """The scan from [low, p, q] rightwards (or [p, q, high] leftwards)
+        gives the same float as from [p, q]: the premise of the memo key."""
+        family, marginal = request.getfixturevalue(pair_name)
+        outer = np.array(pair)
+        full = np.array([low, *pair] if side > 0 else [*pair, high])
+
+        def root(base):
+            cands = estimator._insertion_candidates(family, marginal, base, side)
+            return estimator._outward_root(family, marginal, base, side, cands)
+
+        assert root(outer) is not None
+        assert root(full) == root(outer)
+
+
+def _count_sweep_work(monkeypatch, family, marginal, n_max):
+    """Run a sweep, recording each scan's (outer two cuts, side) and each
+    Newton start."""
+    scans, starts = [], []
+    outward_root, newton_solve = estimator._outward_root, estimator.newton_solve
+
+    def counted_root(family, marginal, base, side, candidates):
+        pts = tuple(base.tolist())
+        scans.append((pts[-2:] if side > 0 else pts[:2], side))
+        return outward_root(family, marginal, base, side, candidates)
+
+    def counted_newton(family, marginal, initial, options=None):
+        starts.append(tuple(np.asarray(initial).tolist()))
+        return newton_solve(family, marginal, initial, options)
+
+    monkeypatch.setattr(estimator, "_outward_root", counted_root)
+    monkeypatch.setattr(estimator, "newton_solve", counted_newton)
+    solve_sweep(family, marginal, 1, n_max)
+    return scans, starts
+
+
+class TestSweepWork:
+    @pytest.mark.parametrize("pair_name,n_max,n_scans,n_runs", [
+        ("nn", 16, 38, 68),
+        ("eg", 5, 9, 6),
+    ])
+    def test_each_scan_and_start_once(self, pair_name, n_max, n_scans, n_runs,
+                                      monkeypatch, request):
+        """No two scans share their outer two cuts and side, and no stage runs
+        Newton twice from the same start.  Scanning every book and running
+        every start made the n<=16 normal sweep 53 scans and 78 runs."""
+        scans, starts = _count_sweep_work(
+            monkeypatch, *request.getfixturevalue(pair_name), n_max)
+        assert (len(scans), len(starts)) == (n_scans, n_runs)
+        assert len(set(scans)) == len(scans)
+        assert len(set(starts)) == len(starts)  # a start's length is its stage
+
 
 def _minimum(cuts, length):
     """A converged local-minimum report carrying only cuts and length."""
