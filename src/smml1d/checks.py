@@ -10,6 +10,8 @@ G_j itself is the jump of the log code density across ``a_j``, which
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .estimator import codebook_from_cutpoints, curve_samples, gradient, message_length
@@ -23,7 +25,7 @@ def separated_cuts(marginal, rng: np.random.Generator, n_min: int, n_max: int | 
     of them, redrawn (at most 100 times) until neighbours are more than
     min(0.05, span/40) apart, where span is the range between those two
     quantiles: a narrow marginal cannot fit cuts 0.05 apart."""
-    gap = min(0.05, (marginal.quantile(0.92) - marginal.quantile(0.08)) / 40)
+    gap = min(0.05, _span(marginal) / 40)
     for _ in range(100):
         n = int(rng.integers(n_min, (n_max or n_min) + 1))
         cuts = np.array([marginal.quantile(p) for p in np.sort(rng.uniform(0.08, 0.92, n))])
@@ -32,24 +34,40 @@ def separated_cuts(marginal, rng: np.random.Generator, n_min: int, n_max: int | 
     raise ArithmeticError("could not draw separated random cut-points")
 
 
+def _span(marginal) -> float:
+    """Range between the marginal's 0.08 and 0.92 quantiles."""
+    return marginal.quantile(0.92) - marginal.quantile(0.08)
+
+
+def fd_step(marginal) -> float:
+    """Step of the difference quotients: 1e-5 times the power of ten at or
+    below the marginal's quantile span.  An absolute step is too coarse for a
+    Lomax of scale 1e-3 and drowns in rounding at scale 1e6; rounding the span
+    down to its decade keeps the step at 1e-5 for every span in [1, 10),
+    which holds both default models of `smml1d verify`."""
+    return 1e-5 * 10.0 ** math.floor(math.log10(_span(marginal)))
+
+
 def _centred(fn, cuts: np.ndarray, h: float) -> np.ndarray:
     """Row k is (fn(cuts + h e_k) - fn(cuts - h e_k)) / 2h."""
     steps = h * np.eye(cuts.size)
     return np.array([(fn(cuts + e) - fn(cuts - e)) / (2 * h) for e in steps])
 
 
-def length_fd(family, marginal, cuts: np.ndarray, h: float = 1e-5) -> np.ndarray:
-    """Centred-difference quotient of the expected length in each cut."""
+def length_fd(family, marginal, cuts: np.ndarray) -> np.ndarray:
+    """Centred-difference quotient of the expected length in each cut, with
+    the step :func:`fd_step`."""
     def length(a):
         return message_length(family, marginal, codebook_from_cutpoints(family, marginal, a))
-    return _centred(length, cuts, h)
+    return _centred(length, cuts, fd_step(marginal))
 
 
-def gradient_fd(family, marginal, cuts: np.ndarray, h: float = 1e-5) -> np.ndarray:
-    """Centred-difference quotient of G; entry [j, k] approximates dG_j/da_k."""
+def gradient_fd(family, marginal, cuts: np.ndarray) -> np.ndarray:
+    """Centred-difference quotient of G, with the step :func:`fd_step`;
+    entry [j, k] approximates dG_j/da_k."""
     def residual(a):
         return gradient(family, marginal, codebook_from_cutpoints(family, marginal, a))
-    return _centred(residual, cuts, h).T
+    return _centred(residual, cuts, fd_step(marginal)).T
 
 
 def log_code_jumps(family, marginal, book) -> np.ndarray:

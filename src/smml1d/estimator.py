@@ -31,9 +31,10 @@ masses are far below the smallest positive double.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import pairwise
+from itertools import pairwise, repeat
 from typing import Sequence
 
 import numpy as np
@@ -97,13 +98,13 @@ class CutPointVector:
     points: tuple[float, ...]
 
     def __post_init__(self):
-        pts = tuple(float(p) for p in self.points)
+        pts = tuple(map(float, self.points))
         object.__setattr__(self, "points", pts)
-        if len(pts) < 1:
+        if not pts:
             raise ValueError("need at least one cut-point")
-        if not all(math.isfinite(p) for p in pts):
+        if not all(map(math.isfinite, pts)):
             raise ValueError(f"cut-points must be finite, got {pts}")
-        if any(b <= a for a, b in pairwise(pts)):
+        if not all(map(operator.lt, pts, pts[1:])):
             raise ValueError(f"cut-points must be strictly increasing, got {pts}")
 
     @property
@@ -153,15 +154,9 @@ def codebook_from_cutpoints(family: FamilyModel, marginal: MarginalModel, cuts) 
             f"cut-points must lie strictly inside the support "
             f"({family.support_lo!r}, {family.support_hi!r}), got {pts}"
         )
-    log_q: list[float] = []
-    theta: list[float] = []
-    centroids: list[float] = []
-    for lo, hi in pairwise((family.support_lo, *pts, family.support_hi)):
-        ii = interval_integrals(marginal, lo, hi)
-        log_q.append(ii.log_mass)
-        centroids.append(ii.centroid)
-        theta.append(family.invert_mean(ii.centroid))
-    return CodeBook(cuts, tuple(log_q), tuple(theta), tuple(centroids))
+    bounds = (family.support_lo, *pts, family.support_hi)
+    log_q, centroids, _ = zip(*map(interval_integrals, repeat(marginal), bounds[:-1], bounds[1:]))
+    return CodeBook(cuts, log_q, tuple(map(family.invert_mean, centroids)), centroids)
 
 
 def _carrier_constant(family: FamilyModel, marginal: MarginalModel) -> float:
@@ -269,8 +264,8 @@ def jacobian(family: FamilyModel, marginal: MarginalModel, codebook: CodeBook) -
     # Off-diagonal rows j and j+1 share the interval between cuts j and j+1.
     mid_mu = mu[1:-1]
     shared = 1.0 + (a[:-1] - mid_mu) * (a[1:] - mid_mu) / var[1:-1]
-    sub = np.exp(log_r[:-1] - lq[1:-1]) * shared
-    sup = np.exp(log_r[1:] - lq[1:-1]) * shared
+    sub = r_over_up[:-1] * shared   # r(a_j) / q_j
+    sup = r_over_lo[1:] * shared    # r(a_{j+1}) / q_j
     return Tridiagonal(sub=sub, diag=diag, sup=sup)
 
 

@@ -65,12 +65,15 @@ _NARROW_LOG_SPAN = 1.0
 # Positive nodes and their weights of the 12-point rule on [-1, 1], rounded
 # from 40 digits.  Tabulated because computing them at import starts numpy's
 # eigen-solver, which costs about 0.9 MB of resident memory.
-_GL_X = np.array([0.1252334085114689, 0.3678314989981802, 0.5873179542866175,
-                  0.7699026741943047, 0.9041172563704749, 0.9815606342467192])
-_GL_W = np.array([0.24914704581340277, 0.2334925365383548, 0.20316742672306592,
-                  0.16007832854334622, 0.10693932599531843, 0.04717533638651183])
-_GL_NODES = 0.5 * (1.0 + np.concatenate([-_GL_X[::-1], _GL_X]))  # on [0, 1]
-_GL_WEIGHTS = 0.5 * np.concatenate([_GL_W[::-1], _GL_W])
+_GL_X = (0.1252334085114689, 0.3678314989981802, 0.5873179542866175,
+         0.7699026741943047, 0.9041172563704749, 0.9815606342467192)
+_GL_W = (0.24914704581340277, 0.2334925365383548, 0.20316742672306592,
+         0.16007832854334622, 0.10693932599531843, 0.04717533638651183)
+# The rule moved to [0, 1], as (node, weight) pairs in ascending node order.
+# _narrow runs it as a loop over Python floats: on 12 points that is about a
+# third of the cost of the same sums in numpy.
+_GL_RULE = tuple((0.5 * (1.0 - x), 0.5 * w) for x, w in zip(_GL_X[::-1], _GL_W[::-1])) \
+    + tuple((0.5 * (1.0 + x), 0.5 * w) for x, w in zip(_GL_X, _GL_W))
 
 
 class ParameterError(ValueError):
@@ -266,18 +269,19 @@ def _cancellation(operand: float, difference: float) -> float:
     return operand / difference if difference > 0.0 else math.inf
 
 
-def _narrow(
-    width: float, log_ratio: Callable[[np.ndarray], np.ndarray]
-) -> tuple[float, float]:
+def _narrow(width: float, log_ratio: Callable[[float], float]) -> tuple[float, float]:
     """Integral of exp(log_ratio(t)) over (0, width), and the mean of t.
 
-    ``log_ratio`` is the log density relative to the interval's end; see
-    ``_NARROW_LOG_SPAN`` for where the fixed rule is exact.
+    ``log_ratio`` is the log density relative to the interval's end, a scalar
+    map; see ``_NARROW_LOG_SPAN`` for where the fixed rule is exact.
     """
-    t = width * _GL_NODES
-    f = _GL_WEIGHTS * np.exp(log_ratio(t))
-    total = float(f.sum())
-    return width * total, float(t @ f) / total
+    total = moment = 0.0
+    for node, weight in _GL_RULE:
+        t = width * node
+        f = weight * math.exp(log_ratio(t))
+        total += f
+        moment += t * f
+    return width * total, moment / total
 
 
 # R and h are pure functions of the standardised interval end.  A cut ends two
@@ -395,7 +399,7 @@ def _lomax_interval(
     # narrow: r(lo + t) = r(lo) (1 + t/scale)^-(alpha+1), r(lo) = alpha/scale S(lo)
     if not 0.0 < (alpha + 1.0) * log_ratio <= _NARROW_LOG_SPAN:
         return None
-    mass, offset = _narrow(hi - lo, lambda t: -(alpha + 1.0) * np.log1p(t / scale))
+    mass, offset = _narrow(hi - lo, lambda t: -(alpha + 1.0) * math.log1p(t / scale))
     return log_tail + math.log(alpha / scale * mass), lo + offset
 
 

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -89,9 +89,13 @@ _REL_TOL = 1e-13        # target relative accuracy of the scaled integrals
 _MAX_SEGMENTS = 20_000  # subdivision cap per interval
 
 
-@dataclass(frozen=True)
-class IntervalIntegrals:
-    """Log mass, centroid and scaling point of one marginal interval."""
+class IntervalIntegrals(NamedTuple):
+    """Log mass, centroid and scaling point of one marginal interval.
+
+    Immutable.  A named tuple rather than a frozen dataclass because a code
+    book builds n+1 of them per trial step: construction costs about a third
+    as much.
+    """
 
     log_mass: float
     centroid: float
@@ -256,16 +260,6 @@ def _adaptive(
     return K.sum(axis=1)
 
 
-def _validate_interval(marginal: MarginalModel, lo: float, hi: float) -> None:
-    if math.isnan(lo) or math.isnan(hi) or not lo < hi:
-        raise ValueError(f"interval bounds must satisfy lo < hi, got ({lo!r}, {hi!r})")
-    if lo < marginal.support_lo or hi > marginal.support_hi:
-        raise SupportError(
-            f"interval ({lo!r}, {hi!r}) leaves the support "
-            f"({marginal.support_lo!r}, {marginal.support_hi!r})"
-        )
-
-
 def interval_integrals(
     marginal: MarginalModel, lo: float, hi: float, *, rel_tol: float = _REL_TOL
 ) -> IntervalIntegrals:
@@ -280,13 +274,19 @@ def interval_integrals(
     not apply to the hook, which is always exact to rounding.
     """
     lo, hi = float(lo), float(hi)
-    _validate_interval(marginal, lo, hi)
+    if not lo < hi:  # also when either bound is NaN
+        raise ValueError(f"interval bounds must satisfy lo < hi, got ({lo!r}, {hi!r})")
+    if lo < marginal.support_lo or hi > marginal.support_hi:
+        raise SupportError(
+            f"interval ({lo!r}, {hi!r}) leaves the support "
+            f"({marginal.support_lo!r}, {marginal.support_hi!r})"
+        )
     ref = min(max(marginal.mode, lo), hi)
     if marginal.closed_form is not None:
         exact = marginal.closed_form(lo, hi)
         if exact is not None:
             log_mass, centroid = exact
-            return IntervalIntegrals(log_mass=min(log_mass, 0.0), centroid=centroid, ref_point=ref)
+            return IntervalIntegrals(min(log_mass, 0.0), centroid, ref)
     log_ref = float(marginal.log_pdf(ref))
     pieces = _pieces_for(marginal, lo, hi, ref)
 
@@ -305,7 +305,7 @@ def interval_integrals(
     if not (math.isfinite(mass) and mass > 0.0):
         raise ArithmeticError(f"degenerate interval mass over ({lo!r}, {hi!r})")
     log_mass = min(log_ref + math.log(mass), 0.0)
-    return IntervalIntegrals(log_mass=log_mass, centroid=ref + shift / mass, ref_point=ref)
+    return IntervalIntegrals(log_mass, ref + shift / mass, ref)
 
 
 def density_mass_ratio(marginal: MarginalModel, x: float, lo: float, hi: float) -> float:

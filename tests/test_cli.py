@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -8,8 +9,9 @@ import numpy as np
 import pytest
 
 import smml1d
+from smml1d.checks import fd_step
 from smml1d.cli import (
-    COMMANDS, OPTIONS, RunConfig, _build_parser, _merged_config, _verify_model, main,
+    COMMANDS, MODELS, OPTIONS, RunConfig, _build_parser, _merged_config, _verify_model, main,
 )
 
 EXP_TABLE = [0.058912861229508, 0.057904507855295, 0.057900816329763]
@@ -331,6 +333,22 @@ class TestVerify:
         code, out, _ = run_cli(["verify", *flags], capsys)
         assert code == 0
         assert "all checks passed" in out
+
+    @pytest.mark.parametrize("beta", ["1e-3", "1e6"])
+    def test_difference_step_follows_scale(self, beta, capsys):
+        """The finite-difference step scales with the Lomax marginal: an
+        absolute 1e-5 step fails gradient-fd at both scales."""
+        code, out, _ = run_cli(["verify", "--beta", beta], capsys)
+        assert code == 0
+        assert "all checks passed" in out
+
+    def test_default_models_keep_difference_step(self):
+        """Both default models keep the 1e-5 step, so the seeded default
+        verify prints the same errors."""
+        cfg = _merged_config(_build_parser().parse_args(["verify"]))
+        for name in MODELS:
+            _, marginal = dataclasses.replace(cfg, model=name).models()
+            assert fd_step(marginal) == 1e-5
 
     def test_floor_minima_pass_mirror_symmetry(self):
         """At prior sd 100 the best three-cut book and its mirror end at the

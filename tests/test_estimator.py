@@ -307,6 +307,24 @@ class TestJacobian:
         assert expected > 0  # the zero-cut configuration is a genuine minimum
 
     @pytest.mark.parametrize("pair_name", ["nn", "eg"])
+    def test_off_diagonals_reuse_diagonal_ratios(self, pair_name, request):
+        """sub and sup, formed from the diagonal's r/q ratios, are bit for bit
+        exp(log r(a_j) - log q_j) and exp(log r(a_{j+1}) - log q_j) times the
+        shared factor, on seeded books with tail cuts."""
+        family, marginal = request.getfixturevalue(pair_name)
+        rng = np.random.default_rng(23)
+        for n in range(1, 17):
+            cuts = np.sort([marginal.quantile(p) for p in rng.uniform(1e-6, 1.0 - 1e-6, n)])
+            book = codebook_from_cutpoints(family, marginal, cuts)
+            J = jacobian(family, marginal, book)
+            lq, mu = np.asarray(book.log_q), np.asarray(book.centroids)
+            var = np.array([family.variance(t) for t in book.theta_hat])
+            log_r = np.asarray(marginal.log_pdf(cuts), dtype=float)
+            shared = 1.0 + (cuts[:-1] - mu[1:-1]) * (cuts[1:] - mu[1:-1]) / var[1:-1]
+            assert J.sub.tobytes() == (np.exp(log_r[:-1] - lq[1:-1]) * shared).tobytes()
+            assert J.sup.tobytes() == (np.exp(log_r[1:] - lq[1:-1]) * shared).tobytes()
+
+    @pytest.mark.parametrize("pair_name", ["nn", "eg"])
     def test_matches_finite_differences_of_gradient(self, pair_name, request):
         family, marginal = request.getfixturevalue(pair_name)
         rng = np.random.default_rng(17)

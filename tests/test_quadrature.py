@@ -6,14 +6,18 @@ import pytest
 from scipy.integrate import quad
 
 from smml1d import (
+    IntervalIntegrals,
     SupportError,
     density_mass_ratio,
     differential_entropy,
     interval_integrals,
+    make_exponential_gamma,
+    make_normal_normal,
 )
 from smml1d import families
 
 BETA = math.sqrt(5.0)
+WIDE_SD = math.hypot(1.0, 30.0)  # sd of the alpha = 30 normal marginal
 HALF_NORMAL_MEAN = BETA * math.sqrt(2.0 / math.pi)
 
 
@@ -93,6 +97,15 @@ class TestIntervalIntegrals:
         assert interval_integrals(marginal, -4.0, -1.0).ref_point == -1.0
         assert interval_integrals(marginal, -1.0, 4.0).ref_point == 0.0
 
+    def test_result_is_an_immutable_record(self, nn):
+        _, marginal = nn
+        ii = interval_integrals(marginal, -1.0, 2.0)
+        assert IntervalIntegrals._fields == ("log_mass", "centroid", "ref_point")
+        assert ii == (ii.log_mass, ii.centroid, ii.ref_point)
+        for name in IntervalIntegrals._fields:
+            with pytest.raises(AttributeError):
+                setattr(ii, name, 0.0)
+
     def test_bad_intervals(self, nn, eg):
         _, marginal = nn
         with pytest.raises(ValueError):
@@ -153,10 +166,31 @@ def _lomax_intervals(rng):
     return [(float(lo), float(hi)) for lo, hi in out]
 
 
-def _normal_exact(mpmath, lo, hi):
-    """Log mass and centroid of N(0, 5) over (lo, hi) from erf/erfc and the
-    antiderivative -phi of z phi(z)."""
-    s = mpmath.sqrt(5)
+def _wide_normal_bulk(rng):
+    """One-sided bulk intervals 1e-4 to 2 wide, 0.5 to 3 sd from the mode, of
+    the alpha = 30 normal marginal: every one goes to the narrow rule."""
+    out = []
+    for _ in range(40):
+        lo = rng.uniform(0.5, 3.0) * WIDE_SD
+        hi = lo + 10.0 ** rng.uniform(-4.0, 0.3)
+        out.append((lo, hi) if rng.random() < 0.5 else (-hi, -lo))
+    return [(float(lo), float(hi)) for lo, hi in out]
+
+
+def _narrow_lomax_intervals(rng):
+    """Alpha = 2, beta = 1 Lomax intervals out to 8e5 whose width is 1e-6 to
+    0.1 of 1 + lo: every one goes to the narrow rule."""
+    out = []
+    for _ in range(40):
+        lo = 0.0 if rng.random() < 0.1 else 10.0 ** rng.uniform(-3.0, 5.9)
+        out.append((lo, lo + 10.0 ** rng.uniform(-6.0, -1.0) * (1.0 + lo)))
+    return [(float(lo), float(hi)) for lo, hi in out]
+
+
+def _normal_exact(mpmath, lo, hi, variance=5):
+    """Log mass and centroid of N(0, variance) over (lo, hi) from erf/erfc
+    and the antiderivative -phi of z phi(z)."""
+    s = mpmath.sqrt(variance)
     a, b = (mpmath.mpf(v) / s for v in (lo, hi))
     half = lambda z: z / mpmath.sqrt(2)  # noqa: E731
     if lo >= 0.0:
@@ -178,6 +212,19 @@ def _lomax_exact(mpmath, lo, hi):
     if hi != mpmath.inf:
         tail_moment -= (hi - lo) * surv(hi)
     return mpmath.log(mass), lo + tail_moment / mass
+
+
+def _centroid_offset(lo, hi, centroid) -> float:
+    """Distance of the centroid from the interval end nearer 0."""
+    near = lo if abs(lo) <= abs(hi) else hi
+    return float(abs(centroid - near))
+
+
+def _assert_close(got, ref_log_mass, ref_centroid, offset, ulps, where):
+    """The log mass to 1e-13 relative to max(1, |log mass|), the centroid to
+    1e-13 of its offset plus ``ulps`` ulp of rounding the centroid itself."""
+    assert abs(got[0] - ref_log_mass) <= 1e-13 * max(1.0, abs(ref_log_mass)), where
+    assert abs(got[1] - ref_centroid) <= 1e-13 * offset + ulps * math.ulp(got[1]), where
 
 
 class TestClosedForms:
@@ -208,15 +255,36 @@ class TestClosedForms:
                 answered += 1
                 gk = interval_integrals(quadrature, lo, hi)
                 log_mass, centroid = exact(mpmath, lo, hi)
-                near = lo if abs(lo) <= abs(hi) else hi
-                offset = float(abs(centroid - near))
+                offset = _centroid_offset(lo, hi, centroid)
                 refs = (("mpmath", float(log_mass), float(centroid), 0.5),
                         ("GK", gk.log_mass, gk.centroid, 4.0))
                 for name, ref_lm, ref_c, ulps in refs:
-                    where = f"({lo!r}, {hi!r}) against {name}"
-                    assert abs(got[0] - ref_lm) <= 1e-13 * max(1.0, abs(ref_lm)), where
-                    assert abs(got[1] - ref_c) <= 1e-13 * offset + ulps * math.ulp(got[1]), where
+                    _assert_close(got, ref_lm, ref_c, offset, ulps,
+                                  f"({lo!r}, {hi!r}) against {name}")
         assert 0 < len(narrow_calls) < answered
+
+    @pytest.mark.parametrize("make, intervals, exact", [
+        (lambda: make_normal_normal(30.0), _wide_normal_bulk,
+         lambda mpmath, lo, hi: _normal_exact(mpmath, lo, hi, variance=901)),
+        (lambda: make_exponential_gamma(2.0, 1.0), _narrow_lomax_intervals, _lomax_exact),
+    ], ids=["nn-alpha30", "eg"])
+    def test_narrow_rule_matches_mpmath(self, make, intervals, exact, monkeypatch):
+        """Intervals too narrow for every closed form, where the log density
+        changes by less than about 0.6: each goes to the Gauss-Legendre rule,
+        which matches 50-digit mpmath at the tolerances above."""
+        mpmath = pytest.importorskip("mpmath")
+        _, marginal = make()
+        narrow_calls = []
+        narrow = families._narrow
+        monkeypatch.setattr(families, "_narrow",
+                            lambda *args: narrow_calls.append(args) or narrow(*args))
+        with mpmath.workdps(50):
+            for k, (lo, hi) in enumerate(intervals(np.random.default_rng(20240611))):
+                got = marginal.closed_form(lo, hi)
+                assert len(narrow_calls) == k + 1, (lo, hi)
+                log_mass, centroid = exact(mpmath, lo, hi)
+                _assert_close(got, float(log_mass), float(centroid),
+                              _centroid_offset(lo, hi, centroid), 0.5, f"({lo!r}, {hi!r})")
 
     def test_mills_memo_does_not_depend_on_order(self, nn):
         """The memoised Mills-ratio terms give the same bits whichever
