@@ -38,7 +38,6 @@ from itertools import pairwise, repeat
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv, dstevd
 
 from .families import FamilyModel, MarginalModel, SupportError
 from .quadrature import differential_entropy, expectation, interval_integrals
@@ -270,19 +269,49 @@ def jacobian(family: FamilyModel, marginal: MarginalModel, codebook: CodeBook) -
 
 
 def _solve_tridiagonal(J: Tridiagonal, rhs: np.ndarray) -> np.ndarray:
-    """Solve ``J x = rhs``; a 1x1 system is a division.
+    """Solve ``J x = rhs`` by Gaussian elimination with partial pivoting.
 
-    Larger systems go straight to LAPACK ``dgtsv`` (Gaussian elimination with
-    partial pivoting), the routine ``scipy.linalg.solve_banded`` calls for one
-    sub- and one super-diagonal, without that wrapper's per-call checks.
+    A transcription of reference LAPACK ``dgtsv`` for one right-hand side,
+    in its operation order, so the solution is the one
+    ``scipy.linalg.solve_banded`` gives, bit for bit.  Rows i and i+1 swap
+    where |diag_i| < |sub_i|; the back substitution is the three-term
+    recurrence.  It works on copies, so J and ``rhs`` are left unchanged.
     Raises ``LinAlgError`` when elimination meets an exactly zero pivot.
     """
-    if J.n == 1:
-        return rhs / J.diag[0]
-    _, _, _, x, info = dgtsv(J.sub, J.diag, J.sup, rhs)
-    if info > 0:
-        raise np.linalg.LinAlgError("singular matrix")
-    return x
+    n = J.n
+    dl, d, du, b = J.sub.tolist(), J.diag.tolist(), J.sup.tolist(), rhs.tolist()
+    try:
+        for i in range(n - 1):
+            if abs(d[i]) >= abs(dl[i]):
+                if d[i] == 0.0:
+                    raise np.linalg.LinAlgError("singular matrix")
+                fact = dl[i] / d[i]
+                d[i + 1] -= fact * du[i]
+                b[i + 1] -= fact * b[i]
+                dl[i] = 0.0
+            else:
+                fact = d[i] / dl[i]
+                d[i] = dl[i]
+                temp = d[i + 1]
+                d[i + 1] = du[i] - fact * temp
+                if i < n - 2:
+                    dl[i] = du[i + 1]
+                    du[i + 1] = -fact * dl[i]
+                du[i] = temp
+                b[i], b[i + 1] = b[i + 1], b[i] - fact * b[i + 1]
+        if d[n - 1] == 0.0:
+            raise np.linalg.LinAlgError("singular matrix")
+        b[n - 1] /= d[n - 1]
+        if n > 1:
+            b[n - 2] = (b[n - 2] - du[n - 2] * b[n - 1]) / d[n - 2]
+        for i in range(n - 3, -1, -1):
+            b[i] = (b[i] - du[i] * b[i + 1] - dl[i] * b[i + 2]) / d[i]
+    except ZeroDivisionError:
+        # Only a NaN diagonal entry over a zero sub-diagonal entry reaches a
+        # zero divisor: every other pivot is checked, or exceeds a nonzero
+        # entry.  Where Python raises, LAPACK's solution is non-finite too.
+        return np.full(n, math.nan)
+    return np.array(b)
 
 
 def classify_critical_point(
@@ -297,10 +326,10 @@ def classify_critical_point(
     diag(r(a_1),...,r(a_n)) times the Jacobian of G; away from a zero the
     identity carries an error term proportional to G, so configurations with
     ``grad_norm`` above ``_CRITICAL_GRAD_THRESHOLD`` (1e-8) are reported as
-    not critical rather than misclassified.  The eigenvalues come from LAPACK
-    ``dstevd`` without eigenvectors, the routine
-    ``scipy.linalg.eigvalsh_tridiagonal`` picks for the whole spectrum;
-    ``LinAlgError`` means it did not converge.
+    not critical rather than misclassified.  The test is the sign of the
+    LDL^T pivots of a symmetric matrix congruent to the Hessian: by
+    Sylvester's law of inertia it has as many negative pivots as negative
+    eigenvalues, so the book is a minimum exactly when every pivot is > 0.
     """
     if not grad_norm <= _CRITICAL_GRAD_THRESHOLD:
         return NOT_CRITICAL
@@ -308,15 +337,15 @@ def classify_critical_point(
     # The Hessian is diag(r(a)) @ J, but the densities underflow for far-out
     # cut-points.  diag(r)^(1/2) @ J @ diag(r)^(-1/2) is congruent to it, so
     # it has the same inertia (Sylvester), is symmetric at a critical point,
-    # and its off-diagonal entries are the geometric means of J's finite
-    # off-diagonal pairs; its scale stays representable.
-    if J.n == 1:
-        return LOCAL_MINIMUM if J.diag[0] > 0.0 else SADDLE
-    off = np.sign(J.sup) * np.sqrt(np.maximum(J.sub * J.sup, 0.0))
-    eigenvalues, _, info = dstevd(J.diag, off, compute_v=0)
-    if info > 0:
-        raise np.linalg.LinAlgError(f"dstevd did not converge (LAPACK info={info})")
-    return LOCAL_MINIMUM if np.all(eigenvalues > 0.0) else SADDLE
+    # and the squares of its off-diagonal entries are max(sub*sup, 0) from
+    # J's finite off-diagonal pairs; its scale stays representable.
+    diag = J.diag.tolist()
+    pivot = diag[0]
+    for d, sub, sup in zip(diag[1:], J.sub.tolist(), J.sup.tolist()):
+        if not pivot > 0.0:
+            return SADDLE
+        pivot = d - max(sub * sup, 0.0) / pivot
+    return LOCAL_MINIMUM if pivot > 0.0 else SADDLE
 
 
 def continuity_gaps(family: FamilyModel, marginal: MarginalModel, codebook: CodeBook) -> np.ndarray:

@@ -392,6 +392,13 @@ class TestEntryPoint:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
 
+    def test_import_leaves_out_scipy_linalg(self):
+        """`scipy.linalg` costs about 45 ms and 5 MB of resident memory, and
+        the tridiagonal solve and minimum test need none of it."""
+        proc = run_python(["-c", "import sys, smml1d, smml1d.cli; print('scipy.linalg' in sys.modules)"])
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
     def test_unknown_flag_exits_1(self):
         for flags in (["--frobnicate"], ["--n", "1", "--extra-starts", "8"]):
             proc = run_module(["solve", *flags])

@@ -413,7 +413,7 @@ class TestNewtonSolve:
             f"reached max_iter=1 (gradient norm {report.final_grad_norm:.3e})")
 
     def test_step_matches_solve_banded(self):
-        """The direct dgtsv call gives scipy.linalg.solve_banded's solution bit
+        """The dgtsv transcription gives scipy.linalg.solve_banded's solution bit
         for bit, also where a zero leading diagonal forces a row swap, and
         leaves J and the right-hand side as they were."""
         rng = np.random.default_rng(1301)
@@ -433,9 +433,22 @@ class TestNewtonSolve:
                     assert kept.tobytes() == orig.tobytes()
 
     def test_singular_system_raises(self):
-        J = Tridiagonal(sub=np.array([1.0]), diag=np.array([1.0, 1.0]), sup=np.array([1.0]))
-        with pytest.raises(np.linalg.LinAlgError):
-            _solve_tridiagonal(J, np.array([1.0, 2.0]))
+        """A zero pivot raises at every size, a 1x1 system included."""
+        singular = (
+            Tridiagonal(sub=np.array([]), diag=np.array([0.0]), sup=np.array([])),
+            Tridiagonal(sub=np.array([1.0]), diag=np.array([1.0, 1.0]), sup=np.array([1.0])),
+        )
+        for J in singular:
+            with pytest.raises(np.linalg.LinAlgError):
+                _solve_tridiagonal(J, np.arange(1.0, J.n + 1.0))
+
+    def test_nan_over_zero_gives_non_finite_step(self):
+        """A NaN diagonal entry over a zero sub-diagonal entry divides by zero
+        in the elimination; the solve returns a non-finite step, as LAPACK
+        does, which newton_solve reports, instead of raising."""
+        J = Tridiagonal(sub=np.array([0.0, 1.0]), diag=np.array([math.nan, 2.0, 3.0]),
+                        sup=np.array([1.0, 1.0]))
+        assert not np.any(np.isfinite(_solve_tridiagonal(J, np.array([1.0, 2.0, 3.0]))))
 
     def test_singular_jacobian_ends_run(self, nn, monkeypatch):
         family, marginal = nn
@@ -526,31 +539,44 @@ class TestClassification:
         assert classify_critical_point(family, marginal, book, 0.1) == NOT_CRITICAL
 
     def test_eigenvalues_match_eigvalsh_tridiagonal(self, nn, monkeypatch):
-        """The direct dstevd call gives scipy.linalg.eigvalsh_tridiagonal's
-        spectrum bit for bit, on indefinite and on positive definite J."""
+        """The pivot-sign test is an inertia test: it calls a book a minimum
+        exactly when scipy.linalg.eigvalsh_tridiagonal finds every eigenvalue
+        of the symmetrised J positive.  Covered: indefinite and diagonally
+        dominant symmetric J, a zero leading pivot, non-symmetric J with
+        sub*sup of either sign, and J whose smallest eigenvalue is +-1e-8."""
         family, marginal = nn
         book = codebook_from_cutpoints(family, marginal, [0.0])
-        spectra = []
-        dstevd = estimator.dstevd
-
-        def recording_dstevd(*args, **kwargs):
-            out = dstevd(*args, **kwargs)
-            spectra.append(out[0].copy())
-            return out
-
-        monkeypatch.setattr("smml1d.estimator.dstevd", recording_dstevd)
         rng = np.random.default_rng(1302)
+        seen = {LOCAL_MINIMUM: 0, SADDLE: 0}
         for n in range(2, 18):
             indefinite = rng.normal(size=n)
             indefinite[0], indefinite[-1] = -1.0 - abs(indefinite[0]), 1.0 + abs(indefinite[-1])
             dominant = 2.5 + rng.uniform(size=n)  # Gershgorin: every eigenvalue > 0.5
-            for diag, off, kind in ((indefinite, rng.normal(size=n - 1), SADDLE),
-                                    (dominant, rng.uniform(-1.0, 1.0, n - 1), LOCAL_MINIMUM)):
-                J = Tridiagonal(sub=off, diag=diag, sup=off)
+            off, small = rng.normal(size=n - 1), rng.uniform(-1.0, 1.0, n - 1)
+            # With every sub*sup < 0 the symmetrised J is diagonal: a product
+            # used unclamped or by its size would give the other answer.
+            coupling = rng.uniform(1.5, 3.0, n - 1)
+            base = rng.normal(size=n)
+            lowest = scipy.linalg.eigvalsh_tridiagonal(base, off)[0]
+            cases = [
+                (indefinite, off, off),
+                (dominant, small, small),
+                (np.r_[0.0, dominant[1:]], small, small),
+                (1.0 + rng.normal(size=n), rng.normal(size=n - 1), rng.normal(size=n - 1)),
+                (np.ones(n), coupling, -coupling),
+                (np.r_[1.0, -np.ones(n - 1)], coupling, -coupling),
+                (base - lowest + 1e-8, off, off),
+                (base - lowest - 1e-8, off, off),
+            ]
+            for diag, sub, sup in cases:
+                J = Tridiagonal(sub=sub, diag=diag, sup=sup)
                 monkeypatch.setattr("smml1d.estimator.jacobian", lambda *_, J=J: J)
-                assert classify_critical_point(family, marginal, book, 0.0) == kind
-                expected = scipy.linalg.eigvalsh_tridiagonal(diag, off)
-                assert spectra[-1].tobytes() == expected.tobytes(), (n, kind)
+                sym_off = np.sign(sup) * np.sqrt(np.maximum(sub * sup, 0.0))
+                positive = scipy.linalg.eigvalsh_tridiagonal(diag, sym_off)[0] > 0.0
+                kind = classify_critical_point(family, marginal, book, 0.0)
+                assert kind == (LOCAL_MINIMUM if positive else SADDLE), (n, diag, sub, sup)
+                seen[kind] += 1
+        assert min(seen.values()) >= 16, seen
 
     def test_symmetric_five_cut_saddle(self, nn):
         """The symmetric five-cut stationary book is a saddle, which is why
