@@ -13,6 +13,7 @@ import csv
 import dataclasses
 import io
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -148,6 +149,9 @@ def _read_config_file(path: str) -> dict:
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):  # a flag is spelled out, never abbreviated
         super().__init__(*args, allow_abbrev=False, **kwargs)
+        # argparse takes "-1e3" for a flag; a negative number in exponent form
+        # is a value like "-1000"
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
     def error(self, message):  # exit code 1 for bad usage, not argparse's 2
         raise UsageError(message)

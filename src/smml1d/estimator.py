@@ -489,79 +489,81 @@ def newton_solve(
     a = _as_cuts(initial).as_array()
     if not _feasible(family, a):
         raise SupportError(f"initial cut-points are infeasible: {a.tolist()}")
-    try:
-        codebook = codebook_from_cutpoints(family, marginal, a)
-    except ArithmeticError as exc:
-        return _unbuildable_report(marginal, a, exc)
-    residual = gradient(family, marginal, codebook)
-    grad_norm = float(np.max(np.abs(residual)))
-    trace = [grad_norm]
-    iterations = 0
-    diagnostic = ""
-
-    while grad_norm > opts.tol and iterations < opts.max_iter:
+    # a non-finite G or J is a rejected trial or a failed run, not a fault to report
+    with np.errstate(all="ignore"):
         try:
-            step = _solve_tridiagonal(jacobian(family, marginal, codebook), -residual)
-        except np.linalg.LinAlgError as exc:
-            diagnostic = f"singular tridiagonal system at iteration {iterations}: {exc}"
-            break
-        if not np.all(np.isfinite(step)):
-            diagnostic = f"non-finite Newton step at iteration {iterations}"
-            break
-        accepted = False
-        at_floor = _at_floor(family, codebook, residual)
-        for halvings in range(1 if at_floor else _BACKTRACK_MAX + 1):
-            candidate = a + 0.5**halvings * step
-            if not _feasible(family, candidate):
-                continue
-            try:
-                cand_book = codebook_from_cutpoints(family, marginal, candidate)
-            except ArithmeticError:  # an unbuildable candidate is a rejected trial
-                continue
-            cand_res = gradient(family, marginal, cand_book)
-            cand_norm = float(np.max(np.abs(cand_res)))
-            if math.isfinite(cand_norm) and cand_norm < grad_norm:
-                a, codebook, residual, grad_norm = candidate, cand_book, cand_res, cand_norm
-                accepted = True
-                break
-        if not accepted:
-            diagnostic = (
-                f"no damped step reduced the residual at iteration {iterations} "
-                f"(gradient norm {grad_norm:.3e})"
-            )
-            break
-        iterations += 1
-        trace.append(grad_norm)
-        if (
-            grad_norm > opts.tol
-            and len(trace) >= 3
-            and trace[-1] > _STALL_RATIO * trace[-2]
-            and trace[-2] > _STALL_RATIO * trace[-3]
-        ):
-            diagnostic = (
-                f"stalled at iteration {iterations}: two steps each lowered the "
-                f"gradient norm by less than {1 - _STALL_RATIO:.0%} "
-                f"(gradient norm {grad_norm:.3e})"
-            )
-            break
-    else:
-        if grad_norm > opts.tol:
-            diagnostic = f"reached max_iter={opts.max_iter} (gradient norm {grad_norm:.3e})"
+            codebook = codebook_from_cutpoints(family, marginal, a)
+        except ArithmeticError as exc:
+            return _unbuildable_report(marginal, a, exc)
+        residual = gradient(family, marginal, codebook)
+        grad_norm = float(np.max(np.abs(residual)))
+        trace = [grad_norm]
+        iterations = 0
+        diagnostic = ""
 
-    at_floor = grad_norm > opts.tol and _at_floor(family, codebook, residual)
-    if at_floor:
-        diagnostic = (
-            f"reached the rounding floor of G at iteration {iterations}: every |G_j| is "
-            f"within {_FLOOR_ULPS:g} ulps of its largest term (gradient norm {grad_norm:.3e})"
+        while grad_norm > opts.tol and iterations < opts.max_iter:
+            try:
+                step = _solve_tridiagonal(jacobian(family, marginal, codebook), -residual)
+            except np.linalg.LinAlgError as exc:
+                diagnostic = f"singular tridiagonal system at iteration {iterations}: {exc}"
+                break
+            if not np.all(np.isfinite(step)):
+                diagnostic = f"non-finite Newton step at iteration {iterations}"
+                break
+            accepted = False
+            at_floor = _at_floor(family, codebook, residual)
+            for halvings in range(1 if at_floor else _BACKTRACK_MAX + 1):
+                candidate = a + 0.5**halvings * step
+                if not _feasible(family, candidate):
+                    continue
+                try:
+                    cand_book = codebook_from_cutpoints(family, marginal, candidate)
+                except ArithmeticError:  # an unbuildable candidate is a rejected trial
+                    continue
+                cand_res = gradient(family, marginal, cand_book)
+                cand_norm = float(np.max(np.abs(cand_res)))
+                if math.isfinite(cand_norm) and cand_norm < grad_norm:
+                    a, codebook, residual, grad_norm = candidate, cand_book, cand_res, cand_norm
+                    accepted = True
+                    break
+            if not accepted:
+                diagnostic = (
+                    f"no damped step reduced the residual at iteration {iterations} "
+                    f"(gradient norm {grad_norm:.3e})"
+                )
+                break
+            iterations += 1
+            trace.append(grad_norm)
+            if (
+                grad_norm > opts.tol
+                and len(trace) >= 3
+                and trace[-1] > _STALL_RATIO * trace[-2]
+                and trace[-2] > _STALL_RATIO * trace[-3]
+            ):
+                diagnostic = (
+                    f"stalled at iteration {iterations}: two steps each lowered the "
+                    f"gradient norm by less than {1 - _STALL_RATIO:.0%} "
+                    f"(gradient norm {grad_norm:.3e})"
+                )
+                break
+        else:
+            if grad_norm > opts.tol:
+                diagnostic = f"reached max_iter={opts.max_iter} (gradient norm {grad_norm:.3e})"
+
+        at_floor = grad_norm > opts.tol and _at_floor(family, codebook, residual)
+        if at_floor:
+            diagnostic = (
+                f"reached the rounding floor of G at iteration {iterations}: every |G_j| is "
+                f"within {_FLOOR_ULPS:g} ulps of its largest term (gradient norm {grad_norm:.3e})"
+            )
+        return _report(
+            family, marginal, codebook, residual,
+            converged=grad_norm <= opts.tol,
+            iterations=iterations,
+            trace=trace,
+            diagnostic=diagnostic,
+            at_floor=at_floor,
         )
-    return _report(
-        family, marginal, codebook, residual,
-        converged=grad_norm <= opts.tol,
-        iterations=iterations,
-        trace=trace,
-        diagnostic=diagnostic,
-        at_floor=at_floor,
-    )
 
 
 def _unbuildable_report(marginal: MarginalModel, a: np.ndarray, exc: ArithmeticError) -> SolveReport:
@@ -824,9 +826,11 @@ def solve_sweep(
     floor of G (``SolveReport.at_floor``).  A code book that cannot be built
     ends its run or rejects its step, so no ``ArithmeticError`` escapes; a
     stage where nothing succeeds has an empty list.  Deterministic for a
-    fixed option set.  No solver state
-    is kept between calls; only the bounded memo of the normal Mills-ratio
-    terms persists, and as a memo of pure functions it cannot change a result.
+    fixed option set.  No solver state is kept between calls.  What persists
+    is the ``scipy.special`` functions, loaded by the first normal model, and
+    bounded memos of pure functions (the normal Mills-ratio terms, and the
+    entropy and carrier constant of marginals without closed forms), which
+    cannot change a result.
     """
     if not 1 <= n_min <= n_max:
         raise ValueError(f"need 1 <= n_min <= n_max, got ({n_min!r}, {n_max!r})")

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -106,6 +107,19 @@ class TestSolverFailure:
         assert code == 2
         assert out == ""
         assert err == message
+
+    @pytest.mark.parametrize("argv,message", [
+        (["solve", "--n", "1", "--alpha", "1e200"], "no local minimum for n=1\n"),
+        (["sweep", "--n", "3", "--model", "exponential-gamma", "--beta", "1e-300"],
+         "no local minimum for n in [3]\n"),
+    ], ids=["nan-gradient", "nan-jacobian"])
+    def test_nonfinite_residuals_fail_without_warnings(self, argv, message, capsys):
+        """A non-finite G or J rejects a trial or ends a run; numpy's
+        floating-point warnings about it do not reach the user."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(argv, capsys)
+        assert (code, out, err) == (2, "", message)
 
     def test_arithmetic_error_exits_2(self, capsys, monkeypatch):
         def fail(*args, **kwargs):
@@ -285,6 +299,12 @@ class TestCurves:
         assert (code, out) == (1, "")
         assert err.startswith("error:") and "x_min < x_max" in err
 
+    def test_negative_bound_in_exponent_form(self, capsys):
+        code, out, err = run_cli(["curves", "--n", "1", "--points", "3",
+                                  "--x-min", "-1e3", "--x-max", "1e3"], capsys)
+        assert code == 0, err
+        assert [row.split(",")[0] for row in out.splitlines()[1:4]] == ["-1000.0", "0.0", "1000.0"]
+
     def test_density_column_integrates_to_cdf_mass(self, tmp_path):
         out = tmp_path / "c.csv"
         assert main(["curves", "--model", "normal-normal", "--alpha", "2", "--n", "1",
@@ -398,6 +418,23 @@ class TestEntryPoint:
         proc = run_python(["-c", "import sys, smml1d, smml1d.cli; print('scipy.linalg' in sys.modules)"])
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
+
+    def test_lomax_run_leaves_out_scipy_special(self):
+        """Only the normal marginal uses `scipy.special`, whose import costs
+        about 0.14 s and 24 MB of resident memory."""
+        proc = run_python(["-c", "import sys, smml1d, smml1d.cli; "
+                           "smml1d.cli.main(['sweep', '--model', 'exponential-gamma', '--n', '2']); "
+                           "print('scipy.special' in sys.modules)"])
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "False"
+
+    @pytest.mark.parametrize("first_use", ["smml1d.make_normal_normal(2.0)",
+                                           "smml1d.families._mills(1.0)"])
+    def test_normal_model_loads_scipy_special(self, first_use):
+        proc = run_python(["-c", "import sys, smml1d; print('scipy.special' in sys.modules); "
+                           f"{first_use}; print('scipy.special' in sys.modules)"])
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False", "True"]
 
     def test_unknown_flag_exits_1(self):
         for flags in (["--frobnicate"], ["--n", "1", "--extra-starts", "8"]):
