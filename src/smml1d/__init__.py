@@ -29,7 +29,6 @@ from .estimator import (
     CurveTable,
     CutPointVector,
     SolveReport,
-    SolverOptions,
     Tridiagonal,
     classify_critical_point,
     codebook_from_cutpoints,
@@ -67,7 +66,6 @@ __all__ = [
     "CurveTable",
     "CutPointVector",
     "SolveReport",
-    "SolverOptions",
     "Tridiagonal",
     "classify_critical_point",
     "codebook_from_cutpoints",

@@ -28,7 +28,7 @@ from .families import (
 )
 from .estimator import (
     LOCAL_MINIMUM,
-    SolverOptions,
+    _TOL,
     SolveReport,
     codebook_from_cutpoints,
     curve_samples,
@@ -65,8 +65,6 @@ OPTIONS = (
     Option("model", str, "normal-normal", choices=MODELS),
     Option("alpha", float, 2.0, "prior standard deviation (normal) or shape (gamma)"),
     Option("beta", float, 1.0, "gamma prior rate"),
-    Option("tol", float, SolverOptions.tol, "gradient max-norm tolerance"),
-    Option("max_iter", int, SolverOptions.max_iter, "Newton steps per start"),
     Option("seed", int, DEFAULT_SEED, "seed of verify's random configurations"),
     Option("out", str, None, "output path (default: stdout)"),
     Option("format", str, "csv", choices=("csv", "text")),
@@ -88,9 +86,6 @@ _BOOLEANS = {"true": True, "yes": True, "1": True, "false": False, "no": False, 
 
 
 class _RunConfigMethods:
-    def solver_options(self) -> SolverOptions:
-        return SolverOptions(tol=self.tol, max_iter=self.max_iter)
-
     def models(self) -> tuple[FamilyModel, MarginalModel]:
         if self.model == "normal-normal":
             return make_normal_normal(self.alpha)
@@ -191,12 +186,8 @@ def _merged_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _validate(cfg: RunConfig) -> None:
-    """Checks of the solver and output options; the model constructors
-    check alpha and beta, and ``RunConfig.models`` the model name."""
-    if not (math.isfinite(cfg.tol) and cfg.tol > 0):
-        raise UsageError(f"tol must be a positive finite number, got {cfg.tol!r}")
-    if cfg.max_iter < 1:
-        raise UsageError(f"max_iter must be at least 1, got {cfg.max_iter!r}")
+    """Checks of the output options; the model constructors check alpha
+    and beta, and ``RunConfig.models`` the model name."""
     if cfg.digits is not None and cfg.digits < 1:
         raise UsageError(f"digits must be at least 1, got {cfg.digits!r}")
 
@@ -274,7 +265,7 @@ def cmd_solve(cfg: RunConfig) -> int:
     if cfg.n is None or cfg.n < 1:
         raise UsageError(f"n must be a positive integer, got {cfg.n!r}")
     family, marginal = cfg.models()
-    reports = multi_start_solve(family, marginal, cfg.n, cfg.solver_options())
+    reports = multi_start_solve(family, marginal, cfg.n)
     if not reports:
         print(f"no local minimum for n={cfg.n}", file=sys.stderr)
         return 2
@@ -293,7 +284,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
     if n_min < 1 or n_min > n_max:
         raise UsageError(f"empty or invalid range: n_min={n_min!r}, n_max={n_max!r}")
     family, marginal = cfg.models()
-    stages = solve_sweep(family, marginal, n_min, n_max, cfg.solver_options())
+    stages = solve_sweep(family, marginal, n_min, n_max)
     if any(not reps for reps in stages.values()):
         missing = [n for n, reps in stages.items() if not reps]
         print(f"no local minimum for n in {missing}", file=sys.stderr)
@@ -326,7 +317,7 @@ def cmd_curves(cfg: RunConfig) -> int:
     x_max = marginal.quantile(1 - 5e-4) if cfg.x_max is None else cfg.x_max
     if not (math.isfinite(x_min) and math.isfinite(x_max) and x_min < x_max):
         raise UsageError(f"need finite x_min < x_max, got ({x_min!r}, {x_max!r})")
-    reports = multi_start_solve(family, marginal, cfg.n, cfg.solver_options())
+    reports = multi_start_solve(family, marginal, cfg.n)
     if not reports:
         print(f"no local minimum for n={cfg.n}", file=sys.stderr)
         return 2
@@ -355,7 +346,6 @@ def cmd_curves(cfg: RunConfig) -> int:
 def _verify_model(cfg: RunConfig, name: str) -> list[tuple[str, bool, str]]:
     checks: list[tuple[str, bool, str]] = []
     family, marginal = dataclasses.replace(cfg, model=name).models()
-    opts = cfg.solver_options()
     rng = np.random.default_rng(cfg.seed)
 
     # r(a) * gradient vs finite differences of the length
@@ -385,7 +375,7 @@ def _verify_model(cfg: RunConfig, name: str) -> list[tuple[str, bool, str]]:
     checks.append(("normalization", worst < 1e-9, f"max |sum q - 1| {worst:.2e}"))
 
     # convergence, monotonicity of the best length, continuity gaps
-    stages = solve_sweep(family, marginal, 1, 4, opts)
+    stages = solve_sweep(family, marginal, 1, 4)
     solved = all(bool(reps) for reps in stages.values())
     checks.append(("newton-convergence", solved,
                    "all n in 1..4 solved" if solved else "some n in 1..4 failed"))
@@ -394,11 +384,11 @@ def _verify_model(cfg: RunConfig, name: str) -> list[tuple[str, bool, str]]:
         mono = all(b <= a + 1e-10 for a, b in zip(lengths, lengths[1:]))
         checks.append(("monotonicity", mono, "best length non-increasing in n"))
         worst = max(max(r.continuity_gaps) for reps in stages.values() for r in reps)
-        checks.append(("continuity-gaps", worst <= 10 * opts.tol, f"max gap {worst:.2e}"))
+        checks.append(("continuity-gaps", worst <= 10 * _TOL, f"max gap {worst:.2e}"))
         if marginal.support_lo == -math.inf and marginal.support_hi == math.inf:
             rep = stages[3][0]
             mirrored = sorted(-c for c in rep.cuts)
-            mrep = newton_solve(family, marginal, mirrored, opts)
+            mrep = newton_solve(family, marginal, mirrored)
             # a minimum at the rounding floor of G is kept like a converged one
             ok = ((mrep.converged or mrep.at_floor) and mrep.classification == LOCAL_MINIMUM
                   and abs(mrep.message_length - rep.message_length) <= 1e-10)

@@ -49,7 +49,6 @@ __all__ = [
     "CutPointVector",
     "CodeBook",
     "Tridiagonal",
-    "SolverOptions",
     "SolveReport",
     "CurveTable",
     "codebook_from_cutpoints",
@@ -73,6 +72,11 @@ _DEDUP_TOL = 1e-6
 # Rounding moves a length by ~1e-15; distinct minima differ by 5.4e-7 or more.
 _LENGTH_TIE = 1e-12
 _CRITICAL_GRAD_THRESHOLD = 1e-8  # |G| above it is not classified (not critical)
+# Newton's stopping rule.  On the normal and Lomax sweeps no run takes more
+# than 20 steps, and every tolerance from 1e-8 to 1e-300 gives the same best
+# lengths to 10 digits; runs stopped at 1e-6 are not classified (above).
+_TOL = 1e-12  # max-norm of G at convergence
+_MAX_ITER = 200  # accepted steps per run
 _BACKTRACK_MAX = 30  # step halvings tried before a Newton run gives up
 _SCAN_TOL = 1e-6  # placement scans only need a few digits
 # A Newton run whose last two accepted steps each kept more than this share of
@@ -358,41 +362,24 @@ def continuity_gaps(family: FamilyModel, marginal: MarginalModel, codebook: Code
 
 
 @dataclass(frozen=True)
-class SolverOptions:
-    """Damped-Newton controls.
-
-    ``tol`` bounds the max-norm of the gradient map at convergence.  Each
-    rejected step is halved at most ``_BACKTRACK_MAX`` (30) times; a candidate
-    is accepted only if it keeps strict ordering inside the support and lowers
-    the gradient norm.  A run stops unconverged after ``max_iter`` accepted
-    steps, or earlier on one of three faults: a singular or non-finite
-    Newton step, halvings that all fail, or a stall, where two accepted steps
-    in a row each lower the gradient norm by less than 1%.
-    """
-
-    tol: float = 1e-12
-    max_iter: int = 200
-
-
-@dataclass(frozen=True)
 class SolveReport:
     """Outcome of one Newton run.
 
     ``message_length`` is the expected two-part length (nats), ``entropy``
     the one-part length, ``redundancy`` their difference.  ``converged``
-    holds exactly when ``final_grad_norm <= tol``; non-convergence is
-    reported here, never raised.  ``at_floor`` marks the other way a run can
+    holds exactly when ``final_grad_norm <= _TOL`` (1e-12); non-convergence
+    is reported here, never raised.  ``at_floor`` marks the other way a run can
     find a stationary book: it ended unconverged with every |G_j| within
     ``_FLOOR_ULPS`` ulps of the largest term forming G_j, so G is rounding
-    noise there and ``tol`` is out of reach; :func:`solve_sweep` keeps such
+    noise there and ``_TOL`` is out of reach; :func:`solve_sweep` keeps such
     local minima beside the converged ones.  ``continuity_gaps`` is |G| at
     the final cuts, so its maximum is ``final_grad_norm``.
     ``grad_norm_trace`` records the gradient norm at every accepted iterate.
     ``diagnostic`` says why an unconverged run ended: the rounding floor, a
     singular or non-finite Newton step, exhausted step halvings, a stall,
-    ``max_iter`` used up, or a start whose code book cannot be built (then
-    the lengths, G and its norm are NaN); it is empty when the run
-    converged.
+    ``_MAX_ITER`` (200) steps used up, or a start whose code book cannot be
+    built (then the lengths, G and its norm are NaN); it is empty when the
+    run converged.
     """
 
     codebook: CodeBook
@@ -458,25 +445,24 @@ def _report(family, marginal, codebook, residual, converged, iterations, trace, 
     )
 
 
-def newton_solve(
-    family: FamilyModel,
-    marginal: MarginalModel,
-    initial,
-    options: SolverOptions | None = None,
-) -> SolveReport:
+def newton_solve(family: FamilyModel, marginal: MarginalModel, initial) -> SolveReport:
     """Damped Newton iteration on the stationarity map.
 
+    The run stops converged once the max-norm of G is at most ``_TOL``
+    (1e-12), and unconverged after ``_MAX_ITER`` (200) accepted steps.
     Each step solves the tridiagonal system J d = -G directly; the step is
     then halved until the candidate stays strictly ordered inside the support
     and strictly lowers the gradient max-norm.  A candidate whose code book
     cannot be built (an interval integral raises ``ArithmeticError``) is
     rejected like one that does not lower the norm.  Three faults end the run
     early with ``converged=False`` and a diagnostic message: a singular
-    system or non-finite step, a back-tracking loop that exhausts its
-    halvings, and a stall, where two accepted steps in a row each lower the
-    gradient max-norm by less than 1%.  A run that creeps towards a fold of G
-    would otherwise keep taking steps that need a dozen or more halvings.
-    A run that uses up ``max_iter`` unconverged says so in its diagnostic.
+    system or non-finite step (a Jacobian entry that raises
+    ``ArithmeticError`` counts as singular), a back-tracking loop that
+    exhausts its halvings, and a stall, where two accepted steps in a row
+    each lower the gradient max-norm by less than 1%.  A run that creeps
+    towards a fold of G would otherwise keep taking steps that need a dozen
+    or more halvings.
+    A run that uses up ``_MAX_ITER`` unconverged says so in its diagnostic.
 
     Once every |G_j| is within ``_FLOOR_ULPS`` ulps of the largest term
     forming it, the residual is rounding noise: a step there is tried once at
@@ -485,7 +471,6 @@ def newton_solve(
     naming the floor.  A start whose code book cannot be built gives a
     not-converged report with NaN lengths and residuals.
     """
-    opts = options or SolverOptions()
     a = _as_cuts(initial).as_array()
     if not _feasible(family, a):
         raise SupportError(f"initial cut-points are infeasible: {a.tolist()}")
@@ -501,10 +486,10 @@ def newton_solve(
         iterations = 0
         diagnostic = ""
 
-        while grad_norm > opts.tol and iterations < opts.max_iter:
+        while grad_norm > _TOL and iterations < _MAX_ITER:
             try:
                 step = _solve_tridiagonal(jacobian(family, marginal, codebook), -residual)
-            except np.linalg.LinAlgError as exc:
+            except (np.linalg.LinAlgError, ArithmeticError) as exc:
                 diagnostic = f"singular tridiagonal system at iteration {iterations}: {exc}"
                 break
             if not np.all(np.isfinite(step)):
@@ -535,7 +520,7 @@ def newton_solve(
             iterations += 1
             trace.append(grad_norm)
             if (
-                grad_norm > opts.tol
+                grad_norm > _TOL
                 and len(trace) >= 3
                 and trace[-1] > _STALL_RATIO * trace[-2]
                 and trace[-2] > _STALL_RATIO * trace[-3]
@@ -547,10 +532,10 @@ def newton_solve(
                 )
                 break
         else:
-            if grad_norm > opts.tol:
-                diagnostic = f"reached max_iter={opts.max_iter} (gradient norm {grad_norm:.3e})"
+            if grad_norm > _TOL:
+                diagnostic = f"reached max_iter={_MAX_ITER} (gradient norm {grad_norm:.3e})"
 
-        at_floor = grad_norm > opts.tol and _at_floor(family, codebook, residual)
+        at_floor = grad_norm > _TOL and _at_floor(family, codebook, residual)
         if at_floor:
             diagnostic = (
                 f"reached the rounding floor of G at iteration {iterations}: every |G_j| is "
@@ -558,7 +543,7 @@ def newton_solve(
             )
         return _report(
             family, marginal, codebook, residual,
-            converged=grad_norm <= opts.tol,
+            converged=grad_norm <= _TOL,
             iterations=iterations,
             trace=trace,
             diagnostic=diagnostic,
@@ -710,7 +695,7 @@ def _insertion_candidates(
     if len(pts) >= 2:
         scale = pts[-1] - pts[-2] if side > 0 else pts[1] - pts[0]
     else:
-        scale = max(marginal.quantile(0.75) - marginal.quantile(0.25), 1e-6)
+        scale = marginal.quantile(0.75) - marginal.quantile(0.25)
     edge = pts[-1] if side > 0 else pts[0]
     bound = family.support_hi if side > 0 else family.support_lo
     out: list[float] = []
@@ -800,7 +785,6 @@ def solve_sweep(
     marginal: MarginalModel,
     n_min: int,
     n_max: int,
-    options: SolverOptions | None = None,
 ) -> dict[int, list[SolveReport]]:
     """Solve for every cut-point count from 1 up to ``n_max`` by continuation.
 
@@ -817,7 +801,8 @@ def solve_sweep(
     saddle basins and, for far-out cuts, the quantile levels it would need
     are not even representable in double precision.
 
-    Each stage runs Newton once per distinct start: ``newton_solve`` is
+    Each stage runs Newton once per distinct start, to the fixed ``_TOL`` and
+    ``_MAX_ITER`` (see :func:`newton_solve`): ``newton_solve`` is
     deterministic, so a start equal (bit for bit) to an earlier one of the
     stage would only repeat that run's report.
 
@@ -825,16 +810,15 @@ def solve_sweep(
     [n_min, n_max]: runs that converged and runs that ended at the rounding
     floor of G (``SolveReport.at_floor``).  A code book that cannot be built
     ends its run or rejects its step, so no ``ArithmeticError`` escapes; a
-    stage where nothing succeeds has an empty list.  Deterministic for a
-    fixed option set.  No solver state is kept between calls.  What persists
-    is the ``scipy.special`` functions, loaded by the first normal model, and
+    stage where nothing succeeds has an empty list.  Deterministic.  No
+    solver state is kept between calls.  What persists is the
+    ``scipy.special`` functions, loaded by the first normal model, and
     bounded memos of pure functions (the normal Mills-ratio terms, and the
     entropy and carrier constant of marginals without closed forms), which
     cannot change a result.
     """
     if not 1 <= n_min <= n_max:
         raise ValueError(f"need 1 <= n_min <= n_max, got ({n_min!r}, {n_max!r})")
-    opts = options or SolverOptions()
     stages: dict[int, list[SolveReport]] = {}
     parents: list[SolveReport] = []
     grandparents: list[SolveReport] = []
@@ -854,19 +838,14 @@ def solve_sweep(
             if key in seen or not _feasible(family, start):
                 continue
             seen.add(key)
-            reports.append(newton_solve(family, marginal, start, opts))
+            reports.append(newton_solve(family, marginal, start))
         stages[stage] = _dedup_sorted(reports)
         grandparents = parents
         parents = stages[stage]
     return {m: stages[m] for m in range(n_min, n_max + 1)}
 
 
-def multi_start_solve(
-    family: FamilyModel,
-    marginal: MarginalModel,
-    n: int,
-    options: SolverOptions | None = None,
-) -> list[SolveReport]:
+def multi_start_solve(family: FamilyModel, marginal: MarginalModel, n: int) -> list[SolveReport]:
     """Deterministic multi-start Newton for a fixed number of cut-points.
 
     Runs the continuation pipeline of :func:`solve_sweep` up to ``n`` (so a
@@ -879,7 +858,7 @@ def multi_start_solve(
     """
     if n < 1:
         raise ValueError(f"need at least one cut-point, got n={n!r}")
-    return solve_sweep(family, marginal, n, n, options)[n]
+    return solve_sweep(family, marginal, n, n)[n]
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,6 @@ import pytest
 
 from smml1d import (
     LOCAL_MINIMUM,
-    SolverOptions,
     codebook_from_cutpoints,
     continuity_gaps,
     gradient,

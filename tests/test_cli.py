@@ -62,14 +62,20 @@ class TestSolve:
         assert code == 1
         assert "alpha" in err and "exceed 1" in err
 
-    @pytest.mark.parametrize("tol", ["nan", "inf"])
-    def test_nonfinite_tol_exits_1(self, tol, capsys):
-        code, out, err = run_cli(
-            ["solve", "--model", "normal-normal", "--alpha", "2", "--n", "2",
-             f"--tol={tol}"], capsys)
-        assert code == 1
-        assert out == ""
-        assert err.startswith("error:") and "tol" in err
+    @pytest.mark.parametrize("setting", ["--tol=1e-10", "--max-iter=5", "tol = 1e-10",
+                                         "max_iter = 5"])
+    def test_solver_settings_are_unknown(self, setting, tmp_path, capsys):
+        """Newton's stopping rule is fixed, so neither a flag nor a config key
+        sets its tolerance or its step budget."""
+        if setting.startswith("--"):
+            argv, unknown = [setting], f"unrecognized arguments: {setting}"
+        else:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(setting + "\n", encoding="utf-8")
+            argv, unknown = ["--config", str(cfg)], f"config: unknown key {setting.split()[0]!r}"
+        code, out, err = run_cli(["solve", "--n", "2", *argv], capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {unknown}")
 
     def test_unwritable_out_exits_1(self, tmp_path, capsys):
         out_path = str(tmp_path / "missing" / "x.csv")
@@ -120,6 +126,15 @@ class TestSolverFailure:
             warnings.simplefilter("error")
             code, out, err = run_cli(argv, capsys)
         assert (code, out, err) == (2, "", message)
+
+    def test_underflowing_lomax_variance_exits_2(self):
+        """At beta=1e200 the natural parameters are about -1e-200, so the
+        variance 1/theta^2 divides by zero in every Jacobian; each run ends
+        as a singular system and the sweep names the stages it lost."""
+        proc = run_module(["sweep", "--model", "exponential-gamma", "--beta", "1e200",
+                           "--n-min", "1", "--n-max", "3"])
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == "no local minimum for n in [1, 2, 3]\n"
 
     def test_arithmetic_error_exits_2(self, capsys, monkeypatch):
         def fail(*args, **kwargs):
@@ -378,8 +393,11 @@ class TestVerify:
         assert "mirror-symmetry" in [name for name, _, _ in checks]
         assert all(ok for _, ok, _ in checks), checks
 
-    def test_unattainable_tolerance_names_failing_check(self, capsys):
-        code, out, _ = run_cli(["verify", "--tol", "1e-16"], capsys)
+    def test_unattainable_tolerance_names_failing_check(self, capsys, monkeypatch):
+        # verify's gap bound is the solver's tolerance, imported by name
+        for module in ("smml1d.estimator", "smml1d.cli"):
+            monkeypatch.setattr(f"{module}._TOL", 1e-16)
+        code, out, _ = run_cli(["verify"], capsys)
         assert code == 1
         assert "newton-convergence" in out or "continuity-gaps" in out
         assert "FAIL" in out

@@ -16,7 +16,6 @@ from smml1d import (
     CodeBook,
     CutPointVector,
     SolveReport,
-    SolverOptions,
     SupportError,
     Tridiagonal,
     classify_critical_point,
@@ -72,7 +71,7 @@ NORMAL_MINIMA = {
 EXP_MINIMA = {n: [red] for n, red in EXP_REDUNDANCY.items()}
 # Normal with prior sd 1, n<=8: from n=4 three books tied to 1e-15, with far
 # cuts out to +-302.  Of a mirror pair with a cut at 302 only one image meets
-# tol=1e-12 (the other stalls at |G| = 3.6e-12), so that book is easy to lose.
+# _TOL = 1e-12 (the other stalls at |G| = 3.6e-12), so that book is easy to lose.
 ALPHA1_BEST, ALPHA1_ONE_CUT = 0.11318645923973, 0.12788275493045
 ALPHA1_MINIMA = {
     1: [ALPHA1_ONE_CUT],
@@ -87,7 +86,7 @@ ALPHA3_MINIMA = {n: [red] for n, red in enumerate([
     0.17684620603671, 0.17628733955822, 0.17625356404286, 0.17625247671774], start=1)}
 # Prior sd 2 past the table: the plateau books keep adding cuts where the mass
 # underflows, out to |cut| ~ 2400 by n=30, and from n=19 every one of them
-# ends at the rounding floor of G rather than under tol.
+# ends at the rounding floor of G rather than under _TOL.
 ALPHA2_MINIMA_30 = {**NORMAL_MINIMA, **{n: [NORMAL_REDUNDANCY[6]] * 3 for n in range(17, 31)}}
 # Prior sd 0.5, n<=8: n=2 beats n=1 by only 8e-7, and from n=3 most books are
 # floor minima.
@@ -365,18 +364,19 @@ class TestNewtonSolve:
         assert report.redundancy == pytest.approx(NORMAL_SIX_CUT_SECOND_MINIMUM, abs=1e-11)
         assert report.redundancy > NORMAL_REDUNDANCY[6]
 
-    def test_converged_respects_tolerance_field(self, nn):
+    def test_converged_respects_tolerance_field(self, nn, monkeypatch):
         family, marginal = nn
-        opts = SolverOptions(tol=1e-10)
-        report = newton_solve(family, marginal, [-2.2, 1.8], opts)
+        monkeypatch.setattr(estimator, "_TOL", 1e-10)
+        report = newton_solve(family, marginal, [-2.2, 1.8])
         assert report.converged and not report.at_floor
         assert report.final_grad_norm <= 1e-10
         assert report.grad_norm_trace[-1] == report.final_grad_norm
 
-    def test_unattainable_tolerance_reports_failure(self, nn):
+    def test_unattainable_tolerance_reports_failure(self, nn, monkeypatch):
         family, marginal = nn
-        opts = SolverOptions(tol=1e-18, max_iter=40)
-        report = newton_solve(family, marginal, [-2.2, 1.8], opts)
+        monkeypatch.setattr(estimator, "_TOL", 1e-18)
+        monkeypatch.setattr(estimator, "_MAX_ITER", 40)
+        report = newton_solve(family, marginal, [-2.2, 1.8])
         assert not report.converged
         assert report.final_grad_norm > 1e-18
         assert report.diagnostic  # names the reason instead of raising
@@ -405,9 +405,10 @@ class TestNewtonSolve:
         assert report.diagnostic.startswith("stalled at iteration")
         assert builds <= 40
 
-    def test_max_iter_run_names_its_stop(self, nn):
+    def test_max_iter_run_names_its_stop(self, nn, monkeypatch):
         family, marginal = nn
-        report = newton_solve(family, marginal, [-2.2, 1.8], SolverOptions(max_iter=1))
+        monkeypatch.setattr(estimator, "_MAX_ITER", 1)
+        report = newton_solve(family, marginal, [-2.2, 1.8])
         assert not report.converged and report.iterations == 1
         assert report.diagnostic == (
             f"reached max_iter=1 (gradient norm {report.final_grad_norm:.3e})")
@@ -462,6 +463,20 @@ class TestNewtonSolve:
         assert not report.converged and report.iterations == 0
         assert report.diagnostic.startswith("singular tridiagonal system at iteration 0")
 
+    def test_unformable_jacobian_ends_run(self, nn, monkeypatch):
+        """A Jacobian entry that raises, as 1/theta^2 does once theta^2
+        underflows, ends the run like a singular system."""
+        family, marginal = nn
+
+        def dividing_jacobian(family, marginal, codebook):
+            return 1.0 / 0.0
+
+        monkeypatch.setattr("smml1d.estimator.jacobian", dividing_jacobian)
+        report = newton_solve(family, marginal, [-2.2, 1.8])
+        assert not report.converged and report.iterations == 0
+        assert report.diagnostic == (
+            "singular tridiagonal system at iteration 0: float division by zero")
+
     def test_infeasible_start_raises(self, nn):
         family, marginal = nn
         with pytest.raises(ValueError):
@@ -484,7 +499,7 @@ class TestNewtonSolve:
         monkeypatch.setattr("smml1d.estimator.codebook_from_cutpoints", recording_build)
         report = newton_solve(family, marginal, [-10.8, -2.7, 2.7, 10.8, 33.4, 100.6, 302.0])
         assert not report.converged and report.at_floor
-        assert report.final_grad_norm > SolverOptions().tol
+        assert report.final_grad_norm > estimator._TOL
         assert report.classification == LOCAL_MINIMUM
         assert report.diagnostic.startswith("reached the rounding floor of G at iteration")
         residuals = [gradient(family, marginal, book) for book in books]
@@ -608,6 +623,18 @@ class TestMultiStart:
     def test_lomax_solutions_unique(self, eg_sweep5):
         for n, reports in eg_sweep5.items():
             assert len(reports) == 1, f"n={n} should have a unique minimum"
+
+    @pytest.mark.parametrize("beta", [1e-10, 1e-3, 1e5, 1e100])
+    def test_lomax_scale_invariance(self, beta, eg_sweep5):
+        """The Lomax problem is invariant under its scale beta: every stage
+        keeps its one minimum, with the beta=1 redundancy and cuts scaled by
+        beta."""
+        stages = solve_sweep(*make_exponential_gamma(2.0, beta), 1, 5)
+        for n, reports in stages.items():
+            assert len(reports) == 1, f"n={n}"
+            want = eg_sweep5[n][0]
+            assert reports[0].redundancy == pytest.approx(want.redundancy, abs=1e-12)
+            np.testing.assert_allclose(np.divide(reports[0].cuts, beta), want.cuts, rtol=1e-9)
 
     def test_matches_single_call(self, eg):
         family, marginal = eg
@@ -784,9 +811,9 @@ def _count_sweep_work(monkeypatch, family, marginal, n_max):
         scans.append((pts[-2:] if side > 0 else pts[:2], side))
         return outward_root(family, marginal, base, side, candidates)
 
-    def counted_newton(family, marginal, initial, options=None):
+    def counted_newton(family, marginal, initial):
         starts.append(tuple(np.asarray(initial).tolist()))
-        return newton_solve(family, marginal, initial, options)
+        return newton_solve(family, marginal, initial)
 
     monkeypatch.setattr(estimator, "_outward_root", counted_root)
     monkeypatch.setattr(estimator, "newton_solve", counted_newton)
@@ -879,7 +906,7 @@ class TestContinuityGaps:
     def test_small_at_converged_solutions(self, nn_sweep6):
         for reports in nn_sweep6.values():
             for rep in reports:
-                assert max(rep.continuity_gaps) <= 10 * SolverOptions().tol
+                assert max(rep.continuity_gaps) <= 10 * estimator._TOL
 
 
 class TestCurveSamples:
