@@ -17,7 +17,6 @@ from .families import (
 )
 from .quadrature import (
     IntervalIntegrals,
-    density_mass_ratio,
     differential_entropy,
     interval_integrals,
 )
@@ -55,7 +54,6 @@ __all__ = [
     "make_normal_normal",
     "mu_inverse_numeric",
     "IntervalIntegrals",
-    "density_mass_ratio",
     "differential_entropy",
     "interval_integrals",
     "DEFAULT_SEED",

@@ -152,13 +152,13 @@ def codebook_from_cutpoints(family: FamilyModel, marginal: MarginalModel, cuts) 
     """
     cuts = _as_cuts(cuts)
     pts = cuts.points
-    if not (family.support_lo < pts[0] and pts[-1] < family.support_hi):
+    lo, hi = marginal.support_lo, marginal.support_hi
+    if not (lo < pts[0] and pts[-1] < hi):
         raise SupportError(
-            f"cut-points must lie strictly inside the support "
-            f"({family.support_lo!r}, {family.support_hi!r}), got {pts}"
+            f"cut-points must lie strictly inside the support ({lo!r}, {hi!r}), got {pts}"
         )
-    bounds = (family.support_lo, *pts, family.support_hi)
-    log_q, centroids, _ = zip(*map(interval_integrals, repeat(marginal), bounds[:-1], bounds[1:]))
+    bounds = (lo, *pts, hi)
+    log_q, centroids = zip(*map(interval_integrals, repeat(marginal), bounds[:-1], bounds[1:]))
     return CodeBook(cuts, log_q, tuple(map(family.invert_mean, centroids)), centroids)
 
 
@@ -400,9 +400,9 @@ class SolveReport:
         return self.codebook.cuts.points
 
 
-def _feasible(family: FamilyModel, a: np.ndarray) -> bool:
+def _feasible(marginal: MarginalModel, a: np.ndarray) -> bool:
     """Strictly increasing inside the open support, hence finite (NaN fails)."""
-    bounds = (family.support_lo, *a.tolist(), family.support_hi)
+    bounds = (marginal.support_lo, *a.tolist(), marginal.support_hi)
     return all(lo < hi for lo, hi in pairwise(bounds))
 
 
@@ -472,7 +472,7 @@ def newton_solve(family: FamilyModel, marginal: MarginalModel, initial) -> Solve
     not-converged report with NaN lengths and residuals.
     """
     a = _as_cuts(initial).as_array()
-    if not _feasible(family, a):
+    if not _feasible(marginal, a):
         raise SupportError(f"initial cut-points are infeasible: {a.tolist()}")
     # a non-finite G or J is a rejected trial or a failed run, not a fault to report
     with np.errstate(all="ignore"):
@@ -499,7 +499,7 @@ def newton_solve(family: FamilyModel, marginal: MarginalModel, initial) -> Solve
             at_floor = _at_floor(family, codebook, residual)
             for halvings in range(1 if at_floor else _BACKTRACK_MAX + 1):
                 candidate = a + 0.5**halvings * step
-                if not _feasible(family, candidate):
+                if not _feasible(marginal, candidate):
                     continue
                 try:
                     cand_book = codebook_from_cutpoints(family, marginal, candidate)
@@ -586,14 +586,14 @@ def _insertion_residual(
     over the two intervals, formed as exp(log r - log q).
     """
     if side > 0:
-        lo_edge = base[-1] if base.size else family.support_lo
+        lo_edge = base[-1] if base.size else marginal.support_lo
         inner = interval_integrals(marginal, lo_edge, x, rel_tol=_SCAN_TOL)
-        outer = interval_integrals(marginal, x, family.support_hi, rel_tol=_SCAN_TOL)
+        outer = interval_integrals(marginal, x, marginal.support_hi, rel_tol=_SCAN_TOL)
         below, above = inner, outer
     else:
-        hi_edge = base[0] if base.size else family.support_hi
+        hi_edge = base[0] if base.size else marginal.support_hi
         inner = interval_integrals(marginal, x, hi_edge, rel_tol=_SCAN_TOL)
-        outer = interval_integrals(marginal, family.support_lo, x, rel_tol=_SCAN_TOL)
+        outer = interval_integrals(marginal, marginal.support_lo, x, rel_tol=_SCAN_TOL)
         below, above = outer, inner
     th_below = family.invert_mean(below.centroid)
     th_above = family.invert_mean(above.centroid)
@@ -688,16 +688,14 @@ def _first_cut_candidates(marginal: MarginalModel) -> list[float]:
     return [marginal.quantile(p) for p in levels]
 
 
-def _insertion_candidates(
-    family: FamilyModel, marginal: MarginalModel, base: np.ndarray, side: int
-) -> list[float]:
+def _insertion_candidates(marginal: MarginalModel, base: np.ndarray, side: int) -> list[float]:
     pts = base.tolist()
     if len(pts) >= 2:
         scale = pts[-1] - pts[-2] if side > 0 else pts[1] - pts[0]
     else:
         scale = marginal.quantile(0.75) - marginal.quantile(0.25)
     edge = pts[-1] if side > 0 else pts[0]
-    bound = family.support_hi if side > 0 else family.support_lo
+    bound = marginal.support_hi if side > 0 else marginal.support_lo
     out: list[float] = []
     step = 0.05 * scale
     for _ in range(90):
@@ -736,7 +734,7 @@ def _insertion_starts(
         outer = cuts[-2:] if side > 0 else cuts[:2]
         if (outer, side) not in roots:
             base = np.asarray(outer)
-            cands = _insertion_candidates(family, marginal, base, side)
+            cands = _insertion_candidates(marginal, base, side)
             roots[outer, side] = _outward_root(family, marginal, base, side, cands)
         return roots[outer, side]
 
@@ -835,7 +833,7 @@ def solve_sweep(
         seen: set[bytes] = set()
         for start in starts:
             key = start.tobytes()
-            if key in seen or not _feasible(family, start):
+            if key in seen or not _feasible(marginal, start):
                 continue
             seen.add(key)
             reports.append(newton_solve(family, marginal, start))
@@ -890,11 +888,12 @@ def curve_samples(
 
     Each abscissa picks up the coding probability and assertion of the
     interval it falls in (cut-points belong to the interval on their right).
-    Points outside the support contribute zero rows.
+    Points outside the support contribute zero rows.  The grid's width
+    ``x_hi - x_lo`` must be finite: where it overflows, so do the grid steps.
     """
     x_lo, x_hi = float(x_lo), float(x_hi)
-    if not x_lo < x_hi:
-        raise ValueError(f"need x_lo < x_hi, got ({x_lo!r}, {x_hi!r})")
+    if not (x_lo < x_hi and math.isfinite(x_hi - x_lo)):
+        raise ValueError(f"need x_lo < x_hi a finite distance apart, got ({x_lo!r}, {x_hi!r})")
     count = int(count)
     if count < 2:
         raise ValueError(f"need at least two samples, got count={count!r}")

@@ -6,7 +6,7 @@ open parameter interval.  A conjugate prior induces a marginal density ``r``
 over the data; the pair (:class:`FamilyModel`, :class:`MarginalModel`) is
 everything the cut-point machinery needs.  The family supplies the
 log-partition function and the mean/variance maps, the marginal supplies
-``log r``, its CDF and its quantile function.
+the data support, ``log r``, its mode and its quantile function.
 
 Two built-in pairs:
 
@@ -76,15 +76,15 @@ _GL_RULE = tuple((0.5 * (1.0 - x), 0.5 * w) for x, w in zip(_GL_X[::-1], _GL_W[:
 
 
 @cache
-def _normal_special() -> tuple[Callable, Callable, Callable]:
-    """``scipy.special``'s ``erfcx``, ``ndtr`` and ``ndtri``.
+def _normal_special() -> tuple[Callable, Callable]:
+    """``scipy.special``'s ``erfcx`` and ``ndtri``.
 
     Only the normal marginal uses them, so the import, about 0.14 s and 24 MB
     of resident memory, waits for the first normal model or Mills ratio.
     """
-    from scipy.special import erfcx, ndtr, ndtri
+    from scipy.special import erfcx, ndtri
 
-    return erfcx, ndtr, ndtri
+    return erfcx, ndtri
 
 
 class ParameterError(ValueError):
@@ -103,11 +103,9 @@ class FamilyModel:
     scalar maps.  ``mean`` is the derivative of ``log_partition`` (it sends a
     natural parameter to the corresponding expectation parameter) and
     ``variance`` is the derivative of ``mean``, strictly positive on the whole
-    parameter interval.
+    parameter interval.  The data support is the marginal's.
     """
 
-    support_lo: float
-    support_hi: float
     param_lo: float
     param_hi: float
     log_partition: Callable[[float], float]
@@ -127,24 +125,27 @@ class FamilyModel:
 class MarginalModel:
     """Marginal distribution of the data after integrating out the prior.
 
-    ``log_pdf`` must accept numpy arrays; ``cdf`` and ``quantile`` are scalar
-    maps.  ``mode`` is the maximizer of the density over the closed support
-    (it anchors the scaled quadrature).  The density is strictly positive on
-    the open support and has a finite first moment; the constructors below
-    enforce the parameter ranges that guarantee this.
+    ``support_lo`` and ``support_hi`` bound the open data support, which
+    cut-points and intervals must lie in.  ``log_pdf`` must accept numpy
+    arrays; ``quantile`` is a scalar map.  ``mode`` is the maximizer of the
+    density over the closed support (it anchors the scaled quadrature).  The
+    density is strictly positive on the open support and has a finite first
+    moment; the constructors below enforce the parameter ranges that
+    guarantee this.
 
     ``closed_form``, when given, maps an interval ``(lo, hi)`` inside the
     support (either end may be infinite) to its ``(log_mass, centroid)``
     exact to rounding, or to ``None`` where it cannot vouch for that;
     :func:`smml1d.quadrature.interval_integrals` integrates adaptively
-    whenever it is absent or declines.  ``entropy`` and ``carrier_constant``,
-    when given, are closed forms of the marginal's differential entropy and
-    of ``-E_r[log carrier]`` for the family built with it; the estimator
-    integrates them by quadrature when they are absent.
+    whenever it is absent or declines.  Where the answer overflows it raises
+    ``OverflowError``, and the code book fails to build.  ``entropy`` and
+    ``carrier_constant``, when given, are closed forms of the marginal's
+    differential entropy and of ``-E_r[log carrier]`` for the family built
+    with it; the estimator integrates them by quadrature when they are
+    absent.
     """
 
     log_pdf: Callable[[np.ndarray], np.ndarray]
-    cdf: Callable[[float], float]
     quantile: Callable[[float], float]
     mode: float
     support_lo: float
@@ -154,9 +155,6 @@ class MarginalModel:
     closed_form: Callable[[float, float], tuple[float, float] | None] | None = None
     entropy: float | None = None
     carrier_constant: float | None = None
-
-    def pdf(self, x):
-        return np.exp(self.log_pdf(x))
 
 
 def make_normal_normal(alpha: float) -> tuple[FamilyModel, MarginalModel]:
@@ -170,11 +168,9 @@ def make_normal_normal(alpha: float) -> tuple[FamilyModel, MarginalModel]:
         raise ParameterError(f"alpha must be a positive real, got {alpha!r}")
     beta = math.hypot(1.0, alpha)
     log_norm = math.log(beta) + 0.5 * _LOG_2PI
-    _, ndtr, ndtri = _normal_special()
+    ndtri = _normal_special()[1]
 
     family = FamilyModel(
-        support_lo=-math.inf,
-        support_hi=math.inf,
         param_lo=-math.inf,
         param_hi=math.inf,
         log_partition=lambda t: 0.5 * t * t,
@@ -195,7 +191,6 @@ def make_normal_normal(alpha: float) -> tuple[FamilyModel, MarginalModel]:
 
     marginal = MarginalModel(
         log_pdf=log_pdf,
-        cdf=lambda x: float(ndtr(x / beta)),
         quantile=quantile,
         mode=0.0,
         support_lo=-math.inf,
@@ -233,8 +228,6 @@ def make_exponential_gamma(alpha: float, beta: float) -> tuple[FamilyModel, Marg
         return -1.0 / m
 
     family = FamilyModel(
-        support_lo=0.0,
-        support_hi=math.inf,
         param_lo=-math.inf,
         param_hi=0.0,
         log_partition=lambda t: -math.log(-t),
@@ -250,11 +243,6 @@ def make_exponential_gamma(alpha: float, beta: float) -> tuple[FamilyModel, Marg
             out = log_ab - (alpha + 1.0) * np.log1p(x / beta)
         return np.where(x >= 0.0, out, -np.inf)
 
-    def cdf(x: float) -> float:
-        if x <= 0.0:
-            return 0.0
-        return -math.expm1(-alpha * math.log1p(x / beta))
-
     def quantile(p: float) -> float:
         if not 0.0 < p < 1.0:
             raise SupportError(f"quantile needs 0 < p < 1, got {p!r}")
@@ -262,7 +250,6 @@ def make_exponential_gamma(alpha: float, beta: float) -> tuple[FamilyModel, Marg
 
     marginal = MarginalModel(
         log_pdf=log_pdf,
-        cdf=cdf,
         quantile=quantile,
         mode=0.0,
         support_lo=0.0,
@@ -401,7 +388,10 @@ def _lomax_interval(
     scale = beta + lo
     log_tail = -alpha * math.log1p(lo / beta)
     if hi == math.inf:
-        return log_tail, lo + scale / (alpha - 1.0)
+        centroid = lo + scale / (alpha - 1.0)
+        if centroid == math.inf:  # a scale near the largest double
+            raise OverflowError(f"the centroid of ({lo!r}, inf) overflows")
+        return log_tail, centroid
     log_ratio = math.log1p((hi - lo) / scale)
     u = alpha * log_ratio
     whole = scale / (alpha - 1.0) * -math.expm1(-(alpha - 1.0) * log_ratio)

@@ -43,7 +43,6 @@ from .families import MarginalModel, SupportError
 __all__ = [
     "IntervalIntegrals",
     "interval_integrals",
-    "density_mass_ratio",
     "differential_entropy",
     "expectation",
 ]
@@ -90,7 +89,7 @@ _MAX_SEGMENTS = 20_000  # subdivision cap per interval
 
 
 class IntervalIntegrals(NamedTuple):
-    """Log mass, centroid and scaling point of one marginal interval.
+    """Log mass and centroid of one marginal interval.
 
     Immutable.  A named tuple rather than a frozen dataclass because a code
     book builds n+1 of them per trial step: construction costs about a third
@@ -99,7 +98,6 @@ class IntervalIntegrals(NamedTuple):
 
     log_mass: float
     centroid: float
-    ref_point: float
 
 
 @dataclass(frozen=True)
@@ -281,12 +279,12 @@ def interval_integrals(
             f"interval ({lo!r}, {hi!r}) leaves the support "
             f"({marginal.support_lo!r}, {marginal.support_hi!r})"
         )
-    ref = min(max(marginal.mode, lo), hi)
     if marginal.closed_form is not None:
         exact = marginal.closed_form(lo, hi)
         if exact is not None:
             log_mass, centroid = exact
-            return IntervalIntegrals(min(log_mass, 0.0), centroid, ref)
+            return IntervalIntegrals(min(log_mass, 0.0), centroid)
+    ref = min(max(marginal.mode, lo), hi)
     log_ref = float(marginal.log_pdf(ref))
     pieces = _pieces_for(marginal, lo, hi, ref)
 
@@ -301,24 +299,14 @@ def interval_integrals(
         np.multiply(x - ref, out[0], out=out[1])
         return out
 
-    mass, shift = map(float, _adaptive(rows, pieces, rel_tol=rel_tol))
+    # rows() zeroes a non-finite density; a NaN that still gets through (at a
+    # tail node that rounds to t = 1) ends in the degenerate-mass error below
+    with np.errstate(all="ignore"):
+        mass, shift = map(float, _adaptive(rows, pieces, rel_tol=rel_tol))
     if not (math.isfinite(mass) and mass > 0.0):
         raise ArithmeticError(f"degenerate interval mass over ({lo!r}, {hi!r})")
     log_mass = min(log_ref + math.log(mass), 0.0)
-    return IntervalIntegrals(log_mass, ref + shift / mass, ref)
-
-
-def density_mass_ratio(marginal: MarginalModel, x: float, lo: float, hi: float) -> float:
-    """r(x) divided by the mass of (lo, hi), safe against mutual underflow.
-
-    Both factors are handled in the log domain, so the ratio stays finite and
-    accurate when numerator and denominator individually underflow.
-    """
-    x = float(x)
-    if not marginal.support_lo <= x <= marginal.support_hi:
-        raise SupportError(f"point {x!r} is outside the support")
-    ii = interval_integrals(marginal, lo, hi)
-    return math.exp(float(marginal.log_pdf(x)) - ii.log_mass)
+    return IntervalIntegrals(log_mass, ref + shift / mass)
 
 
 def expectation(marginal: MarginalModel, fn: Callable[[np.ndarray], np.ndarray]) -> float:
@@ -338,11 +326,11 @@ def expectation(marginal: MarginalModel, fn: Callable[[np.ndarray], np.ndarray])
         lr = np.asarray(marginal.log_pdf(x), dtype=float)
         scaled = np.exp(lr - log_ref)
         scaled = np.where(np.isfinite(scaled), scaled, 0.0)
-        with np.errstate(invalid="ignore"):
-            vals = np.where(scaled > 0.0, np.asarray(fn(x), dtype=float) * scaled, 0.0)
+        vals = np.where(scaled > 0.0, np.asarray(fn(x), dtype=float) * scaled, 0.0)
         return (w * vals)[None, :]
 
-    total = float(_adaptive(rows, pieces)[0])
+    with np.errstate(all="ignore"):
+        total = float(_adaptive(rows, pieces)[0])
     return math.exp(log_ref) * total
 
 

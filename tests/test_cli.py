@@ -118,10 +118,15 @@ class TestSolverFailure:
         (["solve", "--n", "1", "--alpha", "1e200"], "no local minimum for n=1\n"),
         (["sweep", "--n", "3", "--model", "exponential-gamma", "--beta", "1e-300"],
          "no local minimum for n in [3]\n"),
-    ], ids=["nan-gradient", "nan-jacobian"])
+        (["sweep", "--n-min", "1", "--n-max", "2", "--model", "exponential-gamma",
+          "--beta", "1e308"], "no local minimum for n in [1, 2]\n"),
+        (["sweep", "--n-min", "1", "--n-max", "2", "--model", "exponential-gamma",
+          "--beta", "5e-324"], "no local minimum for n in [1, 2]\n"),
+    ], ids=["nan-gradient", "nan-jacobian", "overflowing-centroid", "nonfinite-quadrature"])
     def test_nonfinite_residuals_fail_without_warnings(self, argv, message, capsys):
-        """A non-finite G or J rejects a trial or ends a run; numpy's
-        floating-point warnings about it do not reach the user."""
+        """A non-finite G or J, a half-line centroid that overflows (beta=1e308)
+        or non-finite quadrature values (beta=5e-324) reject a trial or end a
+        run; numpy's floating-point warnings about them do not reach the user."""
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code, out, err = run_cli(argv, capsys)
@@ -314,6 +319,16 @@ class TestCurves:
         assert (code, out) == (1, "")
         assert err.startswith("error:") and "x_min < x_max" in err
 
+    def test_overflowing_width_exits_1(self, capsys):
+        """Both ends are finite but x_max - x_min is not: the grid steps
+        would overflow."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(["curves", "--n", "1", "--points", "3",
+                                      "--x-min", "-1e308", "--x-max", "1e308"], capsys)
+        assert (code, out) == (1, "")
+        assert err == "error: need x_lo < x_hi a finite distance apart, got (-1e+308, 1e+308)\n"
+
     def test_negative_bound_in_exponent_form(self, capsys):
         code, out, err = run_cli(["curves", "--n", "1", "--points", "3",
                                   "--x-min", "-1e3", "--x-max", "1e3"], capsys)
@@ -328,9 +343,7 @@ class TestCurves:
         rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
         x = np.array([float(r[0]) for r in rows])
         pdf = np.array([float(r[3]) for r in rows])
-        from smml1d import make_normal_normal
-        _, marginal = make_normal_normal(2.0)
-        expected = marginal.cdf(6.0) - marginal.cdf(-6.0)
+        expected = math.erf(6.0 / math.sqrt(2.0 * 5.0))  # mass of (-6, 6) under N(0, 5)
         assert np.trapezoid(pdf, x) == pytest.approx(expected, abs=1e-6)
 
     def test_no_visible_jump_across_cuts(self, tmp_path):

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import statistics
 
 import numpy as np
 import pytest
@@ -15,6 +16,8 @@ from smml1d import (
     SADDLE,
     CodeBook,
     CutPointVector,
+    FamilyModel,
+    MarginalModel,
     SolveReport,
     SupportError,
     Tridiagonal,
@@ -674,6 +677,33 @@ class TestMultiStart:
         for n in range(1, 7):
             assert stages[n][0].redundancy == pytest.approx(nn_sweep6[n][0].redundancy, abs=1e-12)
 
+    def test_user_built_pair_needs_only_the_required_fields(self, nn_sweep6):
+        """N(t, 1) data and a N(0, 5) marginal written out field by field,
+        with no closed form, entropy, carrier constant or mean inverse:
+        quadrature and the numeric mean inverse reach the built-in pair's
+        best redundancies."""
+        log_norm = math.log(BETA * math.sqrt(2.0 * math.pi))
+        family = FamilyModel(
+            param_lo=-math.inf,
+            param_hi=math.inf,
+            log_partition=lambda t: 0.5 * t * t,
+            log_carrier=lambda x: -0.5 * np.asarray(x) ** 2 - 0.5 * math.log(2.0 * math.pi),
+            mean=lambda t: t,
+            variance=lambda t: 1.0,
+        )
+        marginal = MarginalModel(
+            log_pdf=lambda x: -0.5 * (np.asarray(x) / BETA) ** 2 - log_norm,
+            quantile=statistics.NormalDist(0.0, BETA).inv_cdf,
+            mode=0.0,
+            support_lo=-math.inf,
+            support_hi=math.inf,
+            prior_params=(2.0,),
+            name="user-normal",
+        )
+        stages = solve_sweep(family, marginal, 1, 3)
+        for n in range(1, 4):
+            assert stages[n][0].redundancy == pytest.approx(nn_sweep6[n][0].redundancy, abs=1e-9)
+
     @pytest.mark.xfail(strict=True, reason=(
         "prior sd 1.3 to 1.5: both continuation starts of stage 2, (0, 4.27) and "
         "its mirror, stall at |G| = 5.7e-2, so every stage from n=2 is empty"))
@@ -756,12 +786,12 @@ class TestInsertionRoot:
         family, marginal = request.getfixturevalue(pair_name)
         base = np.asarray(base, dtype=float)
         if base.size:
-            candidates = estimator._insertion_candidates(family, marginal, base, 1)
+            candidates = estimator._insertion_candidates(marginal, base, 1)
         else:
             candidates = estimator._first_cut_candidates(marginal)
         root = estimator._outward_root(family, marginal, base, 1, candidates)
         lo, hi = next((a, b) for a, b in itertools.pairwise(candidates) if a <= root <= b)
-        edge = base[-1] if base.size else family.support_lo
+        edge = base[-1] if base.size else marginal.support_lo
         if pair_name == "nn":
             exact, theta, log_partition = _normal_exact, lambda m: m, lambda t: t * t / 2
         else:
@@ -793,7 +823,7 @@ class TestInsertionRoot:
         full = np.array([low, *pair] if side > 0 else [*pair, high])
 
         def root(base):
-            cands = estimator._insertion_candidates(family, marginal, base, side)
+            cands = estimator._insertion_candidates(marginal, base, side)
             return estimator._outward_root(family, marginal, base, side, cands)
 
         assert root(outer) is not None
