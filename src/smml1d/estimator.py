@@ -207,6 +207,14 @@ def message_length(family: FamilyModel, marginal: MarginalModel, codebook: CodeB
     return total
 
 
+def _pieces(family: FamilyModel, codebook: CodeBook) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-interval log q, assertion and log partition: the log code density
+    on interval i is ``log_q[i] + x * theta_hat[i] - log_partition(theta_hat[i])``
+    plus the log carrier."""
+    lp = np.array([family.log_partition(t) for t in codebook.theta_hat])
+    return np.asarray(codebook.log_q), np.asarray(codebook.theta_hat), lp
+
+
 def gradient(family: FamilyModel, marginal: MarginalModel, codebook: CodeBook) -> np.ndarray:
     """Stationarity residuals: jump of the log code density at each cut-point.
 
@@ -215,9 +223,7 @@ def gradient(family: FamilyModel, marginal: MarginalModel, codebook: CodeBook) -
     domain.
     """
     a = codebook.cuts.as_array()
-    lq = np.asarray(codebook.log_q)
-    th = np.asarray(codebook.theta_hat)
-    lp = np.array([family.log_partition(t) for t in codebook.theta_hat])
+    lq, th, lp = _pieces(family, codebook)
     above = lq[1:] + a * th[1:] - lp[1:]
     below = lq[:-1] + a * th[:-1] - lp[:-1]
     return above - below
@@ -365,30 +371,24 @@ def continuity_gaps(family: FamilyModel, marginal: MarginalModel, codebook: Code
 class SolveReport:
     """Outcome of one Newton run.
 
-    ``message_length`` is the expected two-part length (nats), ``entropy``
-    the one-part length, ``redundancy`` their difference.  ``converged``
-    holds exactly when ``final_grad_norm <= _TOL`` (1e-12); non-convergence
-    is reported here, never raised.  ``at_floor`` marks the other way a run can
-    find a stationary book: it ended unconverged with every |G_j| within
-    ``_FLOOR_ULPS`` ulps of the largest term forming G_j, so G is rounding
-    noise there and ``_TOL`` is out of reach; :func:`solve_sweep` keeps such
-    local minima beside the converged ones.  ``continuity_gaps`` is |G| at
-    the final cuts, so its maximum is ``final_grad_norm``.
-    ``grad_norm_trace`` records the gradient norm at every accepted iterate.
-    ``diagnostic`` says why an unconverged run ended: the rounding floor, a
-    singular or non-finite Newton step, exhausted step halvings, a stall,
-    ``_MAX_ITER`` (200) steps used up, or a start whose code book cannot be
-    built (then the lengths, G and its norm are NaN); it is empty when the
-    run converged.
+    ``message_length`` is the expected two-part length (nats) and
+    ``entropy`` the one-part length.  ``continuity_gaps`` is |G| at the final
+    cuts, and ``grad_norm_trace`` the gradient max-norm at the start and at
+    every accepted iterate.  Non-convergence is reported here, never raised.
+    ``at_floor`` marks the other way a run can find a stationary book: it
+    ended unconverged with every |G_j| within ``_FLOOR_ULPS`` ulps of the
+    largest term forming G_j, so G is rounding noise there and ``_TOL`` is
+    out of reach.  ``diagnostic`` says why an unconverged run ended: the
+    rounding floor, a start whose G is NaN, a singular or non-finite Newton
+    step, exhausted step halvings, a stall, ``_MAX_ITER`` (200) steps used
+    up, or a start whose code book cannot be built (then the lengths, G and
+    its norm are NaN); it is empty when the run converged.
     """
 
     codebook: CodeBook
     message_length: float
     entropy: float
-    redundancy: float
-    converged: bool
     iterations: int
-    final_grad_norm: float
     classification: str
     continuity_gaps: tuple[float, ...]
     grad_norm_trace: tuple[float, ...]
@@ -398,6 +398,27 @@ class SolveReport:
     @property
     def cuts(self) -> tuple[float, ...]:
         return self.codebook.cuts.points
+
+    @property
+    def final_grad_norm(self) -> float:
+        """Max-norm of G at the final cuts: the largest continuity gap."""
+        return self.grad_norm_trace[-1]
+
+    @property
+    def converged(self) -> bool:
+        """``final_grad_norm <= _TOL`` (1e-12)."""
+        return self.final_grad_norm <= _TOL
+
+    @property
+    def redundancy(self) -> float:
+        """Two-part minus one-part length, in nats."""
+        return self.message_length - self.entropy
+
+    @property
+    def kept(self) -> bool:
+        """A local minimum that converged or ended at the rounding floor of
+        G: the runs :func:`solve_sweep` keeps."""
+        return (self.converged or self.at_floor) and self.classification == LOCAL_MINIMUM
 
 
 def _feasible(marginal: MarginalModel, a: np.ndarray) -> bool:
@@ -416,29 +437,19 @@ def _at_floor(family: FamilyModel, codebook: CodeBook, residual: np.ndarray) -> 
     if not gaps.max() <= _CRITICAL_GRAD_THRESHOLD:
         return False
     a = codebook.cuts.as_array()
-    lq = np.asarray(codebook.log_q)
-    th = np.asarray(codebook.theta_hat)
-    lp = np.array([family.log_partition(t) for t in codebook.theta_hat])
+    lq, th, lp = _pieces(family, codebook)
     terms = np.abs([lq[1:], a * th[1:], lp[1:], lq[:-1], a * th[:-1], lp[:-1]])
     return bool(np.all(gaps <= _FLOOR_ULPS * np.spacing(terms.max(axis=0))))
 
 
-def _report(family, marginal, codebook, residual, converged, iterations, trace, diagnostic,
-            at_floor):
-    length = message_length(family, marginal, codebook)
-    entropy = marginal_entropy(marginal)
-    gaps = np.abs(residual)
-    grad_norm = float(np.max(gaps))
+def _report(family, marginal, codebook, residual, iterations, trace, diagnostic, at_floor):
     return SolveReport(
         codebook=codebook,
-        message_length=length,
-        entropy=entropy,
-        redundancy=length - entropy,
-        converged=converged,
+        message_length=message_length(family, marginal, codebook),
+        entropy=marginal_entropy(marginal),
         iterations=iterations,
-        final_grad_norm=grad_norm,
-        classification=classify_critical_point(family, marginal, codebook, grad_norm),
-        continuity_gaps=tuple(gaps.tolist()),
+        classification=classify_critical_point(family, marginal, codebook, trace[-1]),
+        continuity_gaps=tuple(np.abs(residual).tolist()),
         grad_norm_trace=tuple(trace),
         diagnostic=diagnostic,
         at_floor=at_floor,
@@ -469,7 +480,8 @@ def newton_solve(family: FamilyModel, marginal: MarginalModel, initial) -> Solve
     full length, since halving a step aimed at noise cannot help, and a run
     that then ends unconverged ends with ``at_floor`` set and a diagnostic
     naming the floor.  A start whose code book cannot be built gives a
-    not-converged report with NaN lengths and residuals.
+    not-converged report with NaN lengths and residuals, and a start whose G
+    is NaN ends at once.
     """
     a = _as_cuts(initial).as_array()
     if not _feasible(marginal, a):
@@ -484,9 +496,10 @@ def newton_solve(family: FamilyModel, marginal: MarginalModel, initial) -> Solve
         grad_norm = float(np.max(np.abs(residual)))
         trace = [grad_norm]
         iterations = 0
-        diagnostic = ""
+        # a step is accepted only where the norm is finite, so only a start's G is NaN
+        diagnostic = "the start's G is NaN" if math.isnan(grad_norm) else ""
 
-        while grad_norm > _TOL and iterations < _MAX_ITER:
+        while not diagnostic and grad_norm > _TOL and iterations < _MAX_ITER:
             try:
                 step = _solve_tridiagonal(jacobian(family, marginal, codebook), -residual)
             except (np.linalg.LinAlgError, ArithmeticError) as exc:
@@ -541,14 +554,7 @@ def newton_solve(family: FamilyModel, marginal: MarginalModel, initial) -> Solve
                 f"reached the rounding floor of G at iteration {iterations}: every |G_j| is "
                 f"within {_FLOOR_ULPS:g} ulps of its largest term (gradient norm {grad_norm:.3e})"
             )
-        return _report(
-            family, marginal, codebook, residual,
-            converged=grad_norm <= _TOL,
-            iterations=iterations,
-            trace=trace,
-            diagnostic=diagnostic,
-            at_floor=at_floor,
-        )
+        return _report(family, marginal, codebook, residual, iterations, trace, diagnostic, at_floor)
 
 
 def _unbuildable_report(marginal: MarginalModel, a: np.ndarray, exc: ArithmeticError) -> SolveReport:
@@ -557,10 +563,7 @@ def _unbuildable_report(marginal: MarginalModel, a: np.ndarray, exc: ArithmeticE
         codebook=CodeBook(_as_cuts(a), nan, nan, nan),
         message_length=math.nan,
         entropy=marginal_entropy(marginal),
-        redundancy=math.nan,
-        converged=False,
         iterations=0,
-        final_grad_norm=math.nan,
         classification=NOT_CRITICAL,
         continuity_gaps=nan[1:],
         grad_norm_trace=(math.nan,),
@@ -759,8 +762,7 @@ def _dedup_sorted(reports: list[SolveReport]) -> list[SolveReport]:
     most compact first (smallest largest |cut|), so the order does not hang
     on the last bits of the lengths.
     """
-    kept = [r for r in reports
-            if (r.converged or r.at_floor) and r.classification == LOCAL_MINIMUM]
+    kept = [r for r in reports if r.kept]
     kept.sort(key=lambda r: r.message_length)
     ordered: list[SolveReport] = []
     while len(ordered) < len(kept):
@@ -805,12 +807,11 @@ def solve_sweep(
     stage would only repeat that run's report.
 
     Returns the deduplicated, best-first local minima for each n in
-    [n_min, n_max]: runs that converged and runs that ended at the rounding
-    floor of G (``SolveReport.at_floor``).  A code book that cannot be built
-    ends its run or rejects its step, so no ``ArithmeticError`` escapes; a
-    stage where nothing succeeds has an empty list.  Deterministic.  No
-    solver state is kept between calls.  What persists is the
-    ``scipy.special`` functions, loaded by the first normal model, and
+    [n_min, n_max]: the runs whose ``SolveReport.kept`` holds.  A code book
+    that cannot be built ends its run or rejects its step, so no
+    ``ArithmeticError`` escapes; a stage where nothing succeeds has an empty
+    list.  Deterministic.  No solver state is kept between calls.  What
+    persists is ``scipy.special.erfcx``, loaded by the first Mills ratio, and
     bounded memos of pure functions (the normal Mills-ratio terms, and the
     entropy and carrier constant of marginals without closed forms), which
     cannot change a result.
@@ -898,12 +899,10 @@ def curve_samples(
     if count < 2:
         raise ValueError(f"need at least two samples, got count={count!r}")
     x = np.linspace(x_lo, x_hi, count)
-    log_r = np.asarray(marginal.log_pdf(x), dtype=float)
-    lq = np.asarray(codebook.log_q)
-    th = np.asarray(codebook.theta_hat)
-    lp = np.array([family.log_partition(t) for t in codebook.theta_hat])
+    lq, th, lp = _pieces(family, codebook)
     idx = np.searchsorted(codebook.cuts.as_array(), x, side="right")
     with np.errstate(invalid="ignore", over="ignore"):
+        log_r = np.asarray(marginal.log_pdf(x), dtype=float)
         r = np.exp(log_r)
         log_code = lq[idx] + x * th[idx] - lp[idx] + np.asarray(family.log_carrier(x), dtype=float)
         one_part = np.where(r > 0.0, -r * log_r, 0.0)

@@ -27,6 +27,7 @@ Gauss-Legendre rule.
 from __future__ import annotations
 
 import math
+import statistics
 from dataclasses import dataclass
 from functools import cache, lru_cache
 from typing import Callable
@@ -76,15 +77,15 @@ _GL_RULE = tuple((0.5 * (1.0 - x), 0.5 * w) for x, w in zip(_GL_X[::-1], _GL_W[:
 
 
 @cache
-def _normal_special() -> tuple[Callable, Callable]:
-    """``scipy.special``'s ``erfcx`` and ``ndtri``.
+def _normal_special() -> Callable:
+    """``scipy.special.erfcx``.
 
-    Only the normal marginal uses them, so the import, about 0.14 s and 24 MB
-    of resident memory, waits for the first normal model or Mills ratio.
+    Only the normal Mills ratio uses it, so the import, about 0.14 s and
+    24 MB of resident memory, waits for the first Mills ratio.
     """
-    from scipy.special import erfcx, ndtri
+    from scipy.special import erfcx
 
-    return erfcx, ndtri
+    return erfcx
 
 
 class ParameterError(ValueError):
@@ -168,7 +169,7 @@ def make_normal_normal(alpha: float) -> tuple[FamilyModel, MarginalModel]:
         raise ParameterError(f"alpha must be a positive real, got {alpha!r}")
     beta = math.hypot(1.0, alpha)
     log_norm = math.log(beta) + 0.5 * _LOG_2PI
-    ndtri = _normal_special()[1]
+    inv_cdf = statistics.NormalDist(0.0, beta).inv_cdf
 
     family = FamilyModel(
         param_lo=-math.inf,
@@ -187,7 +188,7 @@ def make_normal_normal(alpha: float) -> tuple[FamilyModel, MarginalModel]:
     def quantile(p: float) -> float:
         if not 0.0 < p < 1.0:
             raise SupportError(f"quantile needs 0 < p < 1, got {p!r}")
-        return beta * float(ndtri(p))
+        return inv_cdf(p)
 
     marginal = MarginalModel(
         log_pdf=log_pdf,
@@ -290,8 +291,7 @@ def _narrow(width: float, log_ratio: Callable[[float], float]) -> tuple[float, f
 @lru_cache(maxsize=256)
 def _mills(z: float) -> float:
     """Mills ratio R(z) = Q(z) / phi(z) of the standard normal."""
-    erfcx = _normal_special()[0]
-    return _SQRT_HALF_PI * float(erfcx(z / _SQRT2))
+    return _SQRT_HALF_PI * float(_normal_special()(z / _SQRT2))
 
 
 @lru_cache(maxsize=256)

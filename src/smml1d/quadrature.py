@@ -44,7 +44,6 @@ __all__ = [
     "IntervalIntegrals",
     "interval_integrals",
     "differential_entropy",
-    "expectation",
 ]
 
 # 15-point Kronrod extension of the 7-point Gauss rule on [-1, 1]

@@ -329,6 +329,17 @@ class TestCurves:
         assert (code, out) == (1, "")
         assert err == "error: need x_lo < x_hi a finite distance apart, got (-1e+308, 1e+308)\n"
 
+    def test_far_grid_prints_no_warning(self, capsys):
+        """The marginal density underflows on a grid at 1e200; the rows are
+        zeros and numpy does not warn of the overflowing square."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(["curves", "--n", "2", "--points", "3",
+                                      "--x-min", "1e200", "--x-max", "1e201"], capsys)
+        assert (code, err) == (0, "")
+        assert out.splitlines()[1:4] == [
+            "1e+200,0.0,0.0,0.0", "5.5e+200,0.0,0.0,0.0", "1e+201,0.0,0.0,0.0"]
+
     def test_negative_bound_in_exponent_form(self, capsys):
         code, out, err = run_cli(["curves", "--n", "1", "--points", "3",
                                   "--x-min", "-1e3", "--x-max", "1e3"], capsys)
@@ -406,6 +417,17 @@ class TestVerify:
         assert "mirror-symmetry" in [name for name, _, _ in checks]
         assert all(ok for _, ok, _ in checks), checks
 
+    def test_nan_errors_fail_without_warnings(self, capsys):
+        """At prior sd 1e300 every relative error of the normal model's
+        gradient is NaN: the check fails on it, where the largest error used
+        to read 0, and numpy does not warn of the non-finite G and J."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(["verify", "--alpha", "1e300"], capsys)
+        assert (code, err) == (1, "")
+        lines = out.splitlines()
+        assert lines[:2] == ["[normal-normal]", "  gradient-fd          FAIL  max rel err nan"]
+
     def test_unattainable_tolerance_names_failing_check(self, capsys, monkeypatch):
         # verify's gap bound is the solver's tolerance, imported by name
         for module in ("smml1d.estimator", "smml1d.cli"):
@@ -459,13 +481,45 @@ class TestEntryPoint:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "False"
 
-    @pytest.mark.parametrize("first_use", ["smml1d.make_normal_normal(2.0)",
-                                           "smml1d.families._mills(1.0)"])
+    def test_normal_model_build_leaves_out_scipy_special(self):
+        """The normal quantile is the standard library's, so building the
+        model needs no `scipy.special`; only the Mills ratio does."""
+        proc = run_python(["-c", "import sys, smml1d; smml1d.make_normal_normal(2.0); "
+                           "print('scipy.special' in sys.modules)"])
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
+    @pytest.mark.parametrize("first_use", [
+        pytest.param("smml1d.codebook_from_cutpoints(*smml1d.make_normal_normal(2.0), [1.0])",
+                     id="first-normal-codebook"),
+        "smml1d.families._mills(1.0)",
+    ])
     def test_normal_model_loads_scipy_special(self, first_use):
         proc = run_python(["-c", "import sys, smml1d; print('scipy.special' in sys.modules); "
                            f"{first_use}; print('scipy.special' in sys.modules)"])
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["False", "True"]
+
+    def test_public_names(self):
+        """Each module's ``__all__`` is re-exported, and nothing else."""
+        names = {
+            "FamilyModel", "MarginalModel", "ParameterError", "SupportError",
+            "make_exponential_gamma", "make_normal_normal", "mu_inverse_numeric",
+            "IntervalIntegrals", "differential_entropy", "interval_integrals", "DEFAULT_SEED",
+            "LOCAL_MINIMUM", "NOT_CRITICAL", "SADDLE", "CodeBook", "CurveTable",
+            "CutPointVector", "SolveReport", "Tridiagonal", "classify_critical_point",
+            "codebook_from_cutpoints", "continuity_gaps", "curve_samples", "gradient",
+            "jacobian", "marginal_entropy", "message_length", "multi_start_solve",
+            "newton_solve", "solve_sweep", "__version__",
+        }
+        assert len(smml1d.__all__) == len(names) == 31
+        assert set(smml1d.__all__) == names
+        for name in names:
+            getattr(smml1d, name)
+        proc = run_python(["-c", "import smml1d; print(*(n for n in dir(smml1d) if n[0] != '_'))"])
+        assert proc.returncode == 0, proc.stderr
+        modules = {"checks", "estimator", "families", "quadrature"}
+        assert set(proc.stdout.split()) == names - {"__version__"} | modules
 
     def test_unknown_flag_exits_1(self):
         for flags in (["--frobnicate"], ["--n", "1", "--extra-starts", "8"]):

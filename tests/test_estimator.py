@@ -523,6 +523,50 @@ class TestNewtonSolve:
         assert report.diagnostic.startswith(
             "the start's code book cannot be built: degenerate interval mass")
 
+    @pytest.mark.parametrize("pair, start", [
+        (make_normal_normal(2.0), [1e200]),
+        (make_exponential_gamma(2.0, 1.0), [1e-320]),
+    ], ids=["normal-1e200", "lomax-1e-320"])
+    def test_nan_start_names_its_stop(self, pair, start, monkeypatch):
+        """G is NaN at these starts (an interval's log q is -inf, or its
+        assertion is); the run ends at once, from its one code book, and
+        says why."""
+        builds = 0
+        build = codebook_from_cutpoints
+
+        def counting_build(*args):
+            nonlocal builds
+            builds += 1
+            return build(*args)
+
+        monkeypatch.setattr("smml1d.estimator.codebook_from_cutpoints", counting_build)
+        report = newton_solve(*pair, start)
+        assert (report.converged, report.iterations, builds) == (False, 0, 1)
+        assert math.isnan(report.final_grad_norm)
+        assert report.classification == NOT_CRITICAL and not report.kept
+        assert report.diagnostic == "the start's G is NaN"
+
+    @pytest.mark.parametrize("alpha, start, converged, at_floor, kept", [
+        (2.0, [-2.2, 1.8], True, False, True),
+        (1.0, [-10.8, -2.7, 2.7, 10.8, 33.4, 100.6, 302.0], False, True, True),
+        (2.0, [-3.8977, 0.0, 3.8977, 8.2816], False, False, False),
+    ], ids=["converged", "floor", "stalled"])
+    def test_report_derives_norm_outcome_and_redundancy(
+            self, alpha, start, converged, at_floor, kept):
+        """The final norm is the trace's last entry and the largest gap; the
+        outcome and the redundancy follow from it and from the lengths."""
+        report = newton_solve(*make_normal_normal(alpha), start)
+        assert report.final_grad_norm == report.grad_norm_trace[-1] == max(report.continuity_gaps)
+        assert report.converged == (report.final_grad_norm <= estimator._TOL) == converged
+        assert report.at_floor == at_floor
+        assert report.kept == kept
+        assert report.kept == (
+            (report.converged or report.at_floor) and report.classification == LOCAL_MINIMUM)
+        assert report.redundancy == report.message_length - report.entropy
+        assert [f.name for f in dataclasses.fields(SolveReport)] == [
+            "codebook", "message_length", "entropy", "iterations", "classification",
+            "continuity_gaps", "grad_norm_trace", "diagnostic", "at_floor"]
+
     def test_unbuildable_candidate_is_a_rejected_trial(self, nn, monkeypatch):
         family, marginal = nn
         builds = 0
@@ -873,8 +917,7 @@ def _minimum(cuts, length):
     zeros = (0.0,) * (len(cuts) + 1)
     book = CodeBook(CutPointVector(tuple(cuts)), zeros, zeros, zeros)
     return SolveReport(
-        codebook=book, message_length=length, entropy=0.0, redundancy=length,
-        converged=True, iterations=0, final_grad_norm=0.0,
+        codebook=book, message_length=length, entropy=0.0, iterations=0,
         classification=LOCAL_MINIMUM, continuity_gaps=zeros[1:], grad_norm_trace=(0.0,),
     )
 
@@ -905,9 +948,11 @@ class TestDedupOrder:
         assert order[3:] == ((-4.0, -1.0, 1.0, 4.0), (-3.5, -1.0, 1.0, 5.0))
 
     def test_keeps_floor_minima(self):
+        unconverged = (1e-9,)  # above _TOL, below the classification threshold
         floor = dataclasses.replace(
-            _minimum(self.COMPACT, self.LENGTH), converged=False, at_floor=True)
-        stalled = dataclasses.replace(_minimum(self.LEFT_HEAVY, self.LENGTH), converged=False)
+            _minimum(self.COMPACT, self.LENGTH), grad_norm_trace=unconverged, at_floor=True)
+        stalled = dataclasses.replace(
+            _minimum(self.LEFT_HEAVY, self.LENGTH), grad_norm_trace=unconverged)
         assert [r.cuts for r in _dedup_sorted([floor, stalled])] == [self.COMPACT]
 
     def test_distinct_minima_sort_by_length(self):
