@@ -348,30 +348,40 @@ def _verify_model(cfg: RunConfig, name: str) -> list[tuple[str, bool, str]]:
     rng = np.random.default_rng(cfg.seed)
 
     # r(a) * gradient vs finite differences of the length; np.max, unlike
-    # max, keeps a NaN error, so the check fails on it
+    # max, keeps a NaN error, so the check fails on it.  A code book that
+    # cannot be built is a NaN error of this check and of the two below.
     errors = []
-    for _ in range(3):
-        cuts = separated_cuts(marginal, rng, 3)
-        book = codebook_from_cutpoints(family, marginal, cuts)
-        slope = np.exp(np.asarray(marginal.log_pdf(cuts), dtype=float)) * gradient(
-            family, marginal, book)
-        fd = length_fd(family, marginal, cuts)
-        errors.append(np.abs(fd - slope) / np.abs(fd))
+    try:
+        for _ in range(3):
+            cuts = separated_cuts(marginal, rng, 3)
+            book = codebook_from_cutpoints(family, marginal, cuts)
+            slope = np.exp(np.asarray(marginal.log_pdf(cuts), dtype=float)) * gradient(
+                family, marginal, book)
+            fd = length_fd(family, marginal, cuts)
+            errors.append(np.abs(fd - slope) / np.abs(fd))
+    except ArithmeticError:
+        errors.append(math.nan)
     worst = float(np.max(errors))
     checks.append(("gradient-fd", worst < 1e-4, f"max rel err {worst:.2e}"))
 
     # tridiagonal jacobian vs finite differences of the gradient
-    cuts = separated_cuts(marginal, rng, 3)
-    J = jacobian(family, marginal, codebook_from_cutpoints(family, marginal, cuts)).to_dense()
-    band = np.abs(J) > 1e-8
-    fd = gradient_fd(family, marginal, cuts)
-    worst = float(np.max(np.abs(fd[band] - J[band]) / np.abs(J[band]), initial=0.0))
+    try:
+        cuts = separated_cuts(marginal, rng, 3)
+        J = jacobian(family, marginal, codebook_from_cutpoints(family, marginal, cuts)).to_dense()
+        band = np.abs(J) > 1e-8
+        fd = gradient_fd(family, marginal, cuts)
+        worst = float(np.max(np.abs(fd[band] - J[band]) / np.abs(J[band]), initial=0.0))
+    except ArithmeticError:
+        worst = math.nan
     checks.append(("jacobian-fd", worst < 1e-4, f"max rel err {worst:.2e}"))
 
     # coding probabilities sum to one
-    books = [codebook_from_cutpoints(family, marginal, separated_cuts(marginal, rng, n))
-             for n in (1, 4)]
-    worst = float(np.max([abs(math.fsum(map(math.exp, b.log_q)) - 1.0) for b in books]))
+    try:
+        books = [codebook_from_cutpoints(family, marginal, separated_cuts(marginal, rng, n))
+                 for n in (1, 4)]
+        worst = float(np.max([abs(math.fsum(map(math.exp, b.log_q)) - 1.0) for b in books]))
+    except ArithmeticError:
+        worst = math.nan
     checks.append(("normalization", worst < 1e-9, f"max |sum q - 1| {worst:.2e}"))
 
     # convergence, monotonicity of the best length, continuity gaps

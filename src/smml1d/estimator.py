@@ -149,6 +149,9 @@ def codebook_from_cutpoints(family: FamilyModel, marginal: MarginalModel, cuts) 
 
     Each interval's coding probability is its marginal mass and each
     assertion is the natural parameter matching the interval's centroid.
+    Raises ``ArithmeticError`` when a log mass, assertion or centroid is not
+    finite: a mass that underflows to 0, or an assertion or centroid that
+    overflows.
     """
     cuts = _as_cuts(cuts)
     pts = cuts.points
@@ -159,7 +162,10 @@ def codebook_from_cutpoints(family: FamilyModel, marginal: MarginalModel, cuts) 
         )
     bounds = (lo, *pts, hi)
     log_q, centroids = zip(*map(interval_integrals, repeat(marginal), bounds[:-1], bounds[1:]))
-    return CodeBook(cuts, log_q, tuple(map(family.invert_mean, centroids)), centroids)
+    theta_hat = tuple(map(family.invert_mean, centroids))
+    if not all(map(math.isfinite, (*log_q, *theta_hat, *centroids))):
+        raise ArithmeticError(f"a log q, assertion or centroid is not finite at cut-points {pts}")
+    return CodeBook(cuts, log_q, theta_hat, centroids)
 
 
 def _carrier_constant(family: FamilyModel, marginal: MarginalModel) -> float:
@@ -554,10 +560,13 @@ def newton_solve(family: FamilyModel, marginal: MarginalModel, initial) -> Solve
                 f"reached the rounding floor of G at iteration {iterations}: every |G_j| is "
                 f"within {_FLOOR_ULPS:g} ulps of its largest term (gradient norm {grad_norm:.3e})"
             )
-        return _report(family, marginal, codebook, residual, iterations, trace, diagnostic, at_floor)
+        return _report(
+            family, marginal, codebook, residual, iterations, trace, diagnostic, at_floor)
 
 
-def _unbuildable_report(marginal: MarginalModel, a: np.ndarray, exc: ArithmeticError) -> SolveReport:
+def _unbuildable_report(
+    marginal: MarginalModel, a: np.ndarray, exc: ArithmeticError
+) -> SolveReport:
     nan = (math.nan,) * (a.size + 1)
     return SolveReport(
         codebook=CodeBook(_as_cuts(a), nan, nan, nan),

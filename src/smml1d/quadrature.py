@@ -19,22 +19,31 @@ integrand is bounded by 1 and the interval mass comes back as
 
     log mass = log r(c) + log( integral of scaled ).
 
-Centroids are accumulated in the shifted form ``c + E[x - c]``, which keeps
-the moment integrand single-signed on each sub-piece and cancellation-free.
-An unbounded interval end is mapped onto [0, 1) by ``x = anchor +- s*t/(1-t)``
-with the scale ``s`` matched to the density's decay, so the transformed
-integrand is well resolved near ``t = 0``.
+The integration variable is the offset ``dx = x - c``.  An interval is a
+table of pieces, one row (t0, t1, sign, scale, power) each: a finite piece
+on either side of ``c`` has dx = t over t0 < t < t1, and an unbounded end is
+a tail with dx = sign*scale*((1 - t)^-power - 1) over 0 < t < 1.  The scale
+is the distance over which log r drops by one unit, so the tail is resolved
+near t = 0.  The power is 1 unless log r, read far out, falls like -k log|x|
+with k < 3; then it is 2/(k - 2), so that x r dx/dt vanishes like (1 - t) at
+t = 1 however heavy the tail, and the tail integrand is formed as one
+exponential of log r + log dx/dt, so it does not vanish where r alone
+underflows.  A node past the largest double (or one that rounds to t = 1)
+makes the integrand NaN, so a tail that needs x there fails instead of
+losing its far part.  The centroid is ``c`` plus the mean offset, so a far
+narrow interval keeps every digit of the centroid's distance from its end.
 
 The rule is a 15-point Gauss-Kronrod scheme with batched adaptive bisection:
-all refinements of a round are evaluated in one vectorized call, and the mass
-and first-moment integrals share every function evaluation.
+every round evaluates the panels of all pieces in one ``log_pdf`` call, and
+the mass and first-moment integrals share every function evaluation.  An
+integral whose error estimate stays above its tolerance raises
+``ArithmeticError``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -84,6 +93,7 @@ _GAUSS_W[[1, 3, 5, 7, 9, 11, 13]] = [
 ]
 
 _REL_TOL = 1e-13        # target relative accuracy of the scaled integrals
+_FAR = (2.0**100, 2.0**200)  # decay-scale multiples at which a tail's power law is read
 _MAX_SEGMENTS = 20_000  # subdivision cap per interval
 
 
@@ -97,31 +107,6 @@ class IntervalIntegrals(NamedTuple):
 
     log_mass: float
     centroid: float
-
-
-@dataclass(frozen=True)
-class _Piece:
-    """One monotone map from a finite parameter range into x-space."""
-
-    x_of: Callable[[np.ndarray], np.ndarray]
-    w_of: Callable[[np.ndarray], np.ndarray]  # |dx/dt|
-    t0: float
-    t1: float
-
-
-def _finite_piece(a: float, b: float) -> _Piece:
-    return _Piece(lambda t: t, lambda t: np.ones_like(t), a, b)
-
-
-def _tail_piece(anchor: float, sign: float, scale: float) -> _Piece:
-    def x_of(t):
-        return anchor + sign * scale * (t / (1.0 - t))
-
-    def w_of(t):
-        d = 1.0 - t
-        return scale / (d * d)
-
-    return _Piece(x_of, w_of, 0.0, 1.0)
 
 
 def _decay_scale(marginal: MarginalModel, anchor: float, sign: float) -> float:
@@ -147,114 +132,92 @@ def _decay_scale(marginal: MarginalModel, anchor: float, sign: float) -> float:
     return s
 
 
-def _pieces_for(marginal: MarginalModel, lo: float, hi: float, ref: float) -> list[_Piece]:
-    pieces: list[_Piece] = []
-    if lo == -math.inf:
-        pieces.append(_tail_piece(ref, -1.0, _decay_scale(marginal, ref, -1.0)))
-        left = ref
-    else:
-        left = lo
-    right = ref if hi == math.inf else hi
-    if left < right:
-        if left < ref < right:
-            pieces.append(_finite_piece(left, ref))
-            pieces.append(_finite_piece(ref, right))
-        else:
-            pieces.append(_finite_piece(left, right))
-    if hi == math.inf:
-        pieces.append(_tail_piece(ref, 1.0, _decay_scale(marginal, ref, 1.0)))
-    return pieces
+def _tail_row(marginal: MarginalModel, anchor: float, sign: float) -> tuple:
+    """The piece (0, 1, sign, scale, power) from `anchor` towards sign * inf."""
+    scale = _decay_scale(marginal, anchor, sign)
+    near, far = (float(marginal.log_pdf(anchor + sign * scale * d)) for d in _FAR)
+    k = (near - far) / math.log(_FAR[1] / _FAR[0])  # NaN where log r is -inf far out
+    if not k < 3.0:
+        power = 1.0
+    elif k > 2.0:
+        power = 2.0 / (k - 2.0)
+    else:  # no first moment: every node of the tail overflows
+        power = math.inf
+    return 0.0, 1.0, sign, scale, power
 
 
-def _adaptive(
-    eval_rows: Callable[[_Piece, np.ndarray], np.ndarray],
-    pieces: Sequence[_Piece],
+def _integrate(
+    marginal: MarginalModel,
+    lo: float,
+    hi: float,
+    ref: float,
+    moments: Callable[[np.ndarray], tuple],
     rel_tol: float = _REL_TOL,
-) -> np.ndarray:
-    """Integrate the rows of `eval_rows` over all pieces simultaneously.
+) -> tuple[float, list[float]]:
+    """log r(ref), and the integrals over (lo, hi) of each row of moments(dx)
+    times r(ref + dx) / r(ref)."""
+    left = 0.0 if lo == -math.inf else lo - ref
+    right = 0.0 if hi == math.inf else hi - ref
+    table = [(a, b, 0.0, 0.0, 1.0) for a, b in ((left, 0.0), (0.0, right)) if a < b]
+    if lo == -math.inf:
+        table.insert(0, _tail_row(marginal, ref, -1.0))
+    if hi == math.inf:
+        table.append(_tail_row(marginal, ref, 1.0))
+    table = np.array(table)
+    tails = lo == -math.inf or hi == math.inf
+    log_ref = float(marginal.log_pdf(ref))
 
-    Returns the vector of integrals.  Each round bisects every segment whose
-    error exceeds its share of the budget and evaluates all new panels in one
-    vectorized call per piece.
-    """
-    piece_ids: list[int] = []
-    t0s: list[float] = []
-    t1s: list[float] = []
-    for i, pc in enumerate(pieces):
-        mid = 0.5 * (pc.t0 + pc.t1)
-        piece_ids += [i, i]
-        t0s += [pc.t0, mid]
-        t1s += [mid, pc.t1]
+    def panels(ids, a, b):
+        half = 0.5 * (b - a)
+        dx = t = ((0.5 * (a + b))[:, None] + half[:, None] * _NODES).ravel()
+        log_w = -log_ref
+        if tails:
+            _, _, sign, scale, power = table[np.repeat(ids, 15)].T
+            tail = scale > 0.0
+            log_u = np.log1p(-t)
+            dx = np.where(tail, sign * scale * np.expm1(-power * log_u), t)
+            log_w = np.where(tail, np.log(scale * power) - (power + 1.0) * log_u, 0.0) - log_ref
+        f = np.exp(np.asarray(marginal.log_pdf(ref + dx), dtype=float) + log_w)
+        f[~np.isfinite(f)] = 0.0
+        f[~np.isfinite(dx)] = np.nan  # a tail node past the largest double
+        vals = np.array([f * g for g in moments(dx)])
+        vals[:, f == 0.0] = 0.0  # where a moment is infinite and r is 0
+        vals = vals.reshape(len(vals), -1, 15)
+        k = half * (vals @ _KRONROD_W)
+        absk = half * (np.abs(vals) @ _KRONROD_W)
+        norm = np.where(absk > 0.0, absk, 1.0)
+        diff = np.abs(k - half * (vals @ _GAUSS_W))
+        return k, norm * np.minimum(1.0, (200.0 * diff / norm) ** 1.5), absk
 
-    def panels(ids: np.ndarray, lo: np.ndarray, hi: np.ndarray):
-        half = 0.5 * (hi - lo)
-        mid = 0.5 * (hi + lo)
-        t = mid[:, None] + half[:, None] * _NODES[None, :]
-        k_parts = []
-        e_parts = []
-        a_parts = []
-        for i in range(len(pieces)):
-            mask = ids == i
-            if not np.any(mask):
-                k_parts.append(None)
-                continue
-            rows = eval_rows(pieces[i], t[mask].ravel())
-            rows = rows.reshape(rows.shape[0], -1, 15)
-            h = half[mask][None, :]
-            k = h * (rows @ _KRONROD_W)
-            g = h * (rows @ _GAUSS_W)
-            absk = h * (np.abs(rows) @ _KRONROD_W)
-            diff = np.abs(k - g)
-            scale = np.where(absk > 0.0, absk, 1.0)
-            err = scale * np.minimum(1.0, (200.0 * diff / scale) ** 1.5)
-            k_parts.append((mask, k, err, absk))
-        m = next(p[1].shape[0] for p in k_parts if p is not None)
-        K = np.zeros((m, ids.size))
-        E = np.zeros((m, ids.size))
-        A = np.zeros((m, ids.size))
-        for part in k_parts:
-            if part is None:
-                continue
-            mask, k, err, absk = part
-            K[:, mask] = k
-            E[:, mask] = err
-            A[:, mask] = absk
-        return K, E, A
-
-    ids = np.asarray(piece_ids)
-    lo = np.asarray(t0s)
-    hi = np.asarray(t1s)
-    K, E, A = panels(ids, lo, hi)
-
+    mid = 0.5 * (table[:, 0] + table[:, 1])
+    ids = np.repeat(np.arange(len(table)), 2)
+    a = np.column_stack([table[:, 0], mid]).ravel()
+    b = np.column_stack([mid, table[:, 1]]).ravel()
+    K, E, A = panels(ids, a, b)
     for _ in range(200):
         tot_err = E.sum(axis=1)
         scale = np.maximum(A.sum(axis=1), 1e-300)
         if np.all(tot_err <= rel_tol * scale) or ids.size >= _MAX_SEGMENTS:
             break
         norm_err = (E / scale[:, None]).max(axis=0)
-        width_ok = (hi - lo) > 4e-16 * np.maximum(np.maximum(np.abs(lo), np.abs(hi)), 1.0)
-        thresh = 0.25 * rel_tol / ids.size
-        split = (norm_err > thresh) & width_ok
+        width_ok = (b - a) > 4e-16 * np.maximum(np.maximum(np.abs(a), np.abs(b)), 1.0)
+        split = (norm_err > 0.25 * rel_tol / ids.size) & width_ok
         if not np.any(split):
             worst = np.argmax(np.where(width_ok, norm_err, -1.0))
             if not width_ok[worst]:
                 break
-            split = np.zeros_like(split)
             split[worst] = True
-        mid = 0.5 * (lo[split] + hi[split])
-        new_ids = np.concatenate([ids[split], ids[split]])
-        new_lo = np.concatenate([lo[split], mid])
-        new_hi = np.concatenate([mid, hi[split]])
-        nK, nE, nA = panels(new_ids, new_lo, new_hi)
+        mid = 0.5 * (a[split] + b[split])
+        new = (np.tile(ids[split], 2), np.concatenate([a[split], mid]),
+               np.concatenate([mid, b[split]]))
         keep = ~split
-        ids = np.concatenate([ids[keep], new_ids])
-        lo = np.concatenate([lo[keep], new_lo])
-        hi = np.concatenate([hi[keep], new_hi])
-        K = np.concatenate([K[:, keep], nK], axis=1)
-        E = np.concatenate([E[:, keep], nE], axis=1)
-        A = np.concatenate([A[:, keep], nA], axis=1)
-
-    return K.sum(axis=1)
+        ids, a, b = (np.concatenate([old[keep], n]) for old, n in zip((ids, a, b), new))
+        K, E, A = (np.concatenate([old[:, keep], n], axis=1)
+                   for old, n in zip((K, E, A), panels(*new)))
+    # NaN compares false here and is left to the caller
+    if np.any(E.sum(axis=1) > rel_tol * np.maximum(A.sum(axis=1), 1e-300)):
+        raise ArithmeticError(f"quadrature did not converge over ({lo!r}, {hi!r})")
+    return log_ref, K.sum(axis=1).tolist()
 
 
 def interval_integrals(
@@ -284,24 +247,10 @@ def interval_integrals(
             log_mass, centroid = exact
             return IntervalIntegrals(min(log_mass, 0.0), centroid)
     ref = min(max(marginal.mode, lo), hi)
-    log_ref = float(marginal.log_pdf(ref))
-    pieces = _pieces_for(marginal, lo, hi, ref)
-
-    def rows(piece: _Piece, t: np.ndarray) -> np.ndarray:
-        x = piece.x_of(t)
-        w = piece.w_of(t)
-        lr = np.asarray(marginal.log_pdf(x), dtype=float)
-        scaled = np.exp(lr - log_ref)
-        scaled = np.where(np.isfinite(scaled), scaled, 0.0)
-        out = np.empty((2, x.size))
-        np.multiply(w, scaled, out=out[0])
-        np.multiply(x - ref, out[0], out=out[1])
-        return out
-
-    # rows() zeroes a non-finite density; a NaN that still gets through (at a
-    # tail node that rounds to t = 1) ends in the degenerate-mass error below
+    # a NaN that reaches the integrals (at a tail node past the largest double
+    # or rounding to t = 1) ends in the degenerate-mass error below
     with np.errstate(all="ignore"):
-        mass, shift = map(float, _adaptive(rows, pieces, rel_tol=rel_tol))
+        log_ref, (mass, shift) = _integrate(marginal, lo, hi, ref, lambda dx: (1.0, dx), rel_tol)
     if not (math.isfinite(mass) and mass > 0.0):
         raise ArithmeticError(f"degenerate interval mass over ({lo!r}, {hi!r})")
     log_mass = min(log_ref + math.log(mass), 0.0)
@@ -316,20 +265,9 @@ def expectation(marginal: MarginalModel, fn: Callable[[np.ndarray], np.ndarray])
     :func:`interval_integrals`.
     """
     ref = marginal.mode
-    log_ref = float(marginal.log_pdf(ref))
-    pieces = _pieces_for(marginal, marginal.support_lo, marginal.support_hi, ref)
-
-    def rows(piece: _Piece, t: np.ndarray) -> np.ndarray:
-        x = piece.x_of(t)
-        w = piece.w_of(t)
-        lr = np.asarray(marginal.log_pdf(x), dtype=float)
-        scaled = np.exp(lr - log_ref)
-        scaled = np.where(np.isfinite(scaled), scaled, 0.0)
-        vals = np.where(scaled > 0.0, np.asarray(fn(x), dtype=float) * scaled, 0.0)
-        return (w * vals)[None, :]
-
     with np.errstate(all="ignore"):
-        total = float(_adaptive(rows, pieces)[0])
+        log_ref, (total,) = _integrate(marginal, marginal.support_lo, marginal.support_hi, ref,
+                                       lambda dx: (np.asarray(fn(ref + dx), dtype=float),))
     return math.exp(log_ref) * total
 
 

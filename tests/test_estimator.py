@@ -167,10 +167,20 @@ def nn_alpha10_sweep40():
 
 @pytest.fixture
 def heavy_gk():
-    """Lomax(1.05, 1) without its closed form: the GK tail map divides by zero
-    on its heavy tail and some code books cannot be built."""
-    family, marginal = make_exponential_gamma(1.05, 1.0)
-    return family, dataclasses.replace(marginal, closed_form=None)
+    """Lomax(1.5, 1e308): the centroid of every half-line overflows, so no
+    code book can be built."""
+    return make_exponential_gamma(1.5, 1e308)
+
+
+_NOT_FINITE = "the start's code book cannot be built: a log q, assertion or centroid is not finite"
+
+
+def _nan_partition_above(limit):
+    """The alpha = 2 normal pair with a log-partition that is NaN above `limit`."""
+    family, marginal = make_normal_normal(2.0)
+    log_partition = family.log_partition
+    return dataclasses.replace(
+        family, log_partition=lambda t: math.nan if t > limit else log_partition(t)), marginal
 
 
 def _random_configs(marginal, rng, count, n_range=(1, 5)):
@@ -237,6 +247,9 @@ class TestCodeBook:
         family_e, marginal_e = eg
         with pytest.raises(SupportError):
             codebook_from_cutpoints(family_e, marginal_e, [-1.0, 2.0])
+        for (fam, marg), cut in ((nn, 1e200), (eg, 1e-320)):  # log q or assertion is -inf
+            with pytest.raises(ArithmeticError, match="is not finite at cut-points"):
+                codebook_from_cutpoints(fam, marg, [cut])
 
 
 class TestMessageLength:
@@ -521,16 +534,18 @@ class TestNewtonSolve:
         assert report.classification == NOT_CRITICAL
         assert math.isnan(report.final_grad_norm) and math.isnan(report.redundancy)
         assert report.diagnostic.startswith(
-            "the start's code book cannot be built: degenerate interval mass")
+            "the start's code book cannot be built: the centroid of")
 
-    @pytest.mark.parametrize("pair, start", [
-        (make_normal_normal(2.0), [1e200]),
-        (make_exponential_gamma(2.0, 1.0), [1e-320]),
-    ], ids=["normal-1e200", "lomax-1e-320"])
-    def test_nan_start_names_its_stop(self, pair, start, monkeypatch):
-        """G is NaN at these starts (an interval's log q is -inf, or its
-        assertion is); the run ends at once, from its one code book, and
-        says why."""
+    @pytest.mark.parametrize("pair, start, diagnostic", [
+        (make_normal_normal(2.0), [1e200], _NOT_FINITE),
+        (make_exponential_gamma(2.0, 1.0), [1e-320], _NOT_FINITE),
+        (_nan_partition_above(3.0), [4.0], "the start's G is NaN"),
+    ], ids=["normal-1e200", "lomax-1e-320", "user-nan-partition"])
+    def test_nan_start_names_its_stop(self, pair, start, diagnostic, monkeypatch):
+        """The built-in starts give a log q of -inf or an assertion of -inf,
+        so their code book cannot be built; the user family's A(theta) is NaN
+        past 3, so G is NaN at a book asserting 4.9.  Each run ends at once,
+        from its one code book, and says why."""
         builds = 0
         build = codebook_from_cutpoints
 
@@ -544,7 +559,7 @@ class TestNewtonSolve:
         assert (report.converged, report.iterations, builds) == (False, 0, 1)
         assert math.isnan(report.final_grad_norm)
         assert report.classification == NOT_CRITICAL and not report.kept
-        assert report.diagnostic == "the start's G is NaN"
+        assert report.diagnostic.startswith(diagnostic)
 
     @pytest.mark.parametrize("alpha, start, converged, at_floor, kept", [
         (2.0, [-2.2, 1.8], True, False, True),
@@ -759,7 +774,7 @@ class TestMultiStart:
         assert reports[0].redundancy == pytest.approx(0.16933390209, abs=1e-10)
 
     def test_sweep_survives_unbuildable_books(self, heavy_gk):
-        """Code books the GK path cannot build end runs or reject trials;
+        """Code books that cannot be built end runs or reject trials;
         the sweep still returns every stage instead of raising."""
         family, marginal = heavy_gk
         with np.errstate(divide="ignore", invalid="ignore"):

@@ -126,13 +126,7 @@ class TestIntervalIntegralsQuadrature(TestIntervalIntegrals):
     def eg(self, eg):
         return _without_closed_form(eg)
 
-    @pytest.mark.parametrize("alpha", [
-        1.9,
-        pytest.param(1.5, marks=pytest.mark.xfail(strict=True, raises=ArithmeticError, reason=(
-            "under x = s t/(1-t) the moment integrand behaves like (1-t)^(alpha-2); "
-            "bisecting towards t = 1 reaches a node that rounds to 1, where the "
-            "integrand is NaN and the mass degenerate"))),
-    ])
+    @pytest.mark.parametrize("alpha", [1.9, 1.5, 1.3, 1.1])
     def test_lomax_half_line_matches_closed_form(self, alpha):
         """(lo, inf) of a Lomax marginal by the tail map, against the closed form."""
         _, marginal = make_exponential_gamma(alpha, 1.0)
@@ -142,6 +136,52 @@ class TestIntervalIntegralsQuadrature(TestIntervalIntegrals):
             got = interval_integrals(quadrature, lo, math.inf)
             assert got.log_mass == pytest.approx(log_mass, rel=1e-12, abs=1e-12)
             assert got.centroid == pytest.approx(centroid, rel=1e-12)
+
+    @pytest.mark.parametrize("alpha", [1.02, 1.05])
+    def test_heavy_lomax_matches_or_raises(self, alpha):
+        """Random intervals of a Lomax marginal whose mean barely exists: each
+        matches the closed form to 1e-12, or its half-line raises
+        ArithmeticError; none returns a wrong number."""
+        _, marginal = make_exponential_gamma(alpha, 1.0)
+        quadrature = dataclasses.replace(marginal, closed_form=None)
+        rng = np.random.default_rng(20240611)
+        for _ in range(200):
+            lo = 0.0 if rng.random() < 0.1 else 10.0 ** rng.uniform(-3.0, 6.0)
+            width = math.inf if rng.random() < 0.3 else 10.0 ** rng.uniform(-4.0, 2.0)
+            hi = lo + width * (1.0 + lo)
+            log_mass, centroid = marginal.closed_form(lo, hi)
+            try:
+                got = interval_integrals(quadrature, lo, hi)
+            except ArithmeticError:
+                assert hi == math.inf, (lo, hi)
+                continue
+            assert got.log_mass == pytest.approx(log_mass, rel=1e-12, abs=1e-12), (lo, hi)
+            assert got.centroid == pytest.approx(centroid, rel=1e-12), (lo, hi)
+
+    @pytest.mark.parametrize("lo, hi", [(0.0, 1.0), (-1.0, math.inf)])
+    def test_unreachable_tolerance_raises(self, nn, lo, hi):
+        """A tolerance below rounding is never met: the subdivision stops at
+        its cap and the integral raises instead of returning."""
+        _, marginal = nn
+        with pytest.raises(ArithmeticError, match="quadrature did not converge"):
+            interval_integrals(marginal, lo, hi, rel_tol=1e-30)
+
+    def test_far_narrow_centroid_against_mpmath(self, nn):
+        """Narrow intervals 9 to 270 sd out: the GK centroid is within 1 ulp
+        of 50-digit mpmath, since its nodes are offsets from the interval's
+        end and the centroid's distance from that end keeps every digit."""
+        mpmath = pytest.importorskip("mpmath")
+        _, marginal = nn
+        rng = np.random.default_rng(20240611)
+        intervals = [(531.6939411791998, 531.7385797929055)]
+        for lo in np.linspace(20.0, 600.0, 40):
+            width = 10.0 ** rng.uniform(-3.0, -0.5) * 5.0 / lo  # 5/lo: the decay length
+            intervals.append((float(lo), float(lo + width)))
+        with mpmath.workdps(50):
+            for lo, hi in intervals:
+                _, centroid = _normal_exact(mpmath, lo, hi)
+                got = interval_integrals(marginal, lo, hi).centroid
+                assert abs(got - centroid) <= math.ulp(got), (lo, hi)
 
 
 def _normal_intervals(rng):
@@ -247,9 +287,8 @@ class TestClosedForms:
         """The hook matches 50-digit mpmath and the GK path to 1e-13: the log
         mass relative to max(1, |log mass|), the centroid relative to its
         offset from the interval end nearer 0, plus the half ulp of rounding
-        the centroid itself (four ulp against GK, whose nodes sit in absolute
-        coordinates).  Both its closed forms and, on the narrow intervals,
-        its Gauss-Legendre rule are exercised."""
+        the centroid itself (four ulp against GK).  Both its closed forms
+        and, on the narrow intervals, its Gauss-Legendre rule are exercised."""
         mpmath = pytest.importorskip("mpmath")
         _, marginal = request.getfixturevalue(pair_name)
         quadrature = dataclasses.replace(marginal, closed_form=None)
