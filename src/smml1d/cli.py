@@ -360,7 +360,7 @@ def _verify_model(cfg: RunConfig, name: str) -> list[tuple[str, bool, str]]:
             fd = length_fd(family, marginal, cuts)
             errors.append(np.abs(fd - slope) / np.abs(fd))
     except ArithmeticError:
-        errors.append(math.nan)
+        errors.append(np.full(3, math.nan))
     worst = float(np.max(errors))
     checks.append(("gradient-fd", worst < 1e-4, f"max rel err {worst:.2e}"))
 

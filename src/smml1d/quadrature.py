@@ -164,19 +164,16 @@ def _integrate(
     if hi == math.inf:
         table.append(_tail_row(marginal, ref, 1.0))
     table = np.array(table)
-    tails = lo == -math.inf or hi == math.inf
     log_ref = float(marginal.log_pdf(ref))
 
     def panels(ids, a, b):
         half = 0.5 * (b - a)
-        dx = t = ((0.5 * (a + b))[:, None] + half[:, None] * _NODES).ravel()
-        log_w = -log_ref
-        if tails:
-            _, _, sign, scale, power = table[np.repeat(ids, 15)].T
-            tail = scale > 0.0
-            log_u = np.log1p(-t)
-            dx = np.where(tail, sign * scale * np.expm1(-power * log_u), t)
-            log_w = np.where(tail, np.log(scale * power) - (power + 1.0) * log_u, 0.0) - log_ref
+        t = ((0.5 * (a + b))[:, None] + half[:, None] * _NODES).ravel()
+        _, _, sign, scale, power = table[np.repeat(ids, 15)].T
+        tail = scale > 0.0
+        log_u = np.log1p(-t)
+        dx = np.where(tail, sign * scale * np.expm1(-power * log_u), t)
+        log_w = np.where(tail, np.log(scale * power) - (power + 1.0) * log_u, 0.0) - log_ref
         f = np.exp(np.asarray(marginal.log_pdf(ref + dx), dtype=float) + log_w)
         f[~np.isfinite(f)] = 0.0
         f[~np.isfinite(dx)] = np.nan  # a tail node past the largest double

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import os
 import subprocess
@@ -427,6 +428,22 @@ class TestVerify:
         assert (code, err) == (1, "")
         lines = out.splitlines()
         assert lines[:2] == ["[normal-normal]", "  gradient-fd          FAIL  max rel err nan"]
+
+    def test_unbuildable_later_book_fails_its_check(self, capsys, monkeypatch):
+        """A gradient-fd code book that cannot be built after one that can
+        is a NaN error of the check: verify reports it and exits 1."""
+        builds = itertools.count(1)
+        build = smml1d.cli.codebook_from_cutpoints
+
+        def fail_second(*args):
+            if next(builds) == 2:
+                raise ArithmeticError("unbuildable")
+            return build(*args)
+
+        monkeypatch.setattr("smml1d.cli.codebook_from_cutpoints", fail_second)
+        code, out, _ = run_cli(["verify"], capsys)
+        assert code == 1
+        assert out.splitlines()[1] == "  gradient-fd          FAIL  max rel err nan"
 
     def test_unattainable_tolerance_names_failing_check(self, capsys, monkeypatch):
         # verify's gap bound is the solver's tolerance, imported by name

@@ -773,14 +773,28 @@ class TestMultiStart:
         np.testing.assert_allclose(reports[0].cuts, [-2.1142183340, 2.1142183340], atol=1e-9)
         assert reports[0].redundancy == pytest.approx(0.16933390209, abs=1e-10)
 
-    def test_sweep_survives_unbuildable_books(self, heavy_gk):
-        """Code books that cannot be built end runs or reject trials;
-        the sweep still returns every stage instead of raising."""
+    def test_sweep_survives_unbuildable_books(self, heavy_gk, nn, monkeypatch):
+        """Code books that cannot be built end runs or reject trials; the
+        sweep still returns every stage instead of raising.  No book of
+        heavy_gk can be built, so its stages are empty; when every third
+        build of the sd-2 normal pair fails, each stage still has minima."""
         family, marginal = heavy_gk
         with np.errstate(divide="ignore", invalid="ignore"):
-            stages = solve_sweep(family, marginal, 1, 3)
-        assert sorted(stages) == [1, 2, 3]
+            assert solve_sweep(family, marginal, 1, 3) == {1: [], 2: [], 3: []}
+
+        builds = itertools.count(1)
+        build = codebook_from_cutpoints
+
+        def flaky_build(*args):
+            if next(builds) % 3 == 0:
+                raise ArithmeticError("unbuildable")
+            return build(*args)
+
+        monkeypatch.setattr("smml1d.estimator.codebook_from_cutpoints", flaky_build)
+        stages = solve_sweep(*nn, 1, 3)
+        assert next(builds) > 3
         for reports in stages.values():
+            assert reports
             assert all(r.classification == LOCAL_MINIMUM for r in reports)
 
 
