@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 1 invalid input, 2 solver failure.  All lengths are
 reported in nats unless --bits is given.  CSV output is byte-identical for
-identical configuration; --seed only draws the random configurations of
-verify.
+identical configuration.  Each subcommand takes only the flags it reads, so
+--seed, which draws the random configurations of verify, is verify's alone.
 """
 
 from __future__ import annotations
@@ -60,18 +60,22 @@ class Option:
     commands: tuple[str, ...] | None = None
 
 
+_SOLVERS = ("solve", "sweep", "curves")
 OPTIONS = (
-    Option("model", str, "normal-normal", choices=MODELS),
+    Option("model", str, "normal-normal", choices=MODELS, commands=_SOLVERS),
     Option("alpha", float, 2.0, "prior standard deviation (normal) or shape (gamma)"),
     Option("beta", float, 1.0, "gamma prior rate"),
-    Option("seed", int, DEFAULT_SEED, "seed of verify's random configurations"),
+    Option("seed", int, DEFAULT_SEED, "seed of verify's random configurations",
+           commands=("verify",)),
     Option("out", str, None, "output path (default: stdout)"),
-    Option("format", str, "csv", choices=("csv", "text")),
-    Option("bits", bool, False, "report lengths in bits instead of nats"),
-    Option("full_cuts", bool, False, "print every cut-point, not only the non-negative ones"),
-    Option("digits", int, None, "significant digits for CSV numbers (default: full precision)"),
+    Option("format", str, "csv", choices=("csv", "text"), commands=("solve", "sweep")),
+    Option("bits", bool, False, "report lengths in bits instead of nats", commands=_SOLVERS),
+    Option("full_cuts", bool, False, "print every cut-point, not only the non-negative ones",
+           commands=("sweep",)),
+    Option("digits", int, None, "significant digits for CSV numbers (default: full precision)",
+           commands=_SOLVERS),
     Option("n", int, None, "cut-point count; for sweep, shorthand for --n-min N --n-max N",
-           commands=("solve", "sweep", "curves")),
+           commands=_SOLVERS),
     Option("n_min", int, commands=("sweep",)),
     Option("n_max", int, commands=("sweep",)),
     Option("x_min", float, None, "left end of the grid (default: the 5e-4 quantile)",
@@ -151,25 +155,21 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _add_flags(parser: _Parser, options) -> None:
-    for opt in options:
-        kind = ({"action": argparse.BooleanOptionalAction} if opt.kind is bool
-                else {"type": opt.kind, "choices": opt.choices})
-        text = opt.help
-        if opt.default is not None:
-            text = f"{text or ''} (default: {opt.default})".lstrip()
-        parser.add_argument("--" + opt.name.replace("_", "-"), dest=opt.name, help=text, **kind)
-
-
 def _build_parser() -> _Parser:
     parser = _Parser(prog="smml1d", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    common = _Parser(add_help=False)  # built once, copied into each subcommand
-    common.add_argument("--config", help="key=value config file; flags override it")
-    _add_flags(common, [opt for opt in OPTIONS if opt.commands is None])
     for command, (_, help_text) in COMMANDS.items():
-        p = sub.add_parser(command, parents=[common], help=help_text)
-        _add_flags(p, [opt for opt in OPTIONS if command in (opt.commands or ())])
+        p = sub.add_parser(command, help=help_text)
+        p.add_argument("--config", help="key=value config file; flags override it")
+        for opt in OPTIONS:
+            if opt.commands is not None and command not in opt.commands:
+                continue
+            kind = ({"action": argparse.BooleanOptionalAction} if opt.kind is bool
+                    else {"type": opt.kind, "choices": opt.choices})
+            text = opt.help
+            if opt.default is not None:
+                text = f"{text or ''} (default: {opt.default})".lstrip()
+            p.add_argument("--" + opt.name.replace("_", "-"), dest=opt.name, help=text, **kind)
     return parser
 
 

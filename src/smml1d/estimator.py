@@ -490,8 +490,6 @@ def newton_solve(family: FamilyModel, marginal: MarginalModel, initial) -> Solve
     is NaN ends at once.
     """
     a = _as_cuts(initial).as_array()
-    if not _feasible(marginal, a):
-        raise SupportError(f"initial cut-points are infeasible: {a.tolist()}")
     # a non-finite G or J is a rejected trial or a failed run, not a fault to report
     with np.errstate(all="ignore"):
         try:
@@ -597,16 +595,10 @@ def _insertion_residual(
     theta_above - theta_below - sum of r(x)/q (1 + (x - mu)^2 / v(theta))
     over the two intervals, formed as exp(log r - log q).
     """
-    if side > 0:
-        lo_edge = base[-1] if base.size else marginal.support_lo
-        inner = interval_integrals(marginal, lo_edge, x, rel_tol=_SCAN_TOL)
-        outer = interval_integrals(marginal, x, marginal.support_hi, rel_tol=_SCAN_TOL)
-        below, above = inner, outer
-    else:
-        hi_edge = base[0] if base.size else marginal.support_hi
-        inner = interval_integrals(marginal, x, hi_edge, rel_tol=_SCAN_TOL)
-        outer = interval_integrals(marginal, marginal.support_lo, x, rel_tol=_SCAN_TOL)
-        below, above = outer, inner
+    lo = base[-1] if side > 0 and base.size else marginal.support_lo
+    hi = base[0] if side < 0 and base.size else marginal.support_hi
+    below = interval_integrals(marginal, lo, x, rel_tol=_SCAN_TOL)
+    above = interval_integrals(marginal, x, hi, rel_tol=_SCAN_TOL)
     th_below = family.invert_mean(below.centroid)
     th_above = family.invert_mean(above.centroid)
 
@@ -642,29 +634,21 @@ def _outward_root(
     non-finite slope, falls back to the midpoint.  Refinement stops when the
     Newton step or the bracket is ``_ROOT_REL_WIDTH`` of the grid bracket.
     """
-
-    def oriented(x: float) -> float:
-        return side * _insertion_residual(family, marginal, base, x, side)
-
-    values: list[tuple[float, float]] = []
-    crossings = 0
+    pick = None
+    last = None  # the last candidate evaluated, with its oriented residual
     rising = 0
     for x in candidates:
         try:
-            f = oriented(x)
+            f = side * _insertion_residual(family, marginal, base, x, side)
         except (ValueError, SupportError, ArithmeticError):
             continue
-        if values and values[-1][1] <= 0.0 < f:
-            crossings += 1
-        rising = rising + 1 if f > 0.0 and (not values or f >= values[-1][1]) else 0
-        values.append((x, f))
+        if last is not None and last[1] <= 0.0 < f:
+            pick = (last[0], x)
+        rising = rising + 1 if f > 0.0 and (last is None or f >= last[1]) else 0
+        last = (x, f)
         # once past the outermost dip the oriented residual only grows
-        if crossings and rising >= 6:
+        if pick and rising >= 6:
             break
-    pick = None
-    for (x0, f0), (x1, f1) in pairwise(values):
-        if f0 <= 0.0 < f1:
-            pick = (x0, x1)
     if pick is None:
         return None
     near, far = pick

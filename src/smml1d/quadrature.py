@@ -118,7 +118,7 @@ def _decay_scale(marginal: MarginalModel, anchor: float, sign: float) -> float:
 
     s = 1.0
     if drop(s) > -1.0:
-        for _ in range(100):
+        for _ in range(500):  # 2**499 passes the guard below
             s *= 2.0
             if drop(s) <= -1.0 or s > 1e150:
                 break

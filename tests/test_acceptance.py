@@ -275,7 +275,7 @@ def test_criterion_9_monotonicity(normal_sweep6, normal_sweep16, exp_sweep5):
 
 def test_criterion_10_deterministic_csv(tmp_path):
     argv = ["sweep", "--model", "normal-normal", "--alpha", "2",
-            "--n-min", "1", "--n-max", "4", "--seed", "7"]
+            "--n-min", "1", "--n-max", "4"]
     first, second = tmp_path / "a.csv", tmp_path / "b.csv"
     rc1 = main(argv + ["--out", str(first)])
     rc2 = main(argv + ["--out", str(second)])

@@ -200,10 +200,20 @@ class TestSweep:
         bits = float(bits_out.splitlines()[1].split(",")[1])
         assert bits == pytest.approx(nats / math.log(2.0), rel=1e-12)
 
+    def test_text_layout(self, capsys):
+        """--format text right-aligns every cell of the CSV rows in 14 columns,
+        two spaces apart."""
+        code, out, err = run_cli(["sweep", "--n-min", "1", "--n-max", "2", "--format", "text",
+                                  "--digits", "6"], capsys)
+        assert (code, err) == (0, "")
+        assert out == ("             n  redundancy_nats           cut_1\n"
+                       "             1        0.296879               0\n"
+                       "             2        0.184852         1.97396\n")
+
     def test_deterministic_csv_bytes(self, tmp_path):
-        """Same config and seed twice: the files must match byte for byte."""
+        """Same config twice: the files must match byte for byte."""
         argv = ["sweep", "--model", "exponential-gamma", "--alpha", "2", "--beta", "1",
-                "--n-min", "1", "--n-max", "3", "--seed", "99"]
+                "--n-min", "1", "--n-max", "3"]
         first = tmp_path / "a.csv"
         second = tmp_path / "b.csv"
         assert main(argv + ["--out", str(first)]) == 0
@@ -239,7 +249,13 @@ class TestConfigFile:
             assert code == 1
             assert key.split()[0] in err
 
-    @pytest.mark.parametrize("line", ["format = xml", "model = foo"])
+    def test_unreadable_file_exits_1(self, tmp_path, capsys):
+        missing = tmp_path / "missing.cfg"
+        code, out, err = run_cli(["solve", "--config", str(missing), "--n", "1"], capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: config: cannot read {str(missing)!r}")
+
+    @pytest.mark.parametrize("line", ["format = xml", "model = foo", "digits 6"])
     def test_values_checked_like_flags(self, line, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(line + "\n", encoding="utf-8")
@@ -289,6 +305,17 @@ class TestOptionTable:
         assert [line.split()[0].rstrip(",") for line in listed if line.startswith("  -")] == [
             "-h", "--config", *("--" + opt.name.replace("_", "-") for opt in OPTIONS
                                 if opt.commands is None or command in opt.commands)]
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv, message", [
+        (["solve", "--n", "1", "--digits", "0"], "digits must be at least 1, got 0"),
+        (["sweep", "--n-min", "1"], "sweep needs --n or both --n-min and --n-max"),
+        (["curves", "--n", "0"], "n must be a positive integer, got 0"),
+    ], ids=["digits-0", "sweep-without-range", "curves-n-0"])
+    def test_exits_1_with_reason(self, argv, message, capsys):
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
 class TestCurves:

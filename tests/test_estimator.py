@@ -497,6 +497,8 @@ class TestNewtonSolve:
         family, marginal = nn
         with pytest.raises(ValueError):
             newton_solve(family, marginal, [1.0, 1.0])
+        with pytest.raises(SupportError):  # below the Lomax support's lower end, 0
+            newton_solve(*make_exponential_gamma(2.0, 1.0), [-1.0])
 
     def test_floor_run_ends_as_floor_outcome(self, monkeypatch):
         """The sd-1 seven-cut book with its far cut at +302.0 bottoms out at
@@ -708,6 +710,8 @@ class TestMultiStart:
         family, marginal = nn
         with pytest.raises(ValueError):
             multi_start_solve(family, marginal, 0)
+        with pytest.raises(ValueError, match="n_min <= n_max"):
+            solve_sweep(family, marginal, 3, 2)
 
     @pytest.mark.parametrize("sweep,minima", [
         ("nn_sweep16", NORMAL_MINIMA),

@@ -126,12 +126,20 @@ class TestIntervalIntegralsQuadrature(TestIntervalIntegrals):
     def eg(self, eg):
         return _without_closed_form(eg)
 
-    @pytest.mark.parametrize("alpha", [1.9, 1.5, 1.3, 1.1])
-    def test_lomax_half_line_matches_closed_form(self, alpha):
-        """(lo, inf) of a Lomax marginal by the tail map, against the closed form."""
-        _, marginal = make_exponential_gamma(alpha, 1.0)
+    @pytest.mark.parametrize("alpha, beta", [
+        *(pytest.param(alpha, 1.0, id=str(alpha)) for alpha in (1.9, 1.5, 1.3, 1.1)),
+        pytest.param(4.0, 1e100, id="4.0-beta1e100"),
+    ])
+    def test_lomax_half_line_matches_closed_form(self, alpha, beta):
+        """(lo, inf) of a Lomax marginal by the tail map, against the closed
+        form, for fixed multiples of beta and seeded random quantiles.  At
+        beta = 1e100 log r drops by one unit only some 1e100 past lo, so the
+        tail's scale is found by doubling far beyond 2**100."""
+        _, marginal = make_exponential_gamma(alpha, beta)
         quadrature = dataclasses.replace(marginal, closed_form=None)
-        for lo in (0.0, 0.935, 5.0, 100.0):
+        quantiles = np.random.default_rng(20240611).uniform(0.01, 0.99, 10)
+        for lo in [beta * x for x in (0.0, 0.935, 5.0, 100.0)] + [
+                marginal.quantile(p) for p in quantiles]:
             log_mass, centroid = marginal.closed_form(lo, math.inf)
             got = interval_integrals(quadrature, lo, math.inf)
             assert got.log_mass == pytest.approx(log_mass, rel=1e-12, abs=1e-12)
