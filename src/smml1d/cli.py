@@ -284,8 +284,8 @@ def cmd_sweep(cfg: RunConfig) -> int:
         raise UsageError(f"empty or invalid range: n_min={n_min!r}, n_max={n_max!r}")
     family, marginal = cfg.models()
     stages = solve_sweep(family, marginal, n_min, n_max)
-    if any(not reps for reps in stages.values()):
-        missing = [n for n, reps in stages.items() if not reps]
+    missing = [n for n, reps in stages.items() if not reps]
+    if missing:
         print(f"no local minimum for n in {missing}", file=sys.stderr)
         return 2
     best = {n: reps[0] for n, reps in stages.items()}

@@ -380,7 +380,9 @@ class SolveReport:
     ``message_length`` is the expected two-part length (nats) and
     ``entropy`` the one-part length.  ``continuity_gaps`` is |G| at the final
     cuts, and ``grad_norm_trace`` the gradient max-norm at the start and at
-    every accepted iterate.  Non-convergence is reported here, never raised.
+    every accepted iterate; the final norm, the iteration count, convergence,
+    the redundancy and whether the run is kept are derived from these fields.
+    Non-convergence is reported here, never raised.
     ``at_floor`` marks the other way a run can find a stationary book: it
     ended unconverged with every |G_j| within ``_FLOOR_ULPS`` ulps of the
     largest term forming G_j, so G is rounding noise there and ``_TOL`` is
@@ -394,7 +396,6 @@ class SolveReport:
     codebook: CodeBook
     message_length: float
     entropy: float
-    iterations: int
     classification: str
     continuity_gaps: tuple[float, ...]
     grad_norm_trace: tuple[float, ...]
@@ -404,6 +405,11 @@ class SolveReport:
     @property
     def cuts(self) -> tuple[float, ...]:
         return self.codebook.cuts.points
+
+    @property
+    def iterations(self) -> int:
+        """Accepted Newton steps: one per entry of the trace after the start."""
+        return len(self.grad_norm_trace) - 1
 
     @property
     def final_grad_norm(self) -> float:
@@ -448,20 +454,6 @@ def _at_floor(family: FamilyModel, codebook: CodeBook, residual: np.ndarray) -> 
     return bool(np.all(gaps <= _FLOOR_ULPS * np.spacing(terms.max(axis=0))))
 
 
-def _report(family, marginal, codebook, residual, iterations, trace, diagnostic, at_floor):
-    return SolveReport(
-        codebook=codebook,
-        message_length=message_length(family, marginal, codebook),
-        entropy=marginal_entropy(marginal),
-        iterations=iterations,
-        classification=classify_critical_point(family, marginal, codebook, trace[-1]),
-        continuity_gaps=tuple(np.abs(residual).tolist()),
-        grad_norm_trace=tuple(trace),
-        diagnostic=diagnostic,
-        at_floor=at_floor,
-    )
-
-
 def newton_solve(family: FamilyModel, marginal: MarginalModel, initial) -> SolveReport:
     """Damped Newton iteration on the stationarity map.
 
@@ -481,6 +473,9 @@ def newton_solve(family: FamilyModel, marginal: MarginalModel, initial) -> Solve
     or more halvings.
     A run that uses up ``_MAX_ITER`` unconverged says so in its diagnostic.
 
+    The run's one record is its trace of gradient max-norms: its last entry
+    is the current norm, and its length less one the iteration count.
+
     Once every |G_j| is within ``_FLOOR_ULPS`` ulps of the largest term
     forming it, the residual is rounding noise: a step there is tried once at
     full length, since halving a step aimed at noise cannot help, and a run
@@ -497,24 +492,24 @@ def newton_solve(family: FamilyModel, marginal: MarginalModel, initial) -> Solve
         except ArithmeticError as exc:
             return _unbuildable_report(marginal, a, exc)
         residual = gradient(family, marginal, codebook)
-        grad_norm = float(np.max(np.abs(residual)))
-        trace = [grad_norm]
-        iterations = 0
+        trace = [float(np.max(np.abs(residual)))]
         # a step is accepted only where the norm is finite, so only a start's G is NaN
-        diagnostic = "the start's G is NaN" if math.isnan(grad_norm) else ""
+        diagnostic = "the start's G is NaN" if math.isnan(trace[0]) else ""
 
-        while not diagnostic and grad_norm > _TOL and iterations < _MAX_ITER:
+        while not diagnostic and trace[-1] > _TOL:
+            if len(trace) > _MAX_ITER:
+                diagnostic = f"reached max_iter={_MAX_ITER} (gradient norm {trace[-1]:.3e})"
+                break
             try:
                 step = _solve_tridiagonal(jacobian(family, marginal, codebook), -residual)
             except (np.linalg.LinAlgError, ArithmeticError) as exc:
-                diagnostic = f"singular tridiagonal system at iteration {iterations}: {exc}"
+                diagnostic = f"singular tridiagonal system at iteration {len(trace) - 1}: {exc}"
                 break
             if not np.all(np.isfinite(step)):
-                diagnostic = f"non-finite Newton step at iteration {iterations}"
+                diagnostic = f"non-finite Newton step at iteration {len(trace) - 1}"
                 break
-            accepted = False
-            at_floor = _at_floor(family, codebook, residual)
-            for halvings in range(1 if at_floor else _BACKTRACK_MAX + 1):
+            trials = 1 if _at_floor(family, codebook, residual) else _BACKTRACK_MAX + 1
+            for halvings in range(trials):
                 candidate = a + 0.5**halvings * step
                 if not _feasible(marginal, candidate):
                     continue
@@ -524,42 +519,45 @@ def newton_solve(family: FamilyModel, marginal: MarginalModel, initial) -> Solve
                     continue
                 cand_res = gradient(family, marginal, cand_book)
                 cand_norm = float(np.max(np.abs(cand_res)))
-                if math.isfinite(cand_norm) and cand_norm < grad_norm:
-                    a, codebook, residual, grad_norm = candidate, cand_book, cand_res, cand_norm
-                    accepted = True
+                if math.isfinite(cand_norm) and cand_norm < trace[-1]:
                     break
-            if not accepted:
+            else:
                 diagnostic = (
-                    f"no damped step reduced the residual at iteration {iterations} "
-                    f"(gradient norm {grad_norm:.3e})"
+                    f"no damped step reduced the residual at iteration {len(trace) - 1} "
+                    f"(gradient norm {trace[-1]:.3e})"
                 )
                 break
-            iterations += 1
-            trace.append(grad_norm)
+            a, codebook, residual = candidate, cand_book, cand_res
+            trace.append(cand_norm)
             if (
-                grad_norm > _TOL
+                trace[-1] > _TOL
                 and len(trace) >= 3
                 and trace[-1] > _STALL_RATIO * trace[-2]
                 and trace[-2] > _STALL_RATIO * trace[-3]
             ):
                 diagnostic = (
-                    f"stalled at iteration {iterations}: two steps each lowered the "
+                    f"stalled at iteration {len(trace) - 1}: two steps each lowered the "
                     f"gradient norm by less than {1 - _STALL_RATIO:.0%} "
-                    f"(gradient norm {grad_norm:.3e})"
+                    f"(gradient norm {trace[-1]:.3e})"
                 )
                 break
-        else:
-            if grad_norm > _TOL:
-                diagnostic = f"reached max_iter={_MAX_ITER} (gradient norm {grad_norm:.3e})"
 
-        at_floor = grad_norm > _TOL and _at_floor(family, codebook, residual)
+        at_floor = trace[-1] > _TOL and _at_floor(family, codebook, residual)
         if at_floor:
             diagnostic = (
-                f"reached the rounding floor of G at iteration {iterations}: every |G_j| is "
-                f"within {_FLOOR_ULPS:g} ulps of its largest term (gradient norm {grad_norm:.3e})"
+                f"reached the rounding floor of G at iteration {len(trace) - 1}: every |G_j| is "
+                f"within {_FLOOR_ULPS:g} ulps of its largest term (gradient norm {trace[-1]:.3e})"
             )
-        return _report(
-            family, marginal, codebook, residual, iterations, trace, diagnostic, at_floor)
+        return SolveReport(
+            codebook=codebook,
+            message_length=message_length(family, marginal, codebook),
+            entropy=marginal_entropy(marginal),
+            classification=classify_critical_point(family, marginal, codebook, trace[-1]),
+            continuity_gaps=tuple(np.abs(residual).tolist()),
+            grad_norm_trace=tuple(trace),
+            diagnostic=diagnostic,
+            at_floor=at_floor,
+        )
 
 
 def _unbuildable_report(
@@ -570,7 +568,6 @@ def _unbuildable_report(
         codebook=CodeBook(_as_cuts(a), nan, nan, nan),
         message_length=math.nan,
         entropy=marginal_entropy(marginal),
-        iterations=0,
         classification=NOT_CRITICAL,
         continuity_gaps=nan[1:],
         grad_norm_trace=(math.nan,),
@@ -812,8 +809,6 @@ def solve_sweep(
     if not 1 <= n_min <= n_max:
         raise ValueError(f"need 1 <= n_min <= n_max, got ({n_min!r}, {n_max!r})")
     stages: dict[int, list[SolveReport]] = {}
-    parents: list[SolveReport] = []
-    grandparents: list[SolveReport] = []
     roots: dict[tuple[tuple[float, ...], int], float | None] = {}
     for stage in range(1, n_max + 1):
         if stage == 1:
@@ -822,18 +817,16 @@ def solve_sweep(
             )
             starts = [np.array([x]) for x in (root, marginal.quantile(0.5)) if x is not None]
         else:
-            starts = _insertion_starts(family, marginal, parents, grandparents, roots)
-        reports = []
-        seen: set[bytes] = set()
-        for start in starts:
-            key = start.tobytes()
-            if key in seen or not _feasible(marginal, start):
-                continue
-            seen.add(key)
-            reports.append(newton_solve(family, marginal, start))
-        stages[stage] = _dedup_sorted(reports)
-        grandparents = parents
-        parents = stages[stage]
+            starts = _insertion_starts(
+                family, marginal, stages[stage - 1], stages.get(stage - 2, []), roots
+            )
+        # equal bytes are equal starts, so a dict keeps each once, in first-seen order
+        distinct = {start.tobytes(): start for start in starts}
+        stages[stage] = _dedup_sorted([
+            newton_solve(family, marginal, start)
+            for start in distinct.values()
+            if _feasible(marginal, start)
+        ])
     return {m: stages[m] for m in range(n_min, n_max + 1)}
 
 
@@ -847,9 +840,8 @@ def multi_start_solve(family: FamilyModel, marginal: MarginalModel, n: int) -> l
     length; those are not estimators), deduplicated at 1e-6 in cut-point
     space, sorted by message length; lengths within 1e-12 are ties, ordered
     most compact first.  May be empty if no start reaches a minimum.
+    ``solve_sweep`` raises ``ValueError`` for ``n < 1``.
     """
-    if n < 1:
-        raise ValueError(f"need at least one cut-point, got n={n!r}")
     return solve_sweep(family, marginal, n, n)[n]
 
 

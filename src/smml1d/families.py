@@ -412,7 +412,10 @@ def mu_inverse_numeric(family: FamilyModel, m: float) -> float:
     Returns ``t`` with ``|mean(t) - m| <= 1e-12 * max(1, |m|)``.  Works for
     any family whose mean map is strictly increasing (variance positive);
     raises :class:`SupportError` when ``m`` falls outside the open image of
-    the mean map.
+    the mean map, and ``ArithmeticError`` ("mean inversion stalled") when
+    ``t`` lies so close to a finite end of the parameter interval that no
+    double meets the tolerance.  A code book that needs such an assertion
+    counts as unbuildable.
     """
     m = float(m)
     if not math.isfinite(m):

@@ -240,6 +240,12 @@ class TestCodeBook:
         for (lo, hi), c in zip(zip(bounds, bounds[1:]), book.centroids):
             assert lo < c < hi
 
+    def test_cut_point_vector_builds_the_same_book(self, nn):
+        family, marginal = nn
+        cuts = [-5.0, -1.0, 0.5, 9.0]
+        book = codebook_from_cutpoints(family, marginal, CutPointVector(tuple(cuts)))
+        assert book == codebook_from_cutpoints(family, marginal, cuts)
+
     def test_invalid_cuts(self, nn, eg):
         family, marginal = nn
         with pytest.raises(ValueError):
@@ -580,8 +586,9 @@ class TestNewtonSolve:
         assert report.kept == (
             (report.converged or report.at_floor) and report.classification == LOCAL_MINIMUM)
         assert report.redundancy == report.message_length - report.entropy
+        assert report.iterations == len(report.grad_norm_trace) - 1
         assert [f.name for f in dataclasses.fields(SolveReport)] == [
-            "codebook", "message_length", "entropy", "iterations", "classification",
+            "codebook", "message_length", "entropy", "classification",
             "continuity_gaps", "grad_norm_trace", "diagnostic", "at_floor"]
 
     def test_unbuildable_candidate_is_a_rejected_trial(self, nn, monkeypatch):
@@ -950,7 +957,7 @@ def _minimum(cuts, length):
     zeros = (0.0,) * (len(cuts) + 1)
     book = CodeBook(CutPointVector(tuple(cuts)), zeros, zeros, zeros)
     return SolveReport(
-        codebook=book, message_length=length, entropy=0.0, iterations=0,
+        codebook=book, message_length=length, entropy=0.0,
         classification=LOCAL_MINIMUM, continuity_gaps=zeros[1:], grad_norm_trace=(0.0,),
     )
 

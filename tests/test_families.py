@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from smml1d import (
+    FamilyModel,
     ParameterError,
     SupportError,
     differential_entropy,
@@ -175,6 +176,21 @@ class TestSharedInvariants:
             assert t == pytest.approx(family.mean_inverse(m), rel=1e-12, abs=1e-12)
 
 
+def _bounded_family(lo, hi, log_partition, mean, variance):
+    return FamilyModel(lo, hi, log_partition, np.zeros_like, mean, variance)
+
+
+_LOGIT = _bounded_family(
+    0.0, 1.0, lambda t: t * math.log(t) + (1.0 - t) * math.log1p(-t),
+    lambda t: math.log(t / (1.0 - t)), lambda t: 1.0 / (t * (1.0 - t)))
+_LOG = _bounded_family(
+    0.0, math.inf, lambda t: t * math.log(t) - t, math.log, lambda t: 1.0 / t)
+_NEG_LOG1M = _bounded_family(
+    -math.inf, 1.0, lambda t: (1.0 - t) * math.log1p(-t) - (1.0 - t),
+    lambda t: -math.log1p(-t), lambda t: 1.0 / (1.0 - t))
+_IDENTITY_01 = _bounded_family(0.0, 1.0, lambda t: 0.5 * t * t, lambda t: t, lambda t: 1.0)
+
+
 class TestMeanInverseNumeric:
     def test_identity_family(self, nn):
         family, _ = nn
@@ -190,6 +206,32 @@ class TestMeanInverseNumeric:
             mu_inverse_numeric(family, 0.0)
         with pytest.raises(SupportError):
             mu_inverse_numeric(family, -3.0)
+
+    @pytest.mark.parametrize("family, m, expected", [
+        *(pytest.param(_LOGIT, m, 1.0 / (1.0 + math.exp(-m)), id=f"logit{m:g}")
+          for m in (-30.0, -3.0, 0.0, 10.0)),
+        *(pytest.param(_LOG, m, math.exp(m), id=f"log{m:g}") for m in (-30.0, -0.9, 3.0, 30.0)),
+        *(pytest.param(_NEG_LOG1M, m, -math.expm1(-m), id=f"neglog1m{m:g}")
+          for m in (-30.0, -0.9, 3.0)),
+    ])
+    def test_finite_parameter_end(self, family, m, expected):
+        """Parameter intervals (0, 1), (0, inf) and (-inf, 1): the march
+        toward a finite end closes 90% of the gap per step."""
+        t = mu_inverse_numeric(family, m)
+        assert abs(family.mean(t) - m) <= 1e-12 * max(1.0, abs(m))
+        assert t == pytest.approx(expected, rel=1e-10)
+
+    @pytest.mark.parametrize("m", [2.0, 0.0, -1.0])
+    def test_outside_bounded_image_raises(self, m):
+        with pytest.raises(SupportError):
+            mu_inverse_numeric(_IDENTITY_01, m)
+
+    @pytest.mark.parametrize("family", [_LOGIT, _NEG_LOG1M], ids=["logit", "neglog1m"])
+    def test_unresolvable_near_parameter_end_raises(self, family):
+        """At m = 30, t lies within 1e-13 of 1, where one ulp of t moves the
+        mean by about 1e-3: no double meets the 1e-12 tolerance."""
+        with pytest.raises(ArithmeticError, match="mean inversion stalled"):
+            mu_inverse_numeric(family, 30.0)
 
     def test_huge_mean(self, eg):
         family, _ = eg

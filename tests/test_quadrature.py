@@ -166,6 +166,23 @@ class TestIntervalIntegralsQuadrature(TestIntervalIntegrals):
             assert got.log_mass == pytest.approx(log_mass, rel=1e-12, abs=1e-12), (lo, hi)
             assert got.centroid == pytest.approx(centroid, rel=1e-12), (lo, hi)
 
+    @pytest.mark.parametrize("alpha, log_mass, centroid", [
+        (1.0, math.log(5.0 / 6.0), (math.log(6.0) - 5.0 / 6.0) / (5.0 / 6.0)),
+        (0.5, math.log1p(-6.0**-0.5), (6.0**0.5 + 6.0**-0.5 - 2.0) / (1.0 - 6.0**-0.5)),
+    ])
+    def test_no_first_moment_half_line_raises(self, eg, alpha, log_mass, centroid):
+        """log r = log alpha - (alpha+1) log1p(x): a Lomax density with
+        alpha <= 1 has no first moment, so its half-lines raise, while a
+        finite interval matches the closed form."""
+        heavy = dataclasses.replace(
+            eg[1], log_pdf=lambda x: math.log(alpha) - (alpha + 1.0) * np.log1p(x))
+        for lo in (0.0, 3.0):
+            with pytest.raises(ArithmeticError):
+                interval_integrals(heavy, lo, math.inf)
+        got = interval_integrals(heavy, 0.0, 5.0)
+        assert got.log_mass == pytest.approx(log_mass, rel=1e-12)
+        assert got.centroid == pytest.approx(centroid, rel=1e-12)
+
     @pytest.mark.parametrize("lo, hi", [(0.0, 1.0), (-1.0, math.inf)])
     def test_unreachable_tolerance_raises(self, nn, lo, hi):
         """A tolerance below rounding is never met: the subdivision stops at
