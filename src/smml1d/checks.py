@@ -75,7 +75,7 @@ def log_code_jumps(family, marginal, book) -> np.ndarray:
     density`` of :func:`~smml1d.estimator.curve_samples` at the cut minus
     that at the next double below it."""
     jumps = []
-    for a in book.cuts.points:
+    for a in book.cuts:
         table = curve_samples(family, marginal, book, np.nextafter(a, -np.inf), a, 2)
         below, above = -table.two_part / table.density
         jumps.append(above - below)

@@ -31,7 +31,6 @@ masses are far below the smallest positive double.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import pairwise, repeat
@@ -46,7 +45,6 @@ __all__ = [
     "LOCAL_MINIMUM",
     "SADDLE",
     "NOT_CRITICAL",
-    "CutPointVector",
     "CodeBook",
     "Tridiagonal",
     "SolveReport",
@@ -95,76 +93,50 @@ _ROOT_REL_WIDTH = 2.0**-30
 
 
 @dataclass(frozen=True)
-class CutPointVector:
-    """Strictly increasing interval boundaries, finitely many and finite."""
-
-    points: tuple[float, ...]
-
-    def __post_init__(self):
-        pts = tuple(map(float, self.points))
-        object.__setattr__(self, "points", pts)
-        if not pts:
-            raise ValueError("need at least one cut-point")
-        if not all(map(math.isfinite, pts)):
-            raise ValueError(f"cut-points must be finite, got {pts}")
-        if not all(map(operator.lt, pts, pts[1:])):
-            raise ValueError(f"cut-points must be strictly increasing, got {pts}")
-
-    @property
-    def n(self) -> int:
-        return len(self.points)
-
-    def as_array(self) -> np.ndarray:
-        return np.array(self.points)
-
-
-def _as_cuts(cuts) -> CutPointVector:
-    if isinstance(cuts, CutPointVector):
-        return cuts
-    arr = np.atleast_1d(np.asarray(cuts, dtype=float))
-    return CutPointVector(tuple(arr.tolist()))
-
-
-@dataclass(frozen=True)
 class CodeBook:
     """Cut-points with per-interval log masses, assertions and centroids.
 
-    ``log_q`` has n+1 finite entries summing (after exponentiation) to 1;
-    ``centroids[i]`` equals ``mean(theta_hat[i])`` and lies strictly inside
-    interval i.
+    ``cuts`` is a tuple of n floats, strictly increasing inside the open
+    support; n may be 0, the book of one interval that asserts one value
+    for every datum.  ``log_q`` has n+1 finite entries summing (after
+    exponentiation) to 1; ``centroids[i]`` equals ``mean(theta_hat[i])`` and
+    lies strictly inside interval i.
     """
 
-    cuts: CutPointVector
+    cuts: tuple[float, ...]
     log_q: tuple[float, ...]
     theta_hat: tuple[float, ...]
     centroids: tuple[float, ...]
 
     @property
     def n(self) -> int:
-        return self.cuts.n
+        return len(self.cuts)
 
 
 def codebook_from_cutpoints(family: FamilyModel, marginal: MarginalModel, cuts) -> CodeBook:
     """Build the optimal code book for fixed cut-points.
 
-    Each interval's coding probability is its marginal mass and each
-    assertion is the natural parameter matching the interval's centroid.
-    Raises ``ArithmeticError`` when a log mass, assertion or centroid is not
-    finite: a mass that underflows to 0, or an assertion or centroid that
-    overflows.
+    ``cuts`` is any sequence of numbers, stored as a tuple of floats; an
+    empty one gives the one-interval book.  Each interval's coding
+    probability is its marginal mass and each assertion is the natural
+    parameter matching the interval's centroid.  Raises ``SupportError``
+    unless the cuts are strictly increasing inside the open support (so
+    finite and not NaN), and ``ArithmeticError`` when a log mass, assertion
+    or centroid is not finite: a mass that underflows to 0, or an assertion
+    or centroid that overflows.
     """
-    cuts = _as_cuts(cuts)
-    pts = cuts.points
+    cuts = tuple(map(float, cuts))
     lo, hi = marginal.support_lo, marginal.support_hi
-    if not (lo < pts[0] and pts[-1] < hi):
+    if not _feasible(marginal, cuts):
         raise SupportError(
-            f"cut-points must lie strictly inside the support ({lo!r}, {hi!r}), got {pts}"
+            f"cut-points must be strictly increasing inside the support ({lo!r}, {hi!r}), "
+            f"got {cuts}"
         )
-    bounds = (lo, *pts, hi)
+    bounds = (lo, *cuts, hi)
     log_q, centroids = zip(*map(interval_integrals, repeat(marginal), bounds[:-1], bounds[1:]))
     theta_hat = tuple(map(family.invert_mean, centroids))
     if not all(map(math.isfinite, (*log_q, *theta_hat, *centroids))):
-        raise ArithmeticError(f"a log q, assertion or centroid is not finite at cut-points {pts}")
+        raise ArithmeticError(f"a log q, assertion or centroid is not finite at cut-points {cuts}")
     return CodeBook(cuts, log_q, theta_hat, centroids)
 
 
@@ -228,7 +200,7 @@ def gradient(family: FamilyModel, marginal: MarginalModel, codebook: CodeBook) -
     j-th entry of this vector; the entries are computed entirely in the log
     domain.
     """
-    a = codebook.cuts.as_array()
+    a = np.array(codebook.cuts)
     lq, th, lp = _pieces(family, codebook)
     above = lq[1:] + a * th[1:] - lp[1:]
     below = lq[:-1] + a * th[:-1] - lp[:-1]
@@ -260,7 +232,7 @@ def jacobian(family: FamilyModel, marginal: MarginalModel, codebook: CodeBook) -
     Only bands |row - col| <= 1 are nonzero.  Density/mass ratios are formed
     as exp(log r - log q), never as quotients of possibly-underflowed values.
     """
-    a = codebook.cuts.as_array()
+    a = np.array(codebook.cuts)
     lq = np.asarray(codebook.log_q)
     th = np.asarray(codebook.theta_hat)
     mu = np.asarray(codebook.centroids)
@@ -346,6 +318,8 @@ def classify_critical_point(
     LDL^T pivots of a symmetric matrix congruent to the Hessian: by
     Sylvester's law of inertia it has as many negative pivots as negative
     eigenvalues, so the book is a minimum exactly when every pivot is > 0.
+    The zero-cut book has no pivot and no direction to descend in, so it is
+    a minimum.
     """
     if not grad_norm <= _CRITICAL_GRAD_THRESHOLD:
         return NOT_CRITICAL
@@ -354,10 +328,10 @@ def classify_critical_point(
     # cut-points.  diag(r)^(1/2) @ J @ diag(r)^(-1/2) is congruent to it, so
     # it has the same inertia (Sylvester), is symmetric at a critical point,
     # and the squares of its off-diagonal entries are max(sub*sup, 0) from
-    # J's finite off-diagonal pairs; its scale stays representable.
-    diag = J.diag.tolist()
-    pivot = diag[0]
-    for d, sub, sup in zip(diag[1:], J.sub.tolist(), J.sup.tolist()):
+    # J's finite off-diagonal pairs; its scale stays representable.  Row 0
+    # has no pair, and the infinite pivot above it leaves its entry as it is.
+    pivot = math.inf
+    for d, sub, sup in zip(J.diag.tolist(), [0.0, *J.sub.tolist()], [0.0, *J.sup.tolist()]):
         if not pivot > 0.0:
             return SADDLE
         pivot = d - max(sub * sup, 0.0) / pivot
@@ -404,7 +378,7 @@ class SolveReport:
 
     @property
     def cuts(self) -> tuple[float, ...]:
-        return self.codebook.cuts.points
+        return self.codebook.cuts
 
     @property
     def iterations(self) -> int:
@@ -433,9 +407,10 @@ class SolveReport:
         return (self.converged or self.at_floor) and self.classification == LOCAL_MINIMUM
 
 
-def _feasible(marginal: MarginalModel, a: np.ndarray) -> bool:
-    """Strictly increasing inside the open support, hence finite (NaN fails)."""
-    bounds = (marginal.support_lo, *a.tolist(), marginal.support_hi)
+def _feasible(marginal: MarginalModel, cuts: tuple[float, ...]) -> bool:
+    """Strictly increasing inside the open support, hence finite (NaN fails):
+    the one test of a valid cut vector."""
+    bounds = (marginal.support_lo, *cuts, marginal.support_hi)
     return all(lo < hi for lo, hi in pairwise(bounds))
 
 
@@ -448,7 +423,7 @@ def _at_floor(family: FamilyModel, codebook: CodeBook, residual: np.ndarray) -> 
     gaps = np.abs(residual)
     if not gaps.max() <= _CRITICAL_GRAD_THRESHOLD:
         return False
-    a = codebook.cuts.as_array()
+    a = np.array(codebook.cuts)
     lq, th, lp = _pieces(family, codebook)
     terms = np.abs([lq[1:], a * th[1:], lp[1:], lq[:-1], a * th[:-1], lp[:-1]])
     return bool(np.all(gaps <= _FLOOR_ULPS * np.spacing(terms.max(axis=0))))
@@ -482,15 +457,19 @@ def newton_solve(family: FamilyModel, marginal: MarginalModel, initial) -> Solve
     that then ends unconverged ends with ``at_floor`` set and a diagnostic
     naming the floor.  A start whose code book cannot be built gives a
     not-converged report with NaN lengths and residuals, and a start whose G
-    is NaN ends at once.
+    is NaN ends at once.  An empty start raises ``ValueError``: the
+    zero-cut book has no G to solve (build it with
+    :func:`codebook_from_cutpoints`), and an invalid one ``SupportError``.
     """
-    a = _as_cuts(initial).as_array()
+    cuts = tuple(map(float, initial))
+    if not cuts:
+        raise ValueError("need at least one cut-point")
     # a non-finite G or J is a rejected trial or a failed run, not a fault to report
     with np.errstate(all="ignore"):
         try:
-            codebook = codebook_from_cutpoints(family, marginal, a)
+            codebook = codebook_from_cutpoints(family, marginal, cuts)
         except ArithmeticError as exc:
-            return _unbuildable_report(marginal, a, exc)
+            return _unbuildable_report(marginal, cuts, exc)
         residual = gradient(family, marginal, codebook)
         trace = [float(np.max(np.abs(residual)))]
         # a step is accepted only where the norm is finite, so only a start's G is NaN
@@ -509,8 +488,9 @@ def newton_solve(family: FamilyModel, marginal: MarginalModel, initial) -> Solve
                 diagnostic = f"non-finite Newton step at iteration {len(trace) - 1}"
                 break
             trials = 1 if _at_floor(family, codebook, residual) else _BACKTRACK_MAX + 1
+            a = np.array(codebook.cuts)
             for halvings in range(trials):
-                candidate = a + 0.5**halvings * step
+                candidate = tuple((a + 0.5**halvings * step).tolist())
                 if not _feasible(marginal, candidate):
                     continue
                 try:
@@ -527,7 +507,7 @@ def newton_solve(family: FamilyModel, marginal: MarginalModel, initial) -> Solve
                     f"(gradient norm {trace[-1]:.3e})"
                 )
                 break
-            a, codebook, residual = candidate, cand_book, cand_res
+            codebook, residual = cand_book, cand_res
             trace.append(cand_norm)
             if (
                 trace[-1] > _TOL
@@ -561,11 +541,11 @@ def newton_solve(family: FamilyModel, marginal: MarginalModel, initial) -> Solve
 
 
 def _unbuildable_report(
-    marginal: MarginalModel, a: np.ndarray, exc: ArithmeticError
+    marginal: MarginalModel, cuts: tuple[float, ...], exc: ArithmeticError
 ) -> SolveReport:
-    nan = (math.nan,) * (a.size + 1)
+    nan = (math.nan,) * (len(cuts) + 1)
     return SolveReport(
-        codebook=CodeBook(_as_cuts(a), nan, nan, nan),
+        codebook=CodeBook(cuts, nan, nan, nan),
         message_length=math.nan,
         entropy=marginal_entropy(marginal),
         classification=NOT_CRITICAL,
@@ -578,7 +558,7 @@ def _unbuildable_report(
 def _insertion_residual(
     family: FamilyModel,
     marginal: MarginalModel,
-    base: np.ndarray,
+    base: tuple[float, ...],
     x: float,
     side: int,
     slope: bool = False,
@@ -592,8 +572,8 @@ def _insertion_residual(
     theta_above - theta_below - sum of r(x)/q (1 + (x - mu)^2 / v(theta))
     over the two intervals, formed as exp(log r - log q).
     """
-    lo = base[-1] if side > 0 and base.size else marginal.support_lo
-    hi = base[0] if side < 0 and base.size else marginal.support_hi
+    lo = base[-1] if side > 0 and base else marginal.support_lo
+    hi = base[0] if side < 0 and base else marginal.support_hi
     below = interval_integrals(marginal, lo, x, rel_tol=_SCAN_TOL)
     above = interval_integrals(marginal, x, hi, rel_tol=_SCAN_TOL)
     th_below = family.invert_mean(below.centroid)
@@ -615,7 +595,7 @@ def _insertion_residual(
 def _outward_root(
     family: FamilyModel,
     marginal: MarginalModel,
-    base: np.ndarray,
+    base: tuple[float, ...],
     side: int,
     candidates: Sequence[float],
 ) -> float | None:
@@ -681,13 +661,14 @@ def _first_cut_candidates(marginal: MarginalModel) -> list[float]:
     return [marginal.quantile(p) for p in levels]
 
 
-def _insertion_candidates(marginal: MarginalModel, base: np.ndarray, side: int) -> list[float]:
-    pts = base.tolist()
-    if len(pts) >= 2:
-        scale = pts[-1] - pts[-2] if side > 0 else pts[1] - pts[0]
+def _insertion_candidates(
+    marginal: MarginalModel, base: tuple[float, ...], side: int
+) -> list[float]:
+    if len(base) >= 2:
+        scale = base[-1] - base[-2] if side > 0 else base[1] - base[0]
     else:
         scale = marginal.quantile(0.75) - marginal.quantile(0.25)
-    edge = pts[-1] if side > 0 else pts[0]
+    edge = base[-1] if side > 0 else base[0]
     bound = marginal.support_hi if side > 0 else marginal.support_lo
     out: list[float] = []
     step = 0.05 * scale
@@ -706,7 +687,7 @@ def _insertion_starts(
     parents: Sequence[SolveReport],
     grandparents: Sequence[SolveReport],
     roots: dict[tuple[tuple[float, ...], int], float | None],
-) -> list[np.ndarray]:
+) -> list[tuple[float, ...]]:
     """Continuation starts: parents extended by one cut, grandparents by two.
 
     Single-side extensions track how the optima for successive n share their
@@ -726,21 +707,20 @@ def _insertion_starts(
     def root(cuts: tuple[float, ...], side: int) -> float | None:
         outer = cuts[-2:] if side > 0 else cuts[:2]
         if (outer, side) not in roots:
-            base = np.asarray(outer)
-            cands = _insertion_candidates(marginal, base, side)
-            roots[outer, side] = _outward_root(family, marginal, base, side, cands)
+            cands = _insertion_candidates(marginal, outer, side)
+            roots[outer, side] = _outward_root(family, marginal, outer, side, cands)
         return roots[outer, side]
 
-    starts: list[np.ndarray] = []
+    starts: list[tuple[float, ...]] = []
     for sol in parents[:2]:
         for side in (1, -1):
             x = root(sol.cuts, side)
             if x is not None:
-                starts.append(np.array(sorted((*sol.cuts, x))))
+                starts.append(tuple(sorted((*sol.cuts, x))))
     for sol in grandparents[:2]:
         right, left = root(sol.cuts, 1), root(sol.cuts, -1)
         if right is not None and left is not None:
-            starts.append(np.array((left, *sol.cuts, right)))
+            starts.append((left, *sol.cuts, right))
     return starts
 
 
@@ -793,8 +773,8 @@ def solve_sweep(
 
     Each stage runs Newton once per distinct start, to the fixed ``_TOL`` and
     ``_MAX_ITER`` (see :func:`newton_solve`): ``newton_solve`` is
-    deterministic, so a start equal (bit for bit) to an earlier one of the
-    stage would only repeat that run's report.
+    deterministic, so a start equal to an earlier one of the stage would only
+    repeat that run's report.
 
     Returns the deduplicated, best-first local minima for each n in
     [n_min, n_max]: the runs whose ``SolveReport.kept`` holds.  A code book
@@ -812,19 +792,16 @@ def solve_sweep(
     roots: dict[tuple[tuple[float, ...], int], float | None] = {}
     for stage in range(1, n_max + 1):
         if stage == 1:
-            root = _outward_root(
-                family, marginal, np.empty(0), 1, _first_cut_candidates(marginal)
-            )
-            starts = [np.array([x]) for x in (root, marginal.quantile(0.5)) if x is not None]
+            root = _outward_root(family, marginal, (), 1, _first_cut_candidates(marginal))
+            starts = [(x,) for x in (root, marginal.quantile(0.5)) if x is not None]
         else:
             starts = _insertion_starts(
                 family, marginal, stages[stage - 1], stages.get(stage - 2, []), roots
             )
-        # equal bytes are equal starts, so a dict keeps each once, in first-seen order
-        distinct = {start.tobytes(): start for start in starts}
+        # a dict keeps each distinct start once, in first-seen order
         stages[stage] = _dedup_sorted([
             newton_solve(family, marginal, start)
-            for start in distinct.values()
+            for start in dict.fromkeys(starts)
             if _feasible(marginal, start)
         ])
     return {m: stages[m] for m in range(n_min, n_max + 1)}
@@ -885,7 +862,7 @@ def curve_samples(
         raise ValueError(f"need at least two samples, got count={count!r}")
     x = np.linspace(x_lo, x_hi, count)
     lq, th, lp = _pieces(family, codebook)
-    idx = np.searchsorted(codebook.cuts.as_array(), x, side="right")
+    idx = np.searchsorted(np.array(codebook.cuts), x, side="right")
     with np.errstate(invalid="ignore", over="ignore"):
         log_r = np.asarray(marginal.log_pdf(x), dtype=float)
         r = np.exp(log_r)

@@ -365,8 +365,10 @@ def _normal_interval(sigma: float, lo: float, hi: float) -> tuple[float, float] 
             return None
         if hi == -lo:
             return math.log(mass), 0.0
-        # phi(a) - phi(b), factored at the end nearer the mode
-        gap = 0.5 * (hi + lo) * (hi - lo) / (sigma * sigma)   # (b^2 - a^2) / 2
+        # phi(a) - phi(b), factored at the end nearer the mode; (b^2 - a^2) / 2
+        # from the ends, unless sigma^2 overflows (sd past about 1.3e154)
+        var = sigma * sigma
+        gap = 0.5 * (hi + lo) * (hi - lo) / var if var < math.inf else 0.5 * (b + a) * (b - a)
         near = a if gap > 0.0 else b
         first = math.exp(-0.5 * near * near - 0.5 * _LOG_2PI) * -math.expm1(-abs(gap))
         return math.log(mass), math.copysign(sigma * first / mass, gap)

@@ -551,12 +551,12 @@ class TestEntryPoint:
             "make_exponential_gamma", "make_normal_normal", "mu_inverse_numeric",
             "IntervalIntegrals", "differential_entropy", "interval_integrals", "DEFAULT_SEED",
             "LOCAL_MINIMUM", "NOT_CRITICAL", "SADDLE", "CodeBook", "CurveTable",
-            "CutPointVector", "SolveReport", "Tridiagonal", "classify_critical_point",
+            "SolveReport", "Tridiagonal", "classify_critical_point",
             "codebook_from_cutpoints", "continuity_gaps", "curve_samples", "gradient",
             "jacobian", "marginal_entropy", "message_length", "multi_start_solve",
             "newton_solve", "solve_sweep", "__version__",
         }
-        assert len(smml1d.__all__) == len(names) == 31
+        assert len(smml1d.__all__) == len(names) == 30
         assert set(smml1d.__all__) == names
         for name in names:
             getattr(smml1d, name)

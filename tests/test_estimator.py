@@ -15,7 +15,6 @@ from smml1d import (
     NOT_CRITICAL,
     SADDLE,
     CodeBook,
-    CutPointVector,
     FamilyModel,
     MarginalModel,
     SolveReport,
@@ -189,19 +188,25 @@ def _random_configs(marginal, rng, count, n_range=(1, 5)):
 
 
 class TestCutPointVector:
-    def test_rejects_duplicates(self):
-        with pytest.raises(ValueError):
-            CutPointVector((1.0, 1.0))
+    """A cut vector is valid when it is strictly increasing, finite and
+    inside the support; codebook_from_cutpoints holds the one test."""
 
-    def test_rejects_unsorted(self):
-        with pytest.raises(ValueError):
-            CutPointVector((2.0, 1.0))
+    def test_rejects_duplicates(self, nn):
+        with pytest.raises(SupportError, match="strictly increasing inside the support"):
+            codebook_from_cutpoints(*nn, [1.0, 1.0])
 
-    def test_rejects_empty_and_nonfinite(self):
-        with pytest.raises(ValueError):
-            CutPointVector(())
-        with pytest.raises(ValueError):
-            CutPointVector((0.0, math.inf))
+    def test_rejects_unsorted(self, nn):
+        with pytest.raises(SupportError, match="strictly increasing inside the support"):
+            codebook_from_cutpoints(*nn, [2.0, 1.0])
+
+    def test_rejects_empty_and_nonfinite(self, nn):
+        """The empty vector is the valid zero-cut book, but Newton needs a
+        cut to move, so it rejects an empty start."""
+        with pytest.raises(ValueError, match="need at least one cut-point"):
+            newton_solve(*nn, [])
+        for cuts in ([0.0, math.inf], [-math.inf, 0.0], [math.nan], [0.0, math.nan]):
+            with pytest.raises(SupportError, match="strictly increasing inside the support"):
+                codebook_from_cutpoints(*nn, cuts)
 
 
 class TestCodeBook:
@@ -240,22 +245,65 @@ class TestCodeBook:
         for (lo, hi), c in zip(zip(bounds, bounds[1:]), book.centroids):
             assert lo < c < hi
 
-    def test_cut_point_vector_builds_the_same_book(self, nn):
+    def test_any_sequence_builds_the_same_book(self, nn):
+        """A list, a tuple or an ndarray gives one book, whose cuts are a
+        tuple of floats."""
         family, marginal = nn
         cuts = [-5.0, -1.0, 0.5, 9.0]
-        book = codebook_from_cutpoints(family, marginal, CutPointVector(tuple(cuts)))
-        assert book == codebook_from_cutpoints(family, marginal, cuts)
+        book = codebook_from_cutpoints(family, marginal, cuts)
+        assert book.cuts == tuple(cuts) and all(type(c) is float for c in book.cuts)
+        for form in (tuple(cuts), np.array(cuts)):
+            assert codebook_from_cutpoints(family, marginal, form) == book
 
     def test_invalid_cuts(self, nn, eg):
-        family, marginal = nn
-        with pytest.raises(ValueError):
-            codebook_from_cutpoints(family, marginal, [1.0, 1.0])
+        """Cuts outside the support fail the validity test (see
+        TestCutPointVector for the order and finiteness cases)."""
         family_e, marginal_e = eg
         with pytest.raises(SupportError):
             codebook_from_cutpoints(family_e, marginal_e, [-1.0, 2.0])
         for (fam, marg), cut in ((nn, 1e200), (eg, 1e-320)):  # log q or assertion is -inf
             with pytest.raises(ArithmeticError, match="is not finite at cut-points"):
                 codebook_from_cutpoints(fam, marg, [cut])
+
+
+class TestZeroCutBook:
+    """The book with no cut asserts one value for every datum; its
+    redundancy has a closed form, and its G, gaps and J are empty."""
+
+    @pytest.mark.parametrize("alpha", [0.05, 0.5, 2.0, 30.0])
+    def test_normal_redundancy(self, alpha):
+        family, marginal = make_normal_normal(alpha)
+        book = codebook_from_cutpoints(family, marginal, [])
+        expected = 0.5 * alpha**2 - 0.5 * math.log1p(alpha**2)
+        redundancy = message_length(family, marginal, book) - marginal_entropy(marginal)
+        assert redundancy == pytest.approx(expected, abs=1e-12)
+        if alpha == 0.05:
+            assert redundancy == pytest.approx(1.5599007064e-6, abs=1e-15)
+
+    @pytest.mark.parametrize("alpha,beta", [(10.0, 1.0), (2.0, 1.0), (3.0, 1e5), (1.05, 1.0)])
+    def test_lomax_redundancy(self, alpha, beta):
+        family, marginal = make_exponential_gamma(alpha, beta)
+        book = codebook_from_cutpoints(family, marginal, [])
+        expected = math.log(alpha / (alpha - 1.0)) - 1.0 / alpha
+        redundancy = message_length(family, marginal, book) - marginal_entropy(marginal)
+        assert redundancy == pytest.approx(expected, abs=1e-12)
+        if (alpha, beta) == (10.0, 1.0):
+            assert redundancy == pytest.approx(0.0053605156578, abs=1e-12)
+
+    @pytest.mark.parametrize("pair_name", ["nn", "eg"])
+    def test_empty_residuals_and_minimum(self, pair_name, request):
+        family, marginal = request.getfixturevalue(pair_name)
+        book = codebook_from_cutpoints(family, marginal, ())
+        assert book.n == 0 and book.cuts == () and book.log_q == (0.0,)
+        assert gradient(family, marginal, book).shape == (0,)
+        assert continuity_gaps(family, marginal, book).shape == (0,)
+        assert jacobian(family, marginal, book).to_dense().shape == (0, 0)
+        assert classify_critical_point(family, marginal, book, 0.0) == LOCAL_MINIMUM
+        # one interval: the code density is the family's density at the one assertion
+        table = curve_samples(family, marginal, book, 0.5, 2.0, 4)
+        t = book.theta_hat[0]
+        log_code = table.x * t - family.log_partition(t) + family.log_carrier(table.x)
+        np.testing.assert_allclose(table.two_part, -table.density * log_code, rtol=1e-13)
 
 
 class TestMessageLength:
@@ -501,7 +549,7 @@ class TestNewtonSolve:
 
     def test_infeasible_start_raises(self, nn):
         family, marginal = nn
-        with pytest.raises(ValueError):
+        with pytest.raises(SupportError):
             newton_solve(family, marginal, [1.0, 1.0])
         with pytest.raises(SupportError):  # below the Lomax support's lower end, 0
             newton_solve(*make_exponential_gamma(2.0, 1.0), [-1.0])
@@ -847,7 +895,7 @@ class TestInsertionRoot:
                              ids=["nn-right", "nn-left", "eg-right", "eg-left"])
     def test_slope_matches_central_differences(self, pair_name, base, x, side, request):
         family, marginal = request.getfixturevalue(pair_name)
-        base = np.asarray(base)
+        base = tuple(base)
 
         def residual(at):
             return estimator._insertion_residual(family, marginal, base, at, side)
@@ -868,14 +916,14 @@ class TestInsertionRoot:
         2^-30 of its grid bracket, of the 50-digit root of the same residual."""
         mpmath = pytest.importorskip("mpmath")
         family, marginal = request.getfixturevalue(pair_name)
-        base = np.asarray(base, dtype=float)
-        if base.size:
+        base = tuple(base)
+        if base:
             candidates = estimator._insertion_candidates(marginal, base, 1)
         else:
             candidates = estimator._first_cut_candidates(marginal)
         root = estimator._outward_root(family, marginal, base, 1, candidates)
         lo, hi = next((a, b) for a, b in itertools.pairwise(candidates) if a <= root <= b)
-        edge = base[-1] if base.size else marginal.support_lo
+        edge = base[-1] if base else marginal.support_lo
         if pair_name == "nn":
             exact, theta, log_partition = _normal_exact, lambda m: m, lambda t: t * t / 2
         else:
@@ -903,8 +951,8 @@ class TestInsertionRoot:
         """The scan from [low, p, q] rightwards (or [p, q, high] leftwards)
         gives the same float as from [p, q]: the premise of the memo key."""
         family, marginal = request.getfixturevalue(pair_name)
-        outer = np.array(pair)
-        full = np.array([low, *pair] if side > 0 else [*pair, high])
+        outer = tuple(pair)
+        full = (low, *pair) if side > 0 else (*pair, high)
 
         def root(base):
             cands = estimator._insertion_candidates(marginal, base, side)
@@ -921,7 +969,7 @@ def _count_sweep_work(monkeypatch, family, marginal, n_max):
     outward_root, newton_solve = estimator._outward_root, estimator.newton_solve
 
     def counted_root(family, marginal, base, side, candidates):
-        pts = tuple(base.tolist())
+        pts = tuple(np.asarray(base, dtype=float).tolist())
         scans.append((pts[-2:] if side > 0 else pts[:2], side))
         return outward_root(family, marginal, base, side, candidates)
 
@@ -955,7 +1003,7 @@ class TestSweepWork:
 def _minimum(cuts, length):
     """A converged local-minimum report carrying only cuts and length."""
     zeros = (0.0,) * (len(cuts) + 1)
-    book = CodeBook(CutPointVector(tuple(cuts)), zeros, zeros, zeros)
+    book = CodeBook(tuple(cuts), zeros, zeros, zeros)
     return SolveReport(
         codebook=book, message_length=length, entropy=0.0,
         classification=LOCAL_MINIMUM, continuity_gaps=zeros[1:], grad_norm_trace=(0.0,),

@@ -87,6 +87,19 @@ class TestNormalNormal:
             assert family.mean_inverse(v) == v
             assert family.variance(v) == 1.0
 
+    def test_straddling_centroid_at_huge_sd(self):
+        """Past a marginal sd of about 1.3e154 sigma^2 overflows; intervals
+        that straddle 0 keep finite centroids, 1e5 times those at sd 1e150
+        over the intervals scaled down by 1e5."""
+        huge = make_normal_normal(1e155)[1]
+        ref = make_normal_normal(1e150)[1]
+        for hi in (math.inf, 5e154):
+            log_mass, centroid = huge.closed_form(-3e154, hi)
+            ref_log_mass, ref_centroid = ref.closed_form(-3e149, hi / 1e5)
+            assert math.isfinite(centroid)
+            assert centroid == pytest.approx(1e5 * ref_centroid, rel=1e-14)
+            assert log_mass == pytest.approx(ref_log_mass, rel=1e-14)
+
 
 class TestExponentialGamma:
     def test_pdf_at_origin(self, eg):
