@@ -33,7 +33,6 @@ from .estimator import (
     curve_samples,
     gradient,
     jacobian,
-    multi_start_solve,
     newton_solve,
     solve_sweep,
 )
@@ -116,10 +115,11 @@ RunConfig = dataclasses.make_dataclass(
 
 
 def _read_config_file(path: str) -> dict:
-    """Parse `key = value` lines; '#' starts a comment, blank lines ignored."""
+    """Parse UTF-8 `key = value` lines, a leading byte-order mark skipped;
+    '#' starts a comment, blank lines ignored."""
     values = {}
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise UsageError(f"config: cannot read {path!r}: {exc}") from exc
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -264,7 +264,7 @@ def cmd_solve(cfg: RunConfig) -> int:
     if cfg.n is None or cfg.n < 1:
         raise UsageError(f"n must be a positive integer, got {cfg.n!r}")
     family, marginal = cfg.models()
-    reports = multi_start_solve(family, marginal, cfg.n)
+    reports = solve_sweep(family, marginal, cfg.n, cfg.n)[cfg.n]
     if not reports:
         print(f"no local minimum for n={cfg.n}", file=sys.stderr)
         return 2
@@ -316,7 +316,7 @@ def cmd_curves(cfg: RunConfig) -> int:
     x_max = marginal.quantile(1 - 5e-4) if cfg.x_max is None else cfg.x_max
     if not (math.isfinite(x_min) and math.isfinite(x_max) and x_min < x_max):
         raise UsageError(f"need finite x_min < x_max, got ({x_min!r}, {x_max!r})")
-    reports = multi_start_solve(family, marginal, cfg.n)
+    reports = solve_sweep(family, marginal, cfg.n, cfg.n)[cfg.n]
     if not reports:
         print(f"no local minimum for n={cfg.n}", file=sys.stderr)
         return 2

@@ -34,7 +34,6 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import pairwise, repeat
-from typing import Sequence
 
 import numpy as np
 
@@ -56,7 +55,6 @@ __all__ = [
     "jacobian",
     "newton_solve",
     "classify_critical_point",
-    "multi_start_solve",
     "solve_sweep",
     "continuity_gaps",
     "curve_samples",
@@ -592,32 +590,68 @@ def _insertion_residual(
     )
 
 
+def _scan_grid(marginal: MarginalModel, outer: tuple[float, ...], side: int) -> list[float]:
+    """Candidates for a new outer cut beyond the cuts `outer` on `side`,
+    ordered outward.
+
+    With no cut it is a ladder of the marginal's quantiles from level 1e-9
+    up to 1 - 1e-9, so the empty book is scanned rightwards.  Beyond a book
+    it is a geometric ladder out from the outer cut, steps growing by 1.5
+    from 5% of the gap to its neighbour (of the marginal's IQR when there is
+    none), up to 90 of them inside the support.  It reads only the outer two
+    cuts.
+    """
+    if not outer:
+        levels = (
+            [1e-9, 1e-7, 1e-5, 1e-3, 0.01]
+            + [round(0.05 * k, 2) for k in range(1, 20)]
+            + [0.99, 0.999, 1 - 1e-5, 1 - 1e-7, 1 - 1e-9]
+        )
+        return [marginal.quantile(p) for p in levels]
+    if len(outer) >= 2:
+        scale = outer[-1] - outer[-2] if side > 0 else outer[1] - outer[0]
+    else:
+        scale = marginal.quantile(0.75) - marginal.quantile(0.25)
+    edge = outer[-1] if side > 0 else outer[0]
+    bound = marginal.support_hi if side > 0 else marginal.support_lo
+    out: list[float] = []
+    step = 0.05 * scale
+    for _ in range(90):
+        x = edge + side * step
+        if not (min(edge, bound) < x < max(edge, bound)):
+            break
+        out.append(x)
+        step *= 1.5
+    return out
+
+
 def _outward_root(
     family: FamilyModel,
     marginal: MarginalModel,
-    base: tuple[float, ...],
+    outer: tuple[float, ...],
     side: int,
-    candidates: Sequence[float],
 ) -> float | None:
     """Outermost sign change of the insertion residual, refined by Newton.
 
-    `candidates` must be ordered outward (away from the existing cuts).  The
-    residual is oriented by `side` (mirror antisymmetry flips its sign on the
-    left): so oriented, it diverges to +inf against the nearest cut and grows
-    again in the far tail, dipping negative around the useful stationary
-    placements.  The outermost crossing back to positive marks the new outer
-    cut.  Its bracket on the candidate grid is refined by 1-D Newton from the
-    midpoint, safeguarded by the bracket: a step that leaves it, or a
-    non-finite slope, falls back to the midpoint.  Refinement stops when the
-    Newton step or the bracket is ``_ROOT_REL_WIDTH`` of the grid bracket.
+    The residual at a new cut beyond the cuts `outer` on `side` is scanned
+    over :func:`_scan_grid`.  Both read only the outer two cuts, so a whole
+    book gives the same root as its outer two.  The residual is oriented by
+    `side` (mirror antisymmetry flips its sign on the left): so oriented, it
+    diverges to +inf against the nearest cut and grows again in the far
+    tail, dipping negative around the useful stationary placements.  The
+    outermost crossing back to positive marks the new outer cut.  Its
+    bracket on the grid is refined by 1-D Newton from the midpoint,
+    safeguarded by the bracket: a step that leaves it, or a non-finite
+    slope, falls back to the midpoint.  Refinement stops when the Newton
+    step or the bracket is ``_ROOT_REL_WIDTH`` of the grid bracket.
     """
     pick = None
     last = None  # the last candidate evaluated, with its oriented residual
     rising = 0
-    for x in candidates:
+    for x in _scan_grid(marginal, outer, side):
         try:
-            f = side * _insertion_residual(family, marginal, base, x, side)
-        except (ValueError, SupportError, ArithmeticError):
+            f = side * _insertion_residual(family, marginal, outer, x, side)
+        except (ValueError, ArithmeticError):
             continue
         if last is not None and last[1] <= 0.0 < f:
             pick = (last[0], x)
@@ -635,8 +669,8 @@ def _outward_root(
     # Newton steps converge quadratically and need far fewer
     for _ in range(60):
         try:
-            g, slope = _insertion_residual(family, marginal, base, x, side, slope=True)
-        except (ValueError, SupportError, ArithmeticError):
+            g, slope = _insertion_residual(family, marginal, outer, x, side, slope=True)
+        except (ValueError, ArithmeticError):
             return 0.5 * (near + far)
         if side * g <= 0.0:
             near = x
@@ -650,78 +684,6 @@ def _outward_root(
             return nxt
         x = nxt
     return x
-
-
-def _first_cut_candidates(marginal: MarginalModel) -> list[float]:
-    levels = (
-        [1e-9, 1e-7, 1e-5, 1e-3, 0.01]
-        + [round(0.05 * k, 2) for k in range(1, 20)]
-        + [0.99, 0.999, 1 - 1e-5, 1 - 1e-7, 1 - 1e-9]
-    )
-    return [marginal.quantile(p) for p in levels]
-
-
-def _insertion_candidates(
-    marginal: MarginalModel, base: tuple[float, ...], side: int
-) -> list[float]:
-    if len(base) >= 2:
-        scale = base[-1] - base[-2] if side > 0 else base[1] - base[0]
-    else:
-        scale = marginal.quantile(0.75) - marginal.quantile(0.25)
-    edge = base[-1] if side > 0 else base[0]
-    bound = marginal.support_hi if side > 0 else marginal.support_lo
-    out: list[float] = []
-    step = 0.05 * scale
-    for _ in range(90):
-        x = edge + side * step
-        if not (min(edge, bound) < x < max(edge, bound)):
-            break
-        out.append(x)
-        step *= 1.5
-    return out
-
-
-def _insertion_starts(
-    family: FamilyModel,
-    marginal: MarginalModel,
-    parents: Sequence[SolveReport],
-    grandparents: Sequence[SolveReport],
-    roots: dict[tuple[tuple[float, ...], int], float | None],
-) -> list[tuple[float, ...]]:
-    """Continuation starts: parents extended by one cut, grandparents by two.
-
-    Single-side extensions track how the optima for successive n share their
-    inner cut-points; the simultaneous left+right extension covers the
-    parity-preserving growth (even n from n-2, odd from odd) seen when a new
-    outermost interval appears on both flanks at once.
-
-    A root depends only on the side, the outer cut and its neighbour: the
-    residual reads the outer cut, and the candidate grid reads it and the gap
-    to its neighbour (the marginal's IQR when there is no neighbour).  So
-    ``roots`` memoises them by (those two cuts, side).  The grandparents were
-    the previous stage's parents, so their scans are already in it, and a
-    parent that is its grandparent plus one cut shares the scan of its other
-    side with it.
-    """
-
-    def root(cuts: tuple[float, ...], side: int) -> float | None:
-        outer = cuts[-2:] if side > 0 else cuts[:2]
-        if (outer, side) not in roots:
-            cands = _insertion_candidates(marginal, outer, side)
-            roots[outer, side] = _outward_root(family, marginal, outer, side, cands)
-        return roots[outer, side]
-
-    starts: list[tuple[float, ...]] = []
-    for sol in parents[:2]:
-        for side in (1, -1):
-            x = root(sol.cuts, side)
-            if x is not None:
-                starts.append(tuple(sorted((*sol.cuts, x))))
-    for sol in grandparents[:2]:
-        right, left = root(sol.cuts, 1), root(sol.cuts, -1)
-        if right is not None and left is not None:
-            starts.append((left, *sol.cuts, right))
-    return starts
 
 
 def _dedup_sorted(reports: list[SolveReport]) -> list[SolveReport]:
@@ -758,26 +720,32 @@ def solve_sweep(
 ) -> dict[int, list[SolveReport]]:
     """Solve for every cut-point count from 1 up to ``n_max`` by continuation.
 
-    Stage 1 starts Newton from the outermost stationary placement of a
-    single cut, found by a direct scan of the scalar residual, and from the
-    median.  Each later stage starts it only from continuation starts (see
-    :func:`_insertion_starts`): the previous stage's best solutions extended
-    by one new outer cut on either side, placed at the outermost scalar
-    stationarity root (bracketed by a candidate scan and refined by
-    safeguarded Newton, see :func:`_outward_root`), and the best books two
-    stages back extended on both sides.  This follows the empirical structure of the
-    optima, whose cut-point sets nest as n grows.  A quantile start at levels
-    i/(n+1) kept no minimum of its own from stage 2 on: it lands in interior
-    saddle basins and, for far-out cuts, the quantile levels it would need
-    are not even representable in double precision.
+    This is where every start is built.  Each new outer cut goes where
+    Wallace's boundary rule G = 0 holds for it alone: at the outermost root
+    of the scalar insertion residual (see :func:`_outward_root`).  Stage 1
+    starts Newton from that root for the empty book and from the median.
+    Stage n starts it from the best two books of stage n-1 with one such cut
+    added on either side, which follows the optima's cut-point sets as they
+    nest, and from the best two of stage n-2 with one added on both sides,
+    for the parity-preserving growth where a new outermost interval appears
+    on both flanks at once.  A quantile start at levels i/(n+1) kept no
+    minimum of its own from stage 2 on: it lands in interior saddle basins
+    and, for far-out cuts, the quantile levels it would need are not even
+    representable in double precision.
 
-    Each stage runs Newton once per distinct start, to the fixed ``_TOL`` and
-    ``_MAX_ITER`` (see :func:`newton_solve`): ``newton_solve`` is
-    deterministic, so a start equal to an earlier one of the stage would only
-    repeat that run's report.
+    A root reads only the side and the book's outer two cuts, so one memo
+    keyed on them serves every stage: stage n-2's books were stage n-1's
+    parents, and a book that is its parent plus one cut shares the scan of
+    its other side with it.  Each stage runs Newton once per distinct start,
+    to the fixed ``_TOL`` and ``_MAX_ITER``; ``newton_solve`` is
+    deterministic, so an equal start would only repeat a report.
 
-    Returns the deduplicated, best-first local minima for each n in
-    [n_min, n_max]: the runs whose ``SolveReport.kept`` holds.  A code book
+    Returns, for each n in [n_min, n_max], the runs whose
+    ``SolveReport.kept`` holds: local minima only, converged or at the
+    rounding floor of G (saddles of the length are not estimators),
+    deduplicated at 1e-6 in cut-point space and sorted by length, with
+    lengths within 1e-12 tied and ordered most compact first.  So
+    ``solve_sweep(family, marginal, n, n)[n]`` solves one n.  A code book
     that cannot be built ends its run or rejects its step, so no
     ``ArithmeticError`` escapes; a stage where nothing succeeds has an empty
     list.  Deterministic.  No solver state is kept between calls.  What
@@ -788,16 +756,29 @@ def solve_sweep(
     """
     if not 1 <= n_min <= n_max:
         raise ValueError(f"need 1 <= n_min <= n_max, got ({n_min!r}, {n_max!r})")
-    stages: dict[int, list[SolveReport]] = {}
     roots: dict[tuple[tuple[float, ...], int], float | None] = {}
+
+    def root(cuts: tuple[float, ...], side: int) -> float | None:
+        outer = cuts[-2:] if side > 0 else cuts[:2]
+        if (outer, side) not in roots:
+            roots[outer, side] = _outward_root(family, marginal, outer, side)
+        return roots[outer, side]
+
+    stages: dict[int, list[SolveReport]] = {}
     for stage in range(1, n_max + 1):
         if stage == 1:
-            root = _outward_root(family, marginal, (), 1, _first_cut_candidates(marginal))
-            starts = [(x,) for x in (root, marginal.quantile(0.5)) if x is not None]
+            starts = [(x,) for x in (root((), 1), marginal.quantile(0.5)) if x is not None]
         else:
-            starts = _insertion_starts(
-                family, marginal, stages[stage - 1], stages.get(stage - 2, []), roots
-            )
+            starts = []
+            for sol in stages[stage - 1][:2]:
+                for side in (1, -1):
+                    x = root(sol.cuts, side)
+                    if x is not None:
+                        starts.append(tuple(sorted((*sol.cuts, x))))
+            for sol in stages.get(stage - 2, [])[:2]:
+                right, left = root(sol.cuts, 1), root(sol.cuts, -1)
+                if right is not None and left is not None:
+                    starts.append((left, *sol.cuts, right))
         # a dict keeps each distinct start once, in first-seen order
         stages[stage] = _dedup_sorted([
             newton_solve(family, marginal, start)
@@ -805,21 +786,6 @@ def solve_sweep(
             if _feasible(marginal, start)
         ])
     return {m: stages[m] for m in range(n_min, n_max + 1)}
-
-
-def multi_start_solve(family: FamilyModel, marginal: MarginalModel, n: int) -> list[SolveReport]:
-    """Deterministic multi-start Newton for a fixed number of cut-points.
-
-    Runs the continuation pipeline of :func:`solve_sweep` up to ``n`` (so a
-    stage past the first starts only from its continuation starts) and
-    returns the stage-``n`` solutions: local minima only, converged or at the
-    rounding floor of G (Newton happily converges to saddles of the expected
-    length; those are not estimators), deduplicated at 1e-6 in cut-point
-    space, sorted by message length; lengths within 1e-12 are ties, ordered
-    most compact first.  May be empty if no start reaches a minimum.
-    ``solve_sweep`` raises ``ValueError`` for ``n < 1``.
-    """
-    return solve_sweep(family, marginal, n, n)[n]
 
 
 @dataclass(frozen=True)

@@ -142,13 +142,16 @@ class TestSolverFailure:
         assert (proc.returncode, proc.stdout) == (2, "")
         assert proc.stderr == "no local minimum for n in [1, 2, 3]\n"
 
-    def test_arithmetic_error_exits_2(self, capsys, monkeypatch):
+    @pytest.mark.parametrize("command", ["sweep", "solve", "curves"])
+    def test_arithmetic_error_exits_2(self, command, capsys, monkeypatch):
+        """Every solving subcommand goes through ``solve_sweep``, and a solver
+        fault there exits 2 with its reason."""
         def fail(*args, **kwargs):
             raise ArithmeticError("degenerate interval mass over (0.9, inf)")
 
         monkeypatch.setattr("smml1d.cli.solve_sweep", fail)
         code, out, err = run_cli(
-            ["sweep", "--model", "normal-normal", "--alpha", "2", "--n", "2"], capsys)
+            [command, "--model", "normal-normal", "--alpha", "2", "--n", "2"], capsys)
         assert code == 2
         assert out == ""
         assert err == "error: solver failure: degenerate interval mass over (0.9, inf)\n"
@@ -248,6 +251,18 @@ class TestConfigFile:
             code, _, err = run_cli(["sweep", "--config", str(cfg), "--n", "1"], capsys)
             assert code == 1
             assert key.split()[0] in err
+
+    def test_byte_order_mark_is_skipped(self, tmp_path, capsys):
+        """A file saved with a UTF-8 byte-order mark reads like one without."""
+        runs = []
+        for encoding in ("utf-8", "utf-8-sig"):
+            cfg = tmp_path / f"{encoding}.cfg"
+            cfg.write_text("digits = 6\nn = 1\n", encoding=encoding)
+            runs.append(run_cli(["sweep", "--config", str(cfg), "--model", "exponential-gamma"],
+                                capsys))
+        assert cfg.read_bytes().startswith(b"\xef\xbb\xbfdigits")
+        assert runs[0] == runs[1]
+        assert runs[0][0] == 0 and runs[0][1].splitlines()[1].split(",")[2] == "4.49209"
 
     def test_unreadable_file_exits_1(self, tmp_path, capsys):
         missing = tmp_path / "missing.cfg"
@@ -553,10 +568,10 @@ class TestEntryPoint:
             "LOCAL_MINIMUM", "NOT_CRITICAL", "SADDLE", "CodeBook", "CurveTable",
             "SolveReport", "Tridiagonal", "classify_critical_point",
             "codebook_from_cutpoints", "continuity_gaps", "curve_samples", "gradient",
-            "jacobian", "marginal_entropy", "message_length", "multi_start_solve",
-            "newton_solve", "solve_sweep", "__version__",
+            "jacobian", "marginal_entropy", "message_length", "newton_solve", "solve_sweep",
+            "__version__",
         }
-        assert len(smml1d.__all__) == len(names) == 30
+        assert len(smml1d.__all__) == len(names) == 29
         assert set(smml1d.__all__) == names
         for name in names:
             getattr(smml1d, name)

@@ -30,7 +30,6 @@ from smml1d import (
     make_normal_normal,
     marginal_entropy,
     message_length,
-    multi_start_solve,
     newton_solve,
 )
 from smml1d import estimator
@@ -757,14 +756,14 @@ class TestMultiStart:
 
     def test_matches_single_call(self, eg):
         family, marginal = eg
-        direct = multi_start_solve(family, marginal, 2)
+        direct = solve_sweep(family, marginal, 2, 2)[2]
         assert len(direct) == 1
         np.testing.assert_allclose(direct[0].cuts, [4.42187055929, 80.5547698108], rtol=1e-9)
 
     def test_rejects_bad_n(self, nn):
         family, marginal = nn
-        with pytest.raises(ValueError):
-            multi_start_solve(family, marginal, 0)
+        with pytest.raises(ValueError, match="n_min <= n_max"):
+            solve_sweep(family, marginal, 0, 0)
         with pytest.raises(ValueError, match="n_min <= n_max"):
             solve_sweep(family, marginal, 3, 2)
 
@@ -917,11 +916,8 @@ class TestInsertionRoot:
         mpmath = pytest.importorskip("mpmath")
         family, marginal = request.getfixturevalue(pair_name)
         base = tuple(base)
-        if base:
-            candidates = estimator._insertion_candidates(marginal, base, 1)
-        else:
-            candidates = estimator._first_cut_candidates(marginal)
-        root = estimator._outward_root(family, marginal, base, 1, candidates)
+        candidates = estimator._scan_grid(marginal, base, 1)
+        root = estimator._outward_root(family, marginal, base, 1)
         lo, hi = next((a, b) for a, b in itertools.pairwise(candidates) if a <= root <= b)
         edge = base[-1] if base else marginal.support_lo
         if pair_name == "nn":
@@ -948,18 +944,24 @@ class TestInsertionRoot:
     @pytest.mark.parametrize("side", [1, -1])
     def test_root_reads_only_the_outer_two_cuts(self, pair_name, low, pair, high, side,
                                                 request):
-        """The scan from [low, p, q] rightwards (or [p, q, high] leftwards)
-        gives the same float as from [p, q]: the premise of the memo key."""
+        """The scan grid of [low, p, q] rightwards (or [p, q, high] leftwards)
+        is that of [p, q], and at each of its candidates the insertion
+        residual is the same float: the premise of the memo key."""
         family, marginal = request.getfixturevalue(pair_name)
         outer = tuple(pair)
         full = (low, *pair) if side > 0 else (*pair, high)
+        grid = estimator._scan_grid(marginal, outer, side)
+        assert grid
+        assert estimator._scan_grid(marginal, full, side) == grid
 
-        def root(base):
-            cands = estimator._insertion_candidates(marginal, base, side)
-            return estimator._outward_root(family, marginal, base, side, cands)
+        def residual(base, x):
+            try:
+                return estimator._insertion_residual(family, marginal, base, x, side)
+            except (ValueError, ArithmeticError) as exc:
+                return type(exc)
 
-        assert root(outer) is not None
-        assert root(full) == root(outer)
+        for x in grid:
+            assert residual(full, x) == residual(outer, x), x
 
 
 def _count_sweep_work(monkeypatch, family, marginal, n_max):
@@ -968,10 +970,9 @@ def _count_sweep_work(monkeypatch, family, marginal, n_max):
     scans, starts = [], []
     outward_root, newton_solve = estimator._outward_root, estimator.newton_solve
 
-    def counted_root(family, marginal, base, side, candidates):
-        pts = tuple(np.asarray(base, dtype=float).tolist())
-        scans.append((pts[-2:] if side > 0 else pts[:2], side))
-        return outward_root(family, marginal, base, side, candidates)
+    def counted_root(family, marginal, outer, side):
+        scans.append((outer, side))
+        return outward_root(family, marginal, outer, side)
 
     def counted_newton(family, marginal, initial):
         starts.append(tuple(np.asarray(initial).tolist()))
@@ -992,10 +993,14 @@ class TestSweepWork:
                                       monkeypatch, request):
         """No two scans share their outer two cuts and side, and no stage runs
         Newton twice from the same start.  Scanning every book and running
-        every start made the n<=16 normal sweep 53 scans and 78 runs."""
+        every start made the n<=16 normal sweep 53 scans and 78 runs.  Stage
+        1's scan, of the empty book, goes through the same memo, first and
+        once, and every scan is keyed on at most two cuts."""
         scans, starts = _count_sweep_work(
             monkeypatch, *request.getfixturevalue(pair_name), n_max)
         assert (len(scans), len(starts)) == (n_scans, n_runs)
+        assert scans[0] == ((), 1)
+        assert all(len(outer) <= 2 for outer, _ in scans)
         assert len(set(scans)) == len(scans)
         assert len(set(starts)) == len(starts)  # a start's length is its stage
 
