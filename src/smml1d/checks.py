@@ -20,14 +20,15 @@ from .estimator import codebook_from_cutpoints, curve_samples, gradient, message
 DEFAULT_SEED = 1729
 
 
-def separated_cuts(marginal, rng: np.random.Generator, n_min: int, n_max: int | None = None):
-    """Cuts at sorted uniform quantile levels in (0.08, 0.92), n_min..n_max
-    of them, redrawn (at most 100 times) until neighbours are more than
-    min(0.05, span/40) apart, where span is the range between those two
-    quantiles: a narrow marginal cannot fit cuts 0.05 apart."""
+def separated_cuts(marginal, rng: np.random.Generator, fewest: int, most: int | None = None):
+    """Cuts at sorted uniform quantile levels in (0.08, 0.92), fewest..most
+    of them (fewest when most is None), redrawn (at most 100 times) until
+    neighbours are more than min(0.05, span/40) apart, where span is the
+    range between those two quantiles: a narrow marginal cannot fit cuts
+    0.05 apart."""
     gap = min(0.05, _span(marginal) / 40)
     for _ in range(100):
-        n = int(rng.integers(n_min, (n_max or n_min) + 1))
+        n = int(rng.integers(fewest, (most or fewest) + 1))
         cuts = np.array([marginal.quantile(p) for p in np.sort(rng.uniform(0.08, 0.92, n))])
         if np.all(np.diff(cuts) > gap):
             return cuts
@@ -73,7 +74,9 @@ def gradient_fd(family, marginal, cuts: np.ndarray) -> np.ndarray:
 def log_code_jumps(family, marginal, book) -> np.ndarray:
     """Jump of the log two-part code density across each cut: ``-two_part /
     density`` of :func:`~smml1d.estimator.curve_samples` at the cut minus
-    that at the next double below it."""
+    that at the next double below it.  It is the oracle of
+    :func:`~smml1d.estimator.gradient`: the log carrier is continuous, so
+    |G_j| is the size of this jump."""
     jumps = []
     for a in book.cuts:
         table = curve_samples(family, marginal, book, np.nextafter(a, -np.inf), a, 2)

@@ -19,13 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .families import (
-    FamilyModel,
-    MarginalModel,
-    ParameterError,
-    make_exponential_gamma,
-    make_normal_normal,
-)
+from .families import FamilyModel, MarginalModel, make_exponential_gamma, make_normal_normal
 from .estimator import (
     _TOL,
     SolveReport,
@@ -38,7 +32,12 @@ from .estimator import (
 )
 from .checks import DEFAULT_SEED, gradient_fd, length_fd, separated_cuts
 
-MODELS = ("normal-normal", "exponential-gamma")
+# Model name -> (family, marginal) of a run's config.  Each entry looks its
+# constructor up when called, so a wrapper put on ``cli.make_*`` applies.
+MODELS = {
+    "normal-normal": lambda cfg: make_normal_normal(cfg.alpha),
+    "exponential-gamma": lambda cfg: make_exponential_gamma(cfg.alpha, cfg.beta),
+}
 
 
 class UsageError(ValueError):
@@ -61,7 +60,7 @@ class Option:
 
 _SOLVERS = ("solve", "sweep", "curves")
 OPTIONS = (
-    Option("model", str, "normal-normal", choices=MODELS, commands=_SOLVERS),
+    Option("model", str, "normal-normal", choices=tuple(MODELS), commands=_SOLVERS),
     Option("alpha", float, 2.0, "prior standard deviation (normal) or shape (gamma)"),
     Option("beta", float, 1.0, "gamma prior rate"),
     Option("seed", int, DEFAULT_SEED, "seed of verify's random configurations",
@@ -89,11 +88,7 @@ _BOOLEANS = {"true": True, "yes": True, "1": True, "false": False, "no": False, 
 
 class _RunConfigMethods:
     def models(self) -> tuple[FamilyModel, MarginalModel]:
-        if self.model == "normal-normal":
-            return make_normal_normal(self.alpha)
-        if self.model == "exponential-gamma":
-            return make_exponential_gamma(self.alpha, self.beta)
-        raise ParameterError(f"model must be one of {MODELS}, got {self.model!r}")
+        return MODELS[self.model](self)
 
     @property
     def unit(self) -> str:
@@ -174,21 +169,17 @@ def _build_parser() -> _Parser:
 
 
 def _merged_config(args: argparse.Namespace) -> RunConfig:
-    """Config-file values, overridden by the flags given."""
+    """Config-file values, overridden by the flags given.  Only --digits is
+    checked here: the model constructors check alpha and beta, and each
+    subcommand the counts it reads."""
     merged = _read_config_file(args.config) if args.config else {}
     for opt in OPTIONS:
         if getattr(args, opt.name, None) is not None:
             merged[opt.name] = getattr(args, opt.name)
     cfg = RunConfig(**merged)
-    _validate(cfg)
-    return cfg
-
-
-def _validate(cfg: RunConfig) -> None:
-    """Checks of the output options; the model constructors check alpha
-    and beta, and ``RunConfig.models`` the model name."""
     if cfg.digits is not None and cfg.digits < 1:
         raise UsageError(f"digits must be at least 1, got {cfg.digits!r}")
+    return cfg
 
 
 def _fmt_num(value: float, digits: int | None) -> str:
@@ -264,7 +255,7 @@ def cmd_solve(cfg: RunConfig) -> int:
     if cfg.n is None or cfg.n < 1:
         raise UsageError(f"n must be a positive integer, got {cfg.n!r}")
     family, marginal = cfg.models()
-    reports = solve_sweep(family, marginal, cfg.n, cfg.n)[cfg.n]
+    reports = solve_sweep(family, marginal, cfg.n)[cfg.n]
     if not reports:
         print(f"no local minimum for n={cfg.n}", file=sys.stderr)
         return 2
@@ -283,16 +274,16 @@ def cmd_sweep(cfg: RunConfig) -> int:
     if n_min < 1 or n_min > n_max:
         raise UsageError(f"empty or invalid range: n_min={n_min!r}, n_max={n_max!r}")
     family, marginal = cfg.models()
-    stages = solve_sweep(family, marginal, n_min, n_max)
-    missing = [n for n, reps in stages.items() if not reps]
+    stages = solve_sweep(family, marginal, n_max)
+    shown = range(n_min, n_max + 1)
+    missing = [n for n in shown if not stages[n]]
     if missing:
         print(f"no local minimum for n in {missing}", file=sys.stderr)
         return 2
-    best = {n: reps[0] for n, reps in stages.items()}
-    width = max(len(_shown_cuts(cfg, rep.cuts)) for rep in best.values())
+    best = [stages[n][0] for n in shown]
+    width = max(len(_shown_cuts(cfg, rep.cuts)) for rep in best)
     rows = [["n", f"redundancy_{cfg.unit}"] + [f"cut_{i+1}" for i in range(width)]]
-    for n in range(n_min, n_max + 1):
-        rep = best[n]
+    for n, rep in zip(shown, best):
         cuts = _shown_cuts(cfg, rep.cuts)
         row = [str(n), _fmt_num(rep.redundancy * cfg.scale, cfg.digits)]
         row += [_fmt_num(c, cfg.digits) for c in cuts]
@@ -316,7 +307,7 @@ def cmd_curves(cfg: RunConfig) -> int:
     x_max = marginal.quantile(1 - 5e-4) if cfg.x_max is None else cfg.x_max
     if not (math.isfinite(x_min) and math.isfinite(x_max) and x_min < x_max):
         raise UsageError(f"need finite x_min < x_max, got ({x_min!r}, {x_max!r})")
-    reports = solve_sweep(family, marginal, cfg.n, cfg.n)[cfg.n]
+    reports = solve_sweep(family, marginal, cfg.n)[cfg.n]
     if not reports:
         print(f"no local minimum for n={cfg.n}", file=sys.stderr)
         return 2
@@ -385,7 +376,7 @@ def _verify_model(cfg: RunConfig, name: str) -> list[tuple[str, bool, str]]:
     checks.append(("normalization", worst < 1e-9, f"max |sum q - 1| {worst:.2e}"))
 
     # convergence, monotonicity of the best length, continuity gaps
-    stages = solve_sweep(family, marginal, 1, 4)
+    stages = solve_sweep(family, marginal, 4)
     solved = all(bool(reps) for reps in stages.values())
     checks.append(("newton-convergence", solved,
                    "all n in 1..4 solved" if solved else "some n in 1..4 failed"))

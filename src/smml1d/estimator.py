@@ -56,7 +56,6 @@ __all__ = [
     "newton_solve",
     "classify_critical_point",
     "solve_sweep",
-    "continuity_gaps",
     "curve_samples",
 ]
 
@@ -336,15 +335,6 @@ def classify_critical_point(
     return LOCAL_MINIMUM if pivot > 0.0 else SADDLE
 
 
-def continuity_gaps(family: FamilyModel, marginal: MarginalModel, codebook: CodeBook) -> np.ndarray:
-    """|G|: the size of the jump of the log two-part code density at each cut.
-
-    The log carrier is continuous, so the jump of the log code density is
-    the jump of the bracket that :func:`gradient` differences.
-    """
-    return np.abs(gradient(family, marginal, codebook))
-
-
 @dataclass(frozen=True)
 class SolveReport:
     """Outcome of one Newton run.
@@ -455,13 +445,11 @@ def newton_solve(family: FamilyModel, marginal: MarginalModel, initial) -> Solve
     that then ends unconverged ends with ``at_floor`` set and a diagnostic
     naming the floor.  A start whose code book cannot be built gives a
     not-converged report with NaN lengths and residuals, and a start whose G
-    is NaN ends at once.  An empty start raises ``ValueError``: the
-    zero-cut book has no G to solve (build it with
-    :func:`codebook_from_cutpoints`), and an invalid one ``SupportError``.
+    is NaN ends at once.  The empty start is the zero-cut book: its G is
+    empty, so the run converges at once, after 0 iterations, to a local
+    minimum.  An invalid start raises ``SupportError``.
     """
     cuts = tuple(map(float, initial))
-    if not cuts:
-        raise ValueError("need at least one cut-point")
     # a non-finite G or J is a rejected trial or a failed run, not a fault to report
     with np.errstate(all="ignore"):
         try:
@@ -469,7 +457,7 @@ def newton_solve(family: FamilyModel, marginal: MarginalModel, initial) -> Solve
         except ArithmeticError as exc:
             return _unbuildable_report(marginal, cuts, exc)
         residual = gradient(family, marginal, codebook)
-        trace = [float(np.max(np.abs(residual)))]
+        trace = [float(np.max(np.abs(residual), initial=0.0))]
         # a step is accepted only where the norm is finite, so only a start's G is NaN
         diagnostic = "the start's G is NaN" if math.isnan(trace[0]) else ""
 
@@ -715,7 +703,6 @@ def _dedup_sorted(reports: list[SolveReport]) -> list[SolveReport]:
 def solve_sweep(
     family: FamilyModel,
     marginal: MarginalModel,
-    n_min: int,
     n_max: int,
 ) -> dict[int, list[SolveReport]]:
     """Solve for every cut-point count from 1 up to ``n_max`` by continuation.
@@ -740,22 +727,24 @@ def solve_sweep(
     to the fixed ``_TOL`` and ``_MAX_ITER``; ``newton_solve`` is
     deterministic, so an equal start would only repeat a report.
 
-    Returns, for each n in [n_min, n_max], the runs whose
+    Returns, for each n from 1 to ``n_max``, the runs whose
     ``SolveReport.kept`` holds: local minima only, converged or at the
     rounding floor of G (saddles of the length are not estimators),
     deduplicated at 1e-6 in cut-point space and sorted by length, with
-    lengths within 1e-12 tied and ordered most compact first.  So
-    ``solve_sweep(family, marginal, n, n)[n]`` solves one n.  A code book
-    that cannot be built ends its run or rejects its step, so no
-    ``ArithmeticError`` escapes; a stage where nothing succeeds has an empty
-    list.  Deterministic.  No solver state is kept between calls.  What
-    persists is ``scipy.special.erfcx``, loaded by the first Mills ratio, and
-    bounded memos of pure functions (the normal Mills-ratio terms, and the
-    entropy and carrier constant of marginals without closed forms), which
-    cannot change a result.
+    lengths within 1e-12 tied and ordered most compact first.  Stage n
+    depends only on the stages before it, never on ``n_max``, so
+    ``solve_sweep(family, marginal, n)[n]`` solves one n and a caller that
+    shows fewer stages picks them from the dict.  A code book that cannot
+    be built ends its run or rejects its step, so no ``ArithmeticError``
+    escapes; a stage where nothing succeeds has an empty list.
+    Deterministic.  No solver state is kept between calls.  What persists is
+    ``scipy.special.erfcx``, loaded by the first Mills ratio, and bounded
+    memos of pure functions (the normal Mills-ratio terms, and the entropy
+    and carrier constant of marginals without closed forms), which cannot
+    change a result.
     """
-    if not 1 <= n_min <= n_max:
-        raise ValueError(f"need 1 <= n_min <= n_max, got ({n_min!r}, {n_max!r})")
+    if not n_max >= 1:
+        raise ValueError(f"need n_max >= 1, got {n_max!r}")
     roots: dict[tuple[tuple[float, ...], int], float | None] = {}
 
     def root(cuts: tuple[float, ...], side: int) -> float | None:
@@ -785,7 +774,7 @@ def solve_sweep(
             for start in dict.fromkeys(starts)
             if _feasible(marginal, start)
         ])
-    return {m: stages[m] for m in range(n_min, n_max + 1)}
+    return stages
 
 
 @dataclass(frozen=True)

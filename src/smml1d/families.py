@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 import statistics
 from dataclasses import dataclass
-from functools import cache, lru_cache
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -74,18 +74,6 @@ _GL_W = (0.24914704581340277, 0.2334925365383548, 0.20316742672306592,
 # third of the cost of the same sums in numpy.
 _GL_RULE = tuple((0.5 * (1.0 - x), 0.5 * w) for x, w in zip(_GL_X[::-1], _GL_W[::-1])) \
     + tuple((0.5 * (1.0 + x), 0.5 * w) for x, w in zip(_GL_X, _GL_W))
-
-
-@cache
-def _normal_special() -> Callable:
-    """``scipy.special.erfcx``.
-
-    Only the normal Mills ratio uses it, so the import, about 0.14 s and
-    24 MB of resident memory, waits for the first Mills ratio.
-    """
-    from scipy.special import erfcx
-
-    return erfcx
 
 
 class ParameterError(ValueError):
@@ -290,8 +278,14 @@ def _narrow(width: float, log_ratio: Callable[[float], float]) -> tuple[float, f
 # the bounded memos answer those without erfcx or the continued fraction.
 @lru_cache(maxsize=256)
 def _mills(z: float) -> float:
-    """Mills ratio R(z) = Q(z) / phi(z) of the standard normal."""
-    return _SQRT_HALF_PI * float(_normal_special()(z / _SQRT2))
+    """Mills ratio R(z) = Q(z) / phi(z) of the standard normal.
+
+    Only this uses ``scipy.special``, so its import, about 0.14 s and 24 MB
+    of resident memory, waits for the first Mills ratio.
+    """
+    from scipy.special import erfcx
+
+    return _SQRT_HALF_PI * float(erfcx(z / _SQRT2))
 
 
 @lru_cache(maxsize=256)

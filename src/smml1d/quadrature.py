@@ -244,14 +244,22 @@ def interval_integrals(
             log_mass, centroid = exact
             return IntervalIntegrals(min(log_mass, 0.0), centroid)
     ref = min(max(marginal.mode, lo), hi)
+    # The first moment is taken of dx / unit, unit the largest power of two
+    # at most the interval's reach from ref, so its panel sums stay finite
+    # when the offsets near the largest double; dividing by a power of two
+    # is exact, so every other interval keeps its bits.
+    reach = max(abs(lo - ref), abs(hi - ref))
+    unit = math.ldexp(1.0, math.frexp(reach)[1] - 1) if math.isfinite(reach) else 1.0
     # a NaN that reaches the integrals (at a tail node past the largest double
     # or rounding to t = 1) ends in the degenerate-mass error below
     with np.errstate(all="ignore"):
-        log_ref, (mass, shift) = _integrate(marginal, lo, hi, ref, lambda dx: (1.0, dx), rel_tol)
+        log_ref, (mass, shift) = _integrate(
+            marginal, lo, hi, ref, lambda dx: (1.0, dx / unit), rel_tol)
     if not (math.isfinite(mass) and mass > 0.0):
         raise ArithmeticError(f"degenerate interval mass over ({lo!r}, {hi!r})")
     log_mass = min(log_ref + math.log(mass), 0.0)
-    return IntervalIntegrals(log_mass, ref + shift / mass)
+    # in this order: unit * shift may overflow, shift / mass * unit does not
+    return IntervalIntegrals(log_mass, ref + shift / mass * unit)
 
 
 def expectation(marginal: MarginalModel, fn: Callable[[np.ndarray], np.ndarray]) -> float:

@@ -23,5 +23,5 @@ def normal_sweep16(nn):
     """The n=1..16 sweep of `nn` and its wall time, shared by the test modules."""
     family, marginal = nn
     start = time.perf_counter()
-    stages = solve_sweep(family, marginal, 1, 16)
+    stages = solve_sweep(family, marginal, 16)
     return stages, time.perf_counter() - start

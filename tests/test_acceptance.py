@@ -19,7 +19,6 @@ import pytest
 from smml1d import (
     LOCAL_MINIMUM,
     codebook_from_cutpoints,
-    continuity_gaps,
     gradient,
     jacobian,
     newton_solve,
@@ -89,7 +88,7 @@ def _has_pos_pattern(reports, expected, tol):
 def normal_sweep6(nn):
     family, marginal = nn
     start = time.perf_counter()
-    stages = solve_sweep(family, marginal, 1, 6)
+    stages = solve_sweep(family, marginal, 6)
     return stages, time.perf_counter() - start
 
 
@@ -97,7 +96,7 @@ def normal_sweep6(nn):
 def exp_sweep5(eg):
     family, marginal = eg
     start = time.perf_counter()
-    stages = solve_sweep(family, marginal, 1, 5)
+    stages = solve_sweep(family, marginal, 5)
     return stages, time.perf_counter() - start
 
 
@@ -256,7 +255,7 @@ def test_criterion_8_continuity(nn, eg, normal_sweep6, normal_sweep16, exp_sweep
     for (family, marginal), seed in ((nn, 31), (eg, 37)):
         for cuts in _random_configs(marginal, seed, 10):
             book = codebook_from_cutpoints(family, marginal, cuts)
-            gaps = continuity_gaps(family, marginal, book)
+            gaps = np.abs(gradient(family, marginal, book))
             dev = np.max(np.abs(gaps - np.abs(log_code_jumps(family, marginal, book))))
             worst_dev = max(worst_dev, dev)
     ok = worst_gap <= 1e-10 and worst_dev <= 1e-12

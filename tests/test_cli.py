@@ -471,21 +471,28 @@ class TestVerify:
         lines = out.splitlines()
         assert lines[:2] == ["[normal-normal]", "  gradient-fd          FAIL  max rel err nan"]
 
-    def test_unbuildable_later_book_fails_its_check(self, capsys, monkeypatch):
-        """A gradient-fd code book that cannot be built after one that can
-        is a NaN error of the check: verify reports it and exits 1."""
+    @pytest.mark.parametrize("call,line", [
+        (2, "  gradient-fd          FAIL  max rel err nan"),
+        (4, "  jacobian-fd          FAIL  max rel err nan"),
+        (5, "  normalization        FAIL  max |sum q - 1| nan"),
+    ], ids=["gradient-fd", "jacobian-fd", "normalization"])
+    def test_unbuildable_later_book_fails_its_check(self, call, line, capsys, monkeypatch):
+        """A code book that cannot be built after one that can is a NaN
+        error of the check that builds it: verify's calls 1-3 build the
+        gradient-fd books, call 4 the jacobian-fd book and call 5 the first
+        normalization book.  Verify reports the failure and exits 1."""
         builds = itertools.count(1)
         build = smml1d.cli.codebook_from_cutpoints
 
-        def fail_second(*args):
-            if next(builds) == 2:
+        def fail_one(*args):
+            if next(builds) == call:
                 raise ArithmeticError("unbuildable")
             return build(*args)
 
-        monkeypatch.setattr("smml1d.cli.codebook_from_cutpoints", fail_second)
+        monkeypatch.setattr("smml1d.cli.codebook_from_cutpoints", fail_one)
         code, out, _ = run_cli(["verify"], capsys)
         assert code == 1
-        assert out.splitlines()[1] == "  gradient-fd          FAIL  max rel err nan"
+        assert line in out.splitlines()[1:4]
 
     def test_unattainable_tolerance_names_failing_check(self, capsys, monkeypatch):
         # verify's gap bound is the solver's tolerance, imported by name
@@ -567,11 +574,11 @@ class TestEntryPoint:
             "IntervalIntegrals", "differential_entropy", "interval_integrals", "DEFAULT_SEED",
             "LOCAL_MINIMUM", "NOT_CRITICAL", "SADDLE", "CodeBook", "CurveTable",
             "SolveReport", "Tridiagonal", "classify_critical_point",
-            "codebook_from_cutpoints", "continuity_gaps", "curve_samples", "gradient",
+            "codebook_from_cutpoints", "curve_samples", "gradient",
             "jacobian", "marginal_entropy", "message_length", "newton_solve", "solve_sweep",
             "__version__",
         }
-        assert len(smml1d.__all__) == len(names) == 29
+        assert len(smml1d.__all__) == len(names) == 28
         assert set(smml1d.__all__) == names
         for name in names:
             getattr(smml1d, name)

@@ -22,7 +22,6 @@ from smml1d import (
     Tridiagonal,
     classify_critical_point,
     codebook_from_cutpoints,
-    continuity_gaps,
     curve_samples,
     gradient,
     jacobian,
@@ -119,13 +118,13 @@ ALPHA10_MINIMA = {n: [red] for n, red in enumerate([
 @pytest.fixture(scope="module")
 def nn_sweep6(nn):
     family, marginal = nn
-    return solve_sweep(family, marginal, 1, 6)
+    return solve_sweep(family, marginal, 6)
 
 
 @pytest.fixture(scope="module")
 def eg_sweep5(eg):
     family, marginal = eg
-    return solve_sweep(family, marginal, 1, 5)
+    return solve_sweep(family, marginal, 5)
 
 
 @pytest.fixture(scope="module")
@@ -136,31 +135,31 @@ def nn_sweep16(normal_sweep16):
 @pytest.fixture(scope="module")
 def nn_alpha1_sweep8():
     family, marginal = make_normal_normal(1.0)
-    return solve_sweep(family, marginal, 1, 8)
+    return solve_sweep(family, marginal, 8)
 
 
 @pytest.fixture(scope="module")
 def nn_alpha3_sweep8():
     family, marginal = make_normal_normal(3.0)
-    return solve_sweep(family, marginal, 1, 8)
+    return solve_sweep(family, marginal, 8)
 
 
 @pytest.fixture(scope="module")
 def nn_sweep30(nn):
     family, marginal = nn
-    return solve_sweep(family, marginal, 1, 30)
+    return solve_sweep(family, marginal, 30)
 
 
 @pytest.fixture(scope="module")
 def nn_alpha05_sweep8():
     family, marginal = make_normal_normal(0.5)
-    return solve_sweep(family, marginal, 1, 8)
+    return solve_sweep(family, marginal, 8)
 
 
 @pytest.fixture(scope="module")
 def nn_alpha10_sweep40():
     family, marginal = make_normal_normal(10.0)
-    return solve_sweep(family, marginal, 1, 40)
+    return solve_sweep(family, marginal, 40)
 
 
 @pytest.fixture
@@ -199,10 +198,15 @@ class TestCutPointVector:
             codebook_from_cutpoints(*nn, [2.0, 1.0])
 
     def test_rejects_empty_and_nonfinite(self, nn):
-        """The empty vector is the valid zero-cut book, but Newton needs a
-        cut to move, so it rejects an empty start."""
-        with pytest.raises(ValueError, match="need at least one cut-point"):
-            newton_solve(*nn, [])
+        """The empty vector is the valid zero-cut book: Newton starts from it
+        and returns it at once as a converged, kept minimum, with the
+        redundancy 1/2 alpha^2 - 1/2 log1p(alpha^2) at alpha = 2."""
+        rep = newton_solve(*nn, [])
+        assert rep.cuts == () and rep.continuity_gaps == () and rep.grad_norm_trace == (0.0,)
+        assert (rep.iterations, rep.converged, rep.kept, rep.diagnostic) == (0, True, True, "")
+        assert rep.classification == LOCAL_MINIMUM
+        assert rep.redundancy == pytest.approx(2.0 - 0.5 * math.log1p(4.0), abs=1e-12)
+        assert rep.redundancy == pytest.approx(1.1952810437829, abs=1e-12)
         for cuts in ([0.0, math.inf], [-math.inf, 0.0], [math.nan], [0.0, math.nan]):
             with pytest.raises(SupportError, match="strictly increasing inside the support"):
                 codebook_from_cutpoints(*nn, cuts)
@@ -295,7 +299,6 @@ class TestZeroCutBook:
         book = codebook_from_cutpoints(family, marginal, ())
         assert book.n == 0 and book.cuts == () and book.log_q == (0.0,)
         assert gradient(family, marginal, book).shape == (0,)
-        assert continuity_gaps(family, marginal, book).shape == (0,)
         assert jacobian(family, marginal, book).to_dense().shape == (0, 0)
         assert classify_critical_point(family, marginal, book, 0.0) == LOCAL_MINIMUM
         # one interval: the code density is the family's density at the one assertion
@@ -747,7 +750,7 @@ class TestMultiStart:
         """The Lomax problem is invariant under its scale beta: every stage
         keeps its one minimum, with the beta=1 redundancy and cuts scaled by
         beta."""
-        stages = solve_sweep(*make_exponential_gamma(2.0, beta), 1, 5)
+        stages = solve_sweep(*make_exponential_gamma(2.0, beta), 5)
         for n, reports in stages.items():
             assert len(reports) == 1, f"n={n}"
             want = eg_sweep5[n][0]
@@ -756,16 +759,15 @@ class TestMultiStart:
 
     def test_matches_single_call(self, eg):
         family, marginal = eg
-        direct = solve_sweep(family, marginal, 2, 2)[2]
+        direct = solve_sweep(family, marginal, 2)[2]
         assert len(direct) == 1
         np.testing.assert_allclose(direct[0].cuts, [4.42187055929, 80.5547698108], rtol=1e-9)
 
     def test_rejects_bad_n(self, nn):
         family, marginal = nn
-        with pytest.raises(ValueError, match="n_min <= n_max"):
-            solve_sweep(family, marginal, 0, 0)
-        with pytest.raises(ValueError, match="n_min <= n_max"):
-            solve_sweep(family, marginal, 3, 2)
+        for n_max in (0, -3):
+            with pytest.raises(ValueError, match="need n_max >= 1"):
+                solve_sweep(family, marginal, n_max)
 
     @pytest.mark.parametrize("sweep,minima", [
         ("nn_sweep16", NORMAL_MINIMA),
@@ -790,7 +792,7 @@ class TestMultiStart:
         """With the closed forms stripped, GK alone reaches the same best
         redundancies."""
         family, marginal = nn
-        stages = solve_sweep(family, dataclasses.replace(marginal, closed_form=None), 1, 6)
+        stages = solve_sweep(family, dataclasses.replace(marginal, closed_form=None), 6)
         for n in range(1, 7):
             assert stages[n][0].redundancy == pytest.approx(nn_sweep6[n][0].redundancy, abs=1e-12)
 
@@ -817,7 +819,7 @@ class TestMultiStart:
             prior_params=(2.0,),
             name="user-normal",
         )
-        stages = solve_sweep(family, marginal, 1, 3)
+        stages = solve_sweep(family, marginal, 3)
         for n in range(1, 4):
             assert stages[n][0].redundancy == pytest.approx(nn_sweep6[n][0].redundancy, abs=1e-9)
 
@@ -826,7 +828,7 @@ class TestMultiStart:
         "its mirror, stall at |G| = 5.7e-2, so every stage from n=2 is empty"))
     def test_alpha15_two_cut_minimum(self):
         """The symmetric two-cut minimum, which Newton from (-2, 2) reaches."""
-        reports = solve_sweep(*make_normal_normal(1.5), 2, 2)[2]
+        reports = solve_sweep(*make_normal_normal(1.5), 2)[2]
         assert reports, "no two-cut minimum"
         np.testing.assert_allclose(reports[0].cuts, [-2.1142183340, 2.1142183340], atol=1e-9)
         assert reports[0].redundancy == pytest.approx(0.16933390209, abs=1e-10)
@@ -838,7 +840,7 @@ class TestMultiStart:
         build of the sd-2 normal pair fails, each stage still has minima."""
         family, marginal = heavy_gk
         with np.errstate(divide="ignore", invalid="ignore"):
-            assert solve_sweep(family, marginal, 1, 3) == {1: [], 2: [], 3: []}
+            assert solve_sweep(family, marginal, 3) == {1: [], 2: [], 3: []}
 
         builds = itertools.count(1)
         build = codebook_from_cutpoints
@@ -849,7 +851,7 @@ class TestMultiStart:
             return build(*args)
 
         monkeypatch.setattr("smml1d.estimator.codebook_from_cutpoints", flaky_build)
-        stages = solve_sweep(*nn, 1, 3)
+        stages = solve_sweep(*nn, 3)
         assert next(builds) > 3
         for reports in stages.values():
             assert reports
@@ -870,7 +872,7 @@ class TestSweepProperties:
         """Any admissible prior: the n<=3 sweep does not raise, every kept
         book's masses sum to 1, and the best length does not grow with n
         beyond the sweep's own tie threshold."""
-        stages = solve_sweep(*pair, 1, 3)
+        stages = solve_sweep(*pair, 3)
         for reports in stages.values():
             for r in reports:
                 assert math.fsum(map(math.exp, r.codebook.log_q)) == pytest.approx(1.0, abs=1e-9)
@@ -980,7 +982,7 @@ def _count_sweep_work(monkeypatch, family, marginal, n_max):
 
     monkeypatch.setattr(estimator, "_outward_root", counted_root)
     monkeypatch.setattr(estimator, "newton_solve", counted_newton)
-    solve_sweep(family, marginal, 1, n_max)
+    solve_sweep(family, marginal, n_max)
     return scans, starts
 
 
@@ -1062,14 +1064,14 @@ class TestContinuityGaps:
         rng = np.random.default_rng(23)
         for cuts in _random_configs(marginal, rng, 5):
             book = codebook_from_cutpoints(family, marginal, cuts)
-            gaps = continuity_gaps(family, marginal, book)
+            gaps = np.abs(gradient(family, marginal, book))
             np.testing.assert_allclose(
                 gaps, np.abs(log_code_jumps(family, marginal, book)), atol=1e-12)
 
     def test_zero_at_symmetric_cut(self, nn):
         family, marginal = nn
         book = codebook_from_cutpoints(family, marginal, [0.0])
-        assert continuity_gaps(family, marginal, book)[0] == 0.0
+        assert gradient(family, marginal, book)[0] == 0.0
 
     def test_small_at_converged_solutions(self, nn_sweep6):
         for reports in nn_sweep6.values():

@@ -145,6 +145,19 @@ class TestIntervalIntegralsQuadrature(TestIntervalIntegrals):
             assert got.log_mass == pytest.approx(log_mass, rel=1e-12, abs=1e-12)
             assert got.centroid == pytest.approx(centroid, rel=1e-12)
 
+    @pytest.mark.parametrize("alpha", [1e155, 1e300])
+    def test_straddling_centroid_at_huge_sd(self, alpha):
+        """An interval that straddles 0 at a normal prior sd past 1e154 has
+        offsets whose first-moment panel sums overflow unless scaled; the GK
+        centroid then matches the closed form instead of being NaN."""
+        _, marginal = make_normal_normal(alpha)
+        quadrature = dataclasses.replace(marginal, closed_form=None)
+        lo, hi = -0.3 * alpha, 0.5 * alpha
+        log_mass, centroid = marginal.closed_form(lo, hi)
+        got = interval_integrals(quadrature, lo, hi)
+        assert got.log_mass == pytest.approx(log_mass, abs=1e-13)
+        assert got.centroid == pytest.approx(centroid, rel=1e-13)
+
     @pytest.mark.parametrize("alpha", [1.02, 1.05])
     def test_heavy_lomax_matches_or_raises(self, alpha):
         """Random intervals of a Lomax marginal whose mean barely exists: each
