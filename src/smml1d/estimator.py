@@ -91,19 +91,22 @@ _ROOT_REL_WIDTH = 2.0**-30
 
 @dataclass(frozen=True)
 class CodeBook:
-    """Cut-points with per-interval log masses, assertions and centroids.
+    """Cut-points and per-interval log masses, assertions, centroids, log partitions.
 
     ``cuts`` is a tuple of n floats, strictly increasing inside the open
     support; n may be 0, the book of one interval that asserts one value
     for every datum.  ``log_q`` has n+1 finite entries summing (after
     exponentiation) to 1; ``centroids[i]`` equals ``mean(theta_hat[i])`` and
-    lies strictly inside interval i.
+    lies strictly inside interval i.  ``log_partition[i]`` is the family's
+    ``log_partition(theta_hat[i])``, so the log code density on interval i is
+    ``log_q[i] + x * theta_hat[i] - log_partition[i]`` plus the log carrier.
     """
 
     cuts: tuple[float, ...]
     log_q: tuple[float, ...]
     theta_hat: tuple[float, ...]
     centroids: tuple[float, ...]
+    log_partition: tuple[float, ...]
 
     @property
     def n(self) -> int:
@@ -134,7 +137,7 @@ def codebook_from_cutpoints(family: FamilyModel, marginal: MarginalModel, cuts) 
     theta_hat = tuple(map(family.invert_mean, centroids))
     if not all(map(math.isfinite, (*log_q, *theta_hat, *centroids))):
         raise ArithmeticError(f"a log q, assertion or centroid is not finite at cut-points {cuts}")
-    return CodeBook(cuts, log_q, theta_hat, centroids)
+    return CodeBook(cuts, log_q, theta_hat, centroids, tuple(map(family.log_partition, theta_hat)))
 
 
 def _carrier_constant(family: FamilyModel, marginal: MarginalModel) -> float:
@@ -175,19 +178,11 @@ def message_length(family: FamilyModel, marginal: MarginalModel, codebook: CodeB
     is unaffected.
     """
     total = _carrier_constant(family, marginal)
-    for lq, th in zip(codebook.log_q, codebook.theta_hat):
+    for lq, th, lp in zip(codebook.log_q, codebook.theta_hat, codebook.log_partition):
         q = math.exp(lq)
         if q > 0.0:
-            total -= q * (lq + th * family.mean(th) - family.log_partition(th))
+            total -= q * (lq + th * family.mean(th) - lp)
     return total
-
-
-def _pieces(family: FamilyModel, codebook: CodeBook) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-interval log q, assertion and log partition: the log code density
-    on interval i is ``log_q[i] + x * theta_hat[i] - log_partition(theta_hat[i])``
-    plus the log carrier."""
-    lp = np.array([family.log_partition(t) for t in codebook.theta_hat])
-    return np.asarray(codebook.log_q), np.asarray(codebook.theta_hat), lp
 
 
 def gradient(family: FamilyModel, marginal: MarginalModel, codebook: CodeBook) -> np.ndarray:
@@ -198,7 +193,7 @@ def gradient(family: FamilyModel, marginal: MarginalModel, codebook: CodeBook) -
     domain.
     """
     a = np.array(codebook.cuts)
-    lq, th, lp = _pieces(family, codebook)
+    lq, th, lp = np.array([codebook.log_q, codebook.theta_hat, codebook.log_partition])
     above = lq[1:] + a * th[1:] - lp[1:]
     below = lq[:-1] + a * th[:-1] - lp[:-1]
     return above - below
@@ -402,7 +397,7 @@ def _feasible(marginal: MarginalModel, cuts: tuple[float, ...]) -> bool:
     return all(lo < hi for lo, hi in pairwise(bounds))
 
 
-def _at_floor(family: FamilyModel, codebook: CodeBook, residual: np.ndarray) -> bool:
+def _at_floor(codebook: CodeBook, residual: np.ndarray) -> bool:
     """Every |G_j| lies within ``_FLOOR_ULPS`` ulps of the largest term of G_j.
 
     Only near-critical books are checked: a local minimum has to pass the
@@ -412,7 +407,7 @@ def _at_floor(family: FamilyModel, codebook: CodeBook, residual: np.ndarray) -> 
     if not gaps.max() <= _CRITICAL_GRAD_THRESHOLD:
         return False
     a = np.array(codebook.cuts)
-    lq, th, lp = _pieces(family, codebook)
+    lq, th, lp = np.array([codebook.log_q, codebook.theta_hat, codebook.log_partition])
     terms = np.abs([lq[1:], a * th[1:], lp[1:], lq[:-1], a * th[:-1], lp[:-1]])
     return bool(np.all(gaps <= _FLOOR_ULPS * np.spacing(terms.max(axis=0))))
 
@@ -423,10 +418,11 @@ def newton_solve(family: FamilyModel, marginal: MarginalModel, initial) -> Solve
     The run stops converged once the max-norm of G is at most ``_TOL``
     (1e-12), and unconverged after ``_MAX_ITER`` (200) accepted steps.
     Each step solves the tridiagonal system J d = -G directly; the step is
-    then halved until the candidate stays strictly ordered inside the support
-    and strictly lowers the gradient max-norm.  A candidate whose code book
-    cannot be built (an interval integral raises ``ArithmeticError``) is
-    rejected like one that does not lower the norm.  Three faults end the run
+    then halved until the candidate's code book builds and strictly lowers
+    the gradient max-norm.  One rule rejects a candidate whose book cannot
+    be built, whether its cuts leave the strict order inside the support or
+    an interval integral raises ``ArithmeticError``: it counts as a trial
+    that does not lower the norm.  Three faults end the run
     early with ``converged=False`` and a diagnostic message: a singular
     system or non-finite step (a Jacobian entry that raises
     ``ArithmeticError`` counts as singular), a back-tracking loop that
@@ -473,10 +469,11 @@ def newton_solve(family: FamilyModel, marginal: MarginalModel, initial) -> Solve
             if not np.all(np.isfinite(step)):
                 diagnostic = f"non-finite Newton step at iteration {len(trace) - 1}"
                 break
-            trials = 1 if _at_floor(family, codebook, residual) else _BACKTRACK_MAX + 1
+            trials = 1 if _at_floor(codebook, residual) else _BACKTRACK_MAX + 1
             a = np.array(codebook.cuts)
             for halvings in range(trials):
                 candidate = tuple((a + 0.5**halvings * step).tolist())
+                # only valid cuts are built: each build is a start, a step or a normed trial
                 if not _feasible(marginal, candidate):
                     continue
                 try:
@@ -508,7 +505,7 @@ def newton_solve(family: FamilyModel, marginal: MarginalModel, initial) -> Solve
                 )
                 break
 
-        at_floor = trace[-1] > _TOL and _at_floor(family, codebook, residual)
+        at_floor = trace[-1] > _TOL and _at_floor(codebook, residual)
         if at_floor:
             diagnostic = (
                 f"reached the rounding floor of G at iteration {len(trace) - 1}: every |G_j| is "
@@ -531,7 +528,7 @@ def _unbuildable_report(
 ) -> SolveReport:
     nan = (math.nan,) * (len(cuts) + 1)
     return SolveReport(
-        codebook=CodeBook(cuts, nan, nan, nan),
+        codebook=CodeBook(cuts, nan, nan, nan, nan),
         message_length=math.nan,
         entropy=marginal_entropy(marginal),
         classification=NOT_CRITICAL,
@@ -688,12 +685,12 @@ def _dedup_sorted(reports: list[SolveReport]) -> list[SolveReport]:
     while len(ordered) < len(kept):
         top = kept[len(ordered)].message_length + _LENGTH_TIE
         ties = [r for r in kept[len(ordered):] if r.message_length <= top]
-        ordered += sorted(ties, key=lambda r: (max(map(abs, r.cuts)), r.cuts))
+        ordered += sorted(ties, key=lambda r: (max(map(abs, r.cuts), default=0.0), r.cuts))
     deduped: list[SolveReport] = []
     for report in ordered:
         a = np.asarray(report.cuts)
         if all(
-            np.max(np.abs(a - np.asarray(other.cuts))) > _DEDUP_TOL
+            np.max(np.abs(a - np.asarray(other.cuts)), initial=0.0) > _DEDUP_TOL
             for other in deduped
         ):
             deduped.append(report)
@@ -816,7 +813,7 @@ def curve_samples(
     if count < 2:
         raise ValueError(f"need at least two samples, got count={count!r}")
     x = np.linspace(x_lo, x_hi, count)
-    lq, th, lp = _pieces(family, codebook)
+    lq, th, lp = np.array([codebook.log_q, codebook.theta_hat, codebook.log_partition])
     idx = np.searchsorted(np.array(codebook.cuts), x, side="right")
     with np.errstate(invalid="ignore", over="ignore"):
         log_r = np.asarray(marginal.log_pdf(x), dtype=float)

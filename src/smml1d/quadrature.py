@@ -32,6 +32,11 @@ underflows.  A node past the largest double (or one that rounds to t = 1)
 makes the integrand NaN, so a tail that needs x there fails instead of
 losing its far part.  The centroid is ``c`` plus the mean offset, so a far
 narrow interval keeps every digit of the centroid's distance from its end.
+Its first moment is taken of dx / unit, one unit per integral chosen in the
+kernel: the largest power of two at most the largest of the finite ends'
+distances from ``c`` and the tail scales.  So its panel sums stay finite
+when the offsets near the largest double, and as dividing by a power of two
+is exact, an interval of ordinary reach keeps its bits.
 
 The rule is a 15-point Gauss-Kronrod scheme with batched adaptive bisection:
 every round evaluates the panels of all pieces in one ``log_pdf`` call, and
@@ -110,19 +115,16 @@ class IntervalIntegrals(NamedTuple):
 
 
 def _decay_scale(marginal: MarginalModel, anchor: float, sign: float) -> float:
-    """Distance from `anchor` over which log r drops by about one unit."""
+    """Distance from `anchor`, at most 2**1000, over which log r drops by about one unit."""
     base = float(marginal.log_pdf(anchor))
 
     def drop(step: float) -> float:
         return float(marginal.log_pdf(anchor + sign * step)) - base
 
     s = 1.0
-    if drop(s) > -1.0:
-        for _ in range(500):  # 2**499 passes the guard below
-            s *= 2.0
-            if drop(s) <= -1.0 or s > 1e150:
-                break
-    else:
+    while drop(s) > -1.0 and s < 2.0**1000:
+        s *= 2.0
+    if s == 1.0:  # log r falls by a unit within 1 of anchor: halve instead
         floor = 1e-12 * max(1.0, abs(anchor))
         for _ in range(100):
             half = 0.5 * s
@@ -151,11 +153,12 @@ def _integrate(
     lo: float,
     hi: float,
     ref: float,
-    moments: Callable[[np.ndarray], tuple],
+    moments: Callable[[np.ndarray, float], tuple],
     rel_tol: float = _REL_TOL,
-) -> tuple[float, list[float]]:
-    """log r(ref), and the integrals over (lo, hi) of each row of moments(dx)
-    times r(ref + dx) / r(ref)."""
+) -> tuple[float, list[float], float]:
+    """log r(ref), the integrals over (lo, hi) of each row of
+    moments(dx, unit) times r(ref + dx) / r(ref), and the unit: the largest
+    power of two at most the reach from ref of the finite ends and tails."""
     left = 0.0 if lo == -math.inf else lo - ref
     right = 0.0 if hi == math.inf else hi - ref
     table = [(a, b, 0.0, 0.0, 1.0) for a, b in ((left, 0.0), (0.0, right)) if a < b]
@@ -165,6 +168,8 @@ def _integrate(
         table.append(_tail_row(marginal, ref, 1.0))
     table = np.array(table)
     log_ref = float(marginal.log_pdf(ref))
+    reach = max(abs(left), abs(right), *table[:, 3].tolist())
+    unit = math.ldexp(1.0, math.frexp(reach)[1] - 1)
 
     def panels(ids, a, b):
         half = 0.5 * (b - a)
@@ -177,7 +182,7 @@ def _integrate(
         f = np.exp(np.asarray(marginal.log_pdf(ref + dx), dtype=float) + log_w)
         f[~np.isfinite(f)] = 0.0
         f[~np.isfinite(dx)] = np.nan  # a tail node past the largest double
-        vals = np.array([f * g for g in moments(dx)])
+        vals = np.array([f * g for g in moments(dx, unit)])
         vals[:, f == 0.0] = 0.0  # where a moment is infinite and r is 0
         vals = vals.reshape(len(vals), -1, 15)
         k = half * (vals @ _KRONROD_W)
@@ -214,7 +219,7 @@ def _integrate(
     # NaN compares false here and is left to the caller
     if np.any(E.sum(axis=1) > rel_tol * np.maximum(A.sum(axis=1), 1e-300)):
         raise ArithmeticError(f"quadrature did not converge over ({lo!r}, {hi!r})")
-    return log_ref, K.sum(axis=1).tolist()
+    return log_ref, K.sum(axis=1).tolist(), unit
 
 
 def interval_integrals(
@@ -244,17 +249,12 @@ def interval_integrals(
             log_mass, centroid = exact
             return IntervalIntegrals(min(log_mass, 0.0), centroid)
     ref = min(max(marginal.mode, lo), hi)
-    # The first moment is taken of dx / unit, unit the largest power of two
-    # at most the interval's reach from ref, so its panel sums stay finite
-    # when the offsets near the largest double; dividing by a power of two
-    # is exact, so every other interval keeps its bits.
-    reach = max(abs(lo - ref), abs(hi - ref))
-    unit = math.ldexp(1.0, math.frexp(reach)[1] - 1) if math.isfinite(reach) else 1.0
-    # a NaN that reaches the integrals (at a tail node past the largest double
-    # or rounding to t = 1) ends in the degenerate-mass error below
+    # The first moment is taken of dx / unit, with the unit _integrate picks.
+    # A NaN that reaches the integrals (at a tail node past the largest
+    # double or rounding to t = 1) ends in the degenerate-mass error below.
     with np.errstate(all="ignore"):
-        log_ref, (mass, shift) = _integrate(
-            marginal, lo, hi, ref, lambda dx: (1.0, dx / unit), rel_tol)
+        log_ref, (mass, shift), unit = _integrate(
+            marginal, lo, hi, ref, lambda dx, unit: (1.0, dx / unit), rel_tol)
     if not (math.isfinite(mass) and mass > 0.0):
         raise ArithmeticError(f"degenerate interval mass over ({lo!r}, {hi!r})")
     log_mass = min(log_ref + math.log(mass), 0.0)
@@ -271,8 +271,8 @@ def expectation(marginal: MarginalModel, fn: Callable[[np.ndarray], np.ndarray])
     """
     ref = marginal.mode
     with np.errstate(all="ignore"):
-        log_ref, (total,) = _integrate(marginal, marginal.support_lo, marginal.support_hi, ref,
-                                       lambda dx: (np.asarray(fn(ref + dx), dtype=float),))
+        log_ref, (total,), _ = _integrate(marginal, marginal.support_lo, marginal.support_hi, ref,
+                                          lambda dx, _: (np.asarray(fn(ref + dx), dtype=float),))
     return math.exp(log_ref) * total
 
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import smml1d
-from smml1d.checks import fd_step
+from smml1d.checks import fd_step, separated_cuts
 from smml1d.cli import (
     COMMANDS, MODELS, OPTIONS, RunConfig, _build_parser, _merged_config, _verify_model, main,
 )
@@ -451,6 +451,14 @@ class TestVerify:
         for name in MODELS:
             _, marginal = dataclasses.replace(cfg, model=name).models()
             assert fd_step(marginal) == 1e-5
+
+    def test_separated_cuts_gives_up(self):
+        """200 cuts cannot sit 0.05 apart between the 0.08 and 0.92
+        quantiles of the default normal marginal, so every redraw fails."""
+        cfg = _merged_config(_build_parser().parse_args(["verify"]))
+        _, marginal = dataclasses.replace(cfg, model="normal-normal").models()
+        with pytest.raises(ArithmeticError, match="could not draw separated random cut-points"):
+            separated_cuts(marginal, np.random.default_rng(0), 200)
 
     def test_floor_minima_pass_mirror_symmetry(self):
         """At prior sd 100 the best three-cut book and its mirror end at the

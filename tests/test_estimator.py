@@ -221,6 +221,13 @@ class TestCodeBook:
         assert book.theta_hat[1] == pytest.approx(HALF_NORMAL_MEAN, rel=1e-12)
         assert book.theta_hat[0] == -book.theta_hat[1]
 
+    @pytest.mark.parametrize("cuts", [(), (0.5,), (0.2, 1.0, 4.0)])
+    def test_log_partition_per_interval(self, cuts, nn, eg):
+        """The build forms A(theta_hat) once per interval, for every reader."""
+        for family, marginal in (nn, eg):
+            book = codebook_from_cutpoints(family, marginal, cuts)
+            assert book.log_partition == tuple(map(family.log_partition, book.theta_hat))
+
     def test_lomax_single_cut(self, eg):
         """Masses from the closed-form CDF, centroids from scipy as oracle."""
         family, marginal = eg
@@ -579,7 +586,7 @@ class TestNewtonSolve:
         residuals = [gradient(family, marginal, book) for book in books]
         reached = next(
             i for i, (book, res) in enumerate(zip(books, residuals))
-            if estimator._at_floor(family, book, res)
+            if estimator._at_floor(book, res)
             and float(np.max(np.abs(res))) in report.grad_norm_trace
         )
         assert len(books) - 1 - reached <= 2
@@ -1010,7 +1017,7 @@ class TestSweepWork:
 def _minimum(cuts, length):
     """A converged local-minimum report carrying only cuts and length."""
     zeros = (0.0,) * (len(cuts) + 1)
-    book = CodeBook(tuple(cuts), zeros, zeros, zeros)
+    book = CodeBook(tuple(cuts), zeros, zeros, zeros, zeros)
     return SolveReport(
         codebook=book, message_length=length, entropy=0.0,
         classification=LOCAL_MINIMUM, continuity_gaps=zeros[1:], grad_norm_trace=(0.0,),
@@ -1049,6 +1056,12 @@ class TestDedupOrder:
         stalled = dataclasses.replace(
             _minimum(self.LEFT_HEAVY, self.LENGTH), grad_norm_trace=unconverged)
         assert [r.cuts for r in _dedup_sorted([floor, stalled])] == [self.COMPACT]
+
+    def test_zero_cut_reports(self, nn):
+        """Zero-cut books tie on the key (0, ()) and are 0 apart, so a
+        repeat is dropped."""
+        zero = newton_solve(*nn, [])
+        assert _dedup_sorted([zero, zero]) == [zero]
 
     def test_distinct_minima_sort_by_length(self):
         compact = _minimum(self.COMPACT, self.LENGTH + 5e-7)

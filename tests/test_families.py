@@ -80,6 +80,12 @@ class TestNormalNormal:
         p = 0.841344746068543  # standard normal CDF at 1
         assert marginal.quantile(p) == pytest.approx(BETA, abs=1e-10)
 
+    @pytest.mark.parametrize("p", [0.0, 1.0, math.nan])
+    def test_quantile_outside_open_unit_interval_raises(self, nn, p):
+        _, marginal = nn
+        with pytest.raises(SupportError):
+            marginal.quantile(p)
+
     def test_family_maps_are_identities(self, nn):
         family, _ = nn
         for v in (-3.0, 0.0, 1.7841, 25.0):
@@ -129,6 +135,12 @@ class TestExponentialGamma:
         assert family.mean(-0.5) == pytest.approx(2.0, rel=1e-15)
         assert family.variance(-0.5) == pytest.approx(4.0, rel=1e-15)
         assert family.mean_inverse(2.0) == pytest.approx(-0.5, rel=1e-15)
+
+    @pytest.mark.parametrize("m", [0.0, -1.0])
+    def test_mean_inverse_outside_image_raises(self, eg, m):
+        family, _ = eg
+        with pytest.raises(SupportError):
+            family.mean_inverse(m)
 
 
 @pytest.mark.parametrize("pair_name", ["nn", "eg"])
@@ -219,6 +231,9 @@ class TestMeanInverseNumeric:
             mu_inverse_numeric(family, 0.0)
         with pytest.raises(SupportError):
             mu_inverse_numeric(family, -3.0)
+        for m in (math.nan, math.inf, -math.inf):
+            with pytest.raises(SupportError, match="must be finite"):
+                mu_inverse_numeric(family, m)
 
     @pytest.mark.parametrize("family, m, expected", [
         *(pytest.param(_LOGIT, m, 1.0 / (1.0 + math.exp(-m)), id=f"logit{m:g}")

@@ -129,12 +129,15 @@ class TestIntervalIntegralsQuadrature(TestIntervalIntegrals):
     @pytest.mark.parametrize("alpha, beta", [
         *(pytest.param(alpha, 1.0, id=str(alpha)) for alpha in (1.9, 1.5, 1.3, 1.1)),
         pytest.param(4.0, 1e100, id="4.0-beta1e100"),
+        *(pytest.param(alpha, beta, id=f"{alpha}-beta{beta:g}") for alpha, beta in (
+            (4.0, 1e160), (4.0, 1e200), (4.0, 1e280), (2.0, 1e200), (1.5, 1e200), (1.9, 1e280))),
     ])
     def test_lomax_half_line_matches_closed_form(self, alpha, beta):
         """(lo, inf) of a Lomax marginal by the tail map, against the closed
         form, for fixed multiples of beta and seeded random quantiles.  At
         beta = 1e100 log r drops by one unit only some 1e100 past lo, so the
-        tail's scale is found by doubling far beyond 2**100."""
+        tail's scale is found by doubling far beyond 2**100, and from beta
+        near 1e160 the first moment is taken in units of that scale."""
         _, marginal = make_exponential_gamma(alpha, beta)
         quadrature = dataclasses.replace(marginal, closed_form=None)
         quantiles = np.random.default_rng(20240611).uniform(0.01, 0.99, 10)
@@ -157,6 +160,21 @@ class TestIntervalIntegralsQuadrature(TestIntervalIntegrals):
         got = interval_integrals(quadrature, lo, hi)
         assert got.log_mass == pytest.approx(log_mass, abs=1e-13)
         assert got.centroid == pytest.approx(centroid, rel=1e-13)
+
+    @pytest.mark.parametrize("alpha", [1e155, 1e200, 1e300])
+    def test_half_lines_at_huge_sd(self, alpha):
+        """Half-lines on either side at a normal prior sd past 1e154: the
+        tail scale is found past 1e150, and the first moment is taken in
+        units of it, so log mass and centroid match the closed form instead
+        of coming out wrong, NaN or not converged."""
+        _, marginal = make_normal_normal(alpha)
+        quadrature = dataclasses.replace(marginal, closed_form=None)
+        for lo, hi in [(-0.3 * alpha, math.inf), (0.5 * alpha, math.inf),
+                       (-math.inf, 0.3 * alpha), (-math.inf, -0.5 * alpha)]:
+            log_mass, centroid = marginal.closed_form(lo, hi)
+            got = interval_integrals(quadrature, lo, hi)
+            assert got.log_mass == pytest.approx(log_mass, abs=1e-13), (lo, hi)
+            assert got.centroid == pytest.approx(centroid, rel=1e-13), (lo, hi)
 
     @pytest.mark.parametrize("alpha", [1.02, 1.05])
     def test_heavy_lomax_matches_or_raises(self, alpha):
