@@ -425,7 +425,7 @@ def main(argv=None) -> int:
         args = _build_parser().parse_args(argv)
         command, _ = COMMANDS[args.command]
         return command(_merged_config(args))
-    except ValueError as exc:  # UsageError, ParameterError and SupportError too
+    except (ValueError, MemoryError) as exc:  # Usage, Parameter, SupportError; too many --points
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ArithmeticError as exc:

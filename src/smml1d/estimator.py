@@ -624,11 +624,13 @@ def _outward_root(
     `side` (mirror antisymmetry flips its sign on the left): so oriented, it
     diverges to +inf against the nearest cut and grows again in the far
     tail, dipping negative around the useful stationary placements.  The
-    outermost crossing back to positive marks the new outer cut.  Its
-    bracket on the grid is refined by 1-D Newton from the midpoint,
-    safeguarded by the bracket: a step that leaves it, or a non-finite
-    slope, falls back to the midpoint.  Refinement stops when the Newton
-    step or the bracket is ``_ROOT_REL_WIDTH`` of the grid bracket.
+    outermost crossing back to positive marks the new outer cut.  If it
+    starts at an exact 0, as the empty book's residual is at the median of
+    a symmetric marginal by mirror symmetry, that candidate is the root.
+    Otherwise its bracket on the grid is refined by 1-D Newton from the
+    midpoint, safeguarded by the bracket: a step that leaves it, or a
+    non-finite slope, falls back to the midpoint.  Refinement stops when
+    the Newton step or the bracket is ``_ROOT_REL_WIDTH`` of the grid bracket.
     """
     pick = None
     last = None  # the last candidate evaluated, with its oriented residual
@@ -639,7 +641,7 @@ def _outward_root(
         except (ValueError, ArithmeticError):
             continue
         if last is not None and last[1] <= 0.0 < f:
-            pick = (last[0], x)
+            pick = (last, x)
         rising = rising + 1 if f > 0.0 and (last is None or f >= last[1]) else 0
         last = (x, f)
         # once past the outermost dip the oriented residual only grows
@@ -647,7 +649,9 @@ def _outward_root(
             break
     if pick is None:
         return None
-    near, far = pick
+    (near, at_near), far = pick
+    if at_near == 0.0:
+        return near
     width = _ROOT_REL_WIDTH * abs(far - near)
     x = 0.5 * (near + far)
     # each midpoint fallback halves the bracket, so 30 of them reach `width`;
@@ -704,24 +708,20 @@ def solve_sweep(
 ) -> dict[int, list[SolveReport]]:
     """Solve for every cut-point count from 1 up to ``n_max`` by continuation.
 
-    This is where every start is built.  Each new outer cut goes where
-    Wallace's boundary rule G = 0 holds for it alone: at the outermost root
-    of the scalar insertion residual (see :func:`_outward_root`).  Stage 1
-    starts Newton from that root for the empty book and from the median.
-    Stage n starts it from the best two books of stage n-1 with one such cut
-    added on either side, which follows the optima's cut-point sets as they
-    nest, and from the best two of stage n-2 with one added on both sides,
-    for the parity-preserving growth where a new outermost interval appears
-    on both flanks at once.  A quantile start at levels i/(n+1) kept no
-    minimum of its own from stage 2 on: it lands in interior saddle basins
-    and, for far-out cuts, the quantile levels it would need are not even
-    representable in double precision.
+    Every start is built here, by one rule.  Stage n starts Newton from the
+    best two books of stage n-1 with one new outer cut added on either side,
+    which follows the optima's cut-point sets as they nest, and from the
+    best two of stage n-2 with one added on both sides, for the
+    parity-preserving growth where a new outermost interval appears on both
+    flanks at once; the empty book is stage 1's one parent.  Each new cut
+    goes where Wallace's boundary rule G = 0 holds for it alone: at the
+    outermost root of the scalar insertion residual (:func:`_outward_root`).
 
     A root reads only the side and the book's outer two cuts, so one memo
     keyed on them serves every stage: stage n-2's books were stage n-1's
     parents, and a book that is its parent plus one cut shares the scan of
-    its other side with it.  Each stage runs Newton once per distinct start,
-    to the fixed ``_TOL`` and ``_MAX_ITER``; ``newton_solve`` is
+    its other side with it; the empty book's scan ignores the side and runs
+    once.  Each stage runs Newton once per distinct valid start: it is
     deterministic, so an equal start would only repeat a report.
 
     Returns, for each n from 1 to ``n_max``, the runs whose
@@ -745,32 +745,32 @@ def solve_sweep(
     roots: dict[tuple[tuple[float, ...], int], float | None] = {}
 
     def root(cuts: tuple[float, ...], side: int) -> float | None:
-        outer = cuts[-2:] if side > 0 else cuts[:2]
-        if (outer, side) not in roots:
-            roots[outer, side] = _outward_root(family, marginal, outer, side)
-        return roots[outer, side]
+        key = (cuts[-2:] if side > 0 else cuts[:2], side if cuts else 1)
+        if key not in roots:
+            roots[key] = _outward_root(family, marginal, *key)
+        return roots[key]
 
+    # each stage's best two books seed the next two; the empty book seeds stage 1
+    seeds: dict[int, list[tuple[float, ...]]] = {0: [()]}
     stages: dict[int, list[SolveReport]] = {}
     for stage in range(1, n_max + 1):
-        if stage == 1:
-            starts = [(x,) for x in (root((), 1), marginal.quantile(0.5)) if x is not None]
-        else:
-            starts = []
-            for sol in stages[stage - 1][:2]:
-                for side in (1, -1):
-                    x = root(sol.cuts, side)
-                    if x is not None:
-                        starts.append(tuple(sorted((*sol.cuts, x))))
-            for sol in stages.get(stage - 2, [])[:2]:
-                right, left = root(sol.cuts, 1), root(sol.cuts, -1)
-                if right is not None and left is not None:
-                    starts.append((left, *sol.cuts, right))
+        starts = []
+        for cuts in seeds[stage - 1]:
+            for side in (1, -1):
+                x = root(cuts, side)
+                if x is not None:
+                    starts.append(tuple(sorted((*cuts, x))))
+        for cuts in seeds.get(stage - 2, []):
+            right, left = root(cuts, 1), root(cuts, -1)
+            if right is not None and left is not None:
+                starts.append((left, *cuts, right))
         # a dict keeps each distinct start once, in first-seen order
         stages[stage] = _dedup_sorted([
             newton_solve(family, marginal, start)
             for start in dict.fromkeys(starts)
             if _feasible(marginal, start)
         ])
+        seeds[stage] = [sol.cuts for sol in stages[stage][:2]]
     return stages
 
 

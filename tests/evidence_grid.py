@@ -1,0 +1,50 @@
+"""Evidence grid: which books every stage of a set of sweeps keeps.
+
+Run as ``PYTHONPATH=src python tests/evidence_grid.py``.  Each line names one
+sweep and gives its kept total, its per-stage counts and the sha256 of every
+stage's list of (length, cuts), best first.  It prints no timings, so the
+outputs of two checkouts can be compared with ``diff``: a change that keeps
+every book bit for bit prints the same lines.  The name has no ``test_``
+prefix, so pytest does not collect it.
+"""
+
+import hashlib
+
+from smml1d import make_exponential_gamma, make_normal_normal
+from smml1d.estimator import solve_sweep
+
+# (name, model pair, n_max): the sweeps whose books a change of the solver
+# must keep, the wide priors (alpha 10 and 30) and the windows with empty
+# stages (alpha 1.5 and 2.2) among them.
+GRID = [
+    ("normal alpha=2 n<=40", make_normal_normal(2.0), 40),
+    ("normal alpha=10 n<=60", make_normal_normal(10.0), 60),
+    ("normal alpha=30 n<=50", make_normal_normal(30.0), 50),
+    ("normal alpha=1 n<=8", make_normal_normal(1.0), 8),
+    ("normal alpha=0.5 n<=8", make_normal_normal(0.5), 8),
+    ("normal alpha=1.5 n<=8", make_normal_normal(1.5), 8),
+    ("normal alpha=3 n<=8", make_normal_normal(3.0), 8),
+    ("normal alpha=2.2 n<=6", make_normal_normal(2.2), 6),
+    ("lomax alpha=2 beta=1 n<=6", make_exponential_gamma(2.0, 1.0), 6),
+    ("lomax alpha=10 beta=1 n<=6", make_exponential_gamma(10.0, 1.0), 6),
+    ("lomax alpha=1.05 beta=1 n<=5", make_exponential_gamma(1.05, 1.0), 5),
+]
+
+
+def describe(name, stages):
+    """One line: the sweep's name, kept total, per-stage counts and hash."""
+    books = repr([
+        (n, [(r.message_length, r.cuts) for r in reps]) for n, reps in sorted(stages.items())
+    ])
+    counts = [len(reps) for _, reps in sorted(stages.items())]
+    digest = hashlib.sha256(books.encode()).hexdigest()
+    return f"{name}: kept {sum(counts)} per stage {counts} sha256 {digest}"
+
+
+def main():
+    for name, (family, marginal), n_max in GRID:
+        print(describe(name, solve_sweep(family, marginal, n_max)), flush=True)
+
+
+if __name__ == "__main__":
+    main()

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.integrate import trapezoid
 
 import smml1d
 from smml1d.checks import fd_step, separated_cuts
@@ -389,6 +390,21 @@ class TestCurves:
         assert code == 0, err
         assert [row.split(",")[0] for row in out.splitlines()[1:4]] == ["-1000.0", "0.0", "1000.0"]
 
+    def test_grid_beyond_memory_exits_1(self, monkeypatch, capsys):
+        """A --points grid larger than memory is invalid input: exit 1 with
+        one error line naming the failed allocation, and no traceback.  The
+        allocation is faked: a host that overcommits memory would try to
+        provide a real 7 TiB array."""
+        message = ("Unable to allocate 7.28 TiB for an array with shape (1000000000000,) "
+                   "and data type float64")
+
+        def too_large(*args):
+            raise MemoryError(message)
+
+        monkeypatch.setattr("smml1d.cli.curve_samples", too_large)
+        code, out, err = run_cli(["curves", "--n", "1", "--points", "1000000000000"], capsys)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
     def test_density_column_integrates_to_cdf_mass(self, tmp_path):
         out = tmp_path / "c.csv"
         assert main(["curves", "--model", "normal-normal", "--alpha", "2", "--n", "1",
@@ -398,7 +414,7 @@ class TestCurves:
         x = np.array([float(r[0]) for r in rows])
         pdf = np.array([float(r[3]) for r in rows])
         expected = math.erf(6.0 / math.sqrt(2.0 * 5.0))  # mass of (-6, 6) under N(0, 5)
-        assert np.trapezoid(pdf, x) == pytest.approx(expected, abs=1e-6)
+        assert trapezoid(pdf, x) == pytest.approx(expected, abs=1e-6)
 
     def test_no_visible_jump_across_cuts(self, tmp_path):
         """Adjacent samples straddling a cut behave like the neighbouring

@@ -8,7 +8,7 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.integrate import quad
+from scipy.integrate import quad, trapezoid
 
 from smml1d import (
     LOCAL_MINIMUM,
@@ -945,6 +945,13 @@ class TestInsertionRoot:
             reference = float(mpmath.findroot(residual, mpmath.mpf(root)))
         assert abs(root - reference) <= 2.0**-30 * (hi - lo)
 
+    @pytest.mark.parametrize("alpha", [1.5, 2.0, 3.0, 10.0])
+    def test_symmetric_first_cut_is_exact(self, alpha):
+        """The empty book's residual is exactly 0 at the median of a
+        symmetric marginal, a candidate of its scan, so that is the root as
+        it is: no refinement moves it to a few 1e-12 off."""
+        assert estimator._outward_root(*make_normal_normal(alpha), (), 1) == 0.0
+
     @pytest.mark.parametrize("pair_name,low,pair,high", [
         ("nn", -6.0, [-1.97396226317, 1.97396226317], 6.0),
         ("nn", 0.5, [1.2, 4.0], 7.5),
@@ -995,8 +1002,8 @@ def _count_sweep_work(monkeypatch, family, marginal, n_max):
 
 class TestSweepWork:
     @pytest.mark.parametrize("pair_name,n_max,n_scans,n_runs", [
-        ("nn", 16, 38, 68),
-        ("eg", 5, 9, 6),
+        ("nn", 16, 38, 67),
+        ("eg", 5, 9, 5),
     ])
     def test_each_scan_and_start_once(self, pair_name, n_max, n_scans, n_runs,
                                       monkeypatch, request):
@@ -1012,6 +1019,15 @@ class TestSweepWork:
         assert all(len(outer) <= 2 for outer, _ in scans)
         assert len(set(scans)) == len(scans)
         assert len(set(starts)) == len(starts)  # a start's length is its stage
+
+    @pytest.mark.parametrize("pair", [make_normal_normal(0.05), make_exponential_gamma(60.0, 1.0)],
+                             ids=["nn-alpha0.05", "eg-alpha60"])
+    def test_no_root_no_run(self, pair, monkeypatch):
+        """Where the empty book's one scan finds no root, stage 1 has no
+        start and no later stage a parent: the sweep runs Newton not once."""
+        scans, starts = _count_sweep_work(monkeypatch, *pair, 3)
+        assert (scans, starts) == ([((), 1)], [])
+        assert solve_sweep(*pair, 3) == {1: [], 2: [], 3: []}
 
 
 def _minimum(cuts, length):
@@ -1115,8 +1131,8 @@ class TestCurveSamples:
         family, marginal = nn
         best = nn_sweep6[6][0]
         table = curve_samples(family, marginal, best.codebook, -25.0, 30.0, 6001)
-        one = np.trapezoid(table.one_part, table.x)
-        two = np.trapezoid(table.two_part, table.x)
+        one = trapezoid(table.one_part, table.x)
+        two = trapezoid(table.two_part, table.x)
         assert one == pytest.approx(marginal_entropy(marginal), abs=1e-3)
         assert two == pytest.approx(best.message_length, abs=1e-3)
 
