@@ -34,6 +34,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import pairwise, repeat
+from operator import mul, sub
 
 import numpy as np
 
@@ -190,13 +191,14 @@ def gradient(family: FamilyModel, marginal: MarginalModel, codebook: CodeBook) -
 
     The derivative of the expected length in ``a_j`` is ``r(a_j)`` times the
     j-th entry of this vector; the entries are computed entirely in the log
-    domain.
+    domain, on Python floats (numpy's per-call cost exceeds the arithmetic
+    on 17 entries), and returned as an array.
     """
-    a = np.array(codebook.cuts)
-    lq, th, lp = np.array([codebook.log_q, codebook.theta_hat, codebook.log_partition])
-    above = lq[1:] + a * th[1:] - lp[1:]
-    below = lq[:-1] + a * th[:-1] - lp[:-1]
-    return above - below
+    lq, th, lp = codebook.log_q, codebook.theta_hat, codebook.log_partition
+    return np.array([
+        (q1 + x * t1 - p1) - (q0 + x * t0 - p0)
+        for x, q0, q1, t0, t1, p0, p1 in zip(codebook.cuts, lq, lq[1:], th, th[1:], lp, lp[1:])
+    ])
 
 
 @dataclass(frozen=True)
@@ -223,43 +225,45 @@ def jacobian(family: FamilyModel, marginal: MarginalModel, codebook: CodeBook) -
 
     Only bands |row - col| <= 1 are nonzero.  Density/mass ratios are formed
     as exp(log r - log q), never as quotients of possibly-underflowed values.
+    The bands are formed on Python floats; the ratios come from one
+    ``np.exp`` call, whose last bits ``math.exp`` does not always match.
     """
-    a = np.array(codebook.cuts)
-    lq = np.asarray(codebook.log_q)
-    th = np.asarray(codebook.theta_hat)
-    mu = np.asarray(codebook.centroids)
-    var = np.array([family.variance(t) for t in codebook.theta_hat])
-    log_r = np.asarray(marginal.log_pdf(a), dtype=float)
-
-    dev_up = a - mu[1:]
-    dev_lo = a - mu[:-1]
-    r_over_up = np.exp(log_r - lq[1:])    # r(a_j) / q_j
-    r_over_lo = np.exp(log_r - lq[:-1])   # r(a_j) / q_{j-1}
-    diag = (
-        th[1:] - th[:-1]
-        - r_over_up * (1.0 + dev_up**2 / var[1:])
-        - r_over_lo * (1.0 + dev_lo**2 / var[:-1])
-    )
+    a, lq, th, mu = codebook.cuts, codebook.log_q, codebook.theta_hat, codebook.centroids
+    var = list(map(family.variance, th))
+    if 0.0 in var:  # 1/theta^2 can round to 0: divide by it as numpy does, to inf or NaN
+        var = list(map(np.float64, var))
+    log_r = np.asarray(marginal.log_pdf(np.array(a)), dtype=float).tolist()
+    n = len(a)
+    # r(a_j) / q_j, then r(a_j) / q_{j-1}
+    ratios = np.exp([*map(sub, log_r, lq[1:]), *map(sub, log_r, lq)]).tolist()
+    r_over_up, r_over_lo = ratios[:n], ratios[n:]
+    diag = [
+        t1 - t0 - up * (1.0 + (x - m1) * (x - m1) / v1) - lo * (1.0 + (x - m0) * (x - m0) / v0)
+        for x, t0, t1, m0, m1, v0, v1, up, lo
+        in zip(a, th, th[1:], mu, mu[1:], var, var[1:], r_over_up, r_over_lo)
+    ]
     # Off-diagonal rows j and j+1 share the interval between cuts j and j+1.
-    mid_mu = mu[1:-1]
-    shared = 1.0 + (a[:-1] - mid_mu) * (a[1:] - mid_mu) / var[1:-1]
-    sub = r_over_up[:-1] * shared   # r(a_j) / q_j
-    sup = r_over_lo[1:] * shared    # r(a_{j+1}) / q_j
-    return Tridiagonal(sub=sub, diag=diag, sup=sup)
+    shared = [1.0 + (x0 - m) * (x1 - m) / v for x0, x1, m, v in zip(a, a[1:], mu[1:], var[1:])]
+    return Tridiagonal(
+        sub=np.array(list(map(mul, r_over_up, shared))),      # r(a_j) / q_j
+        diag=np.array(diag),
+        sup=np.array(list(map(mul, r_over_lo[1:], shared))),  # r(a_{j+1}) / q_j
+    )
 
 
-def _solve_tridiagonal(J: Tridiagonal, rhs: np.ndarray) -> np.ndarray:
+def _solve_tridiagonal(J: Tridiagonal, rhs) -> np.ndarray:
     """Solve ``J x = rhs`` by Gaussian elimination with partial pivoting.
 
     A transcription of reference LAPACK ``dgtsv`` for one right-hand side,
     in its operation order, so the solution is the one
     ``scipy.linalg.solve_banded`` gives, bit for bit.  Rows i and i+1 swap
     where |diag_i| < |sub_i|; the back substitution is the three-term
-    recurrence.  It works on copies, so J and ``rhs`` are left unchanged.
+    recurrence.  It works on lists of floats copied from J and ``rhs`` (any
+    sequence of numbers), so both are left unchanged.
     Raises ``LinAlgError`` when elimination meets an exactly zero pivot.
     """
     n = J.n
-    dl, d, du, b = J.sub.tolist(), J.diag.tolist(), J.sup.tolist(), rhs.tolist()
+    dl, d, du, b = J.sub.tolist(), J.diag.tolist(), J.sup.tolist(), list(map(float, rhs))
     try:
         for i in range(n - 1):
             if abs(d[i]) >= abs(dl[i]):
@@ -397,19 +401,30 @@ def _feasible(marginal: MarginalModel, cuts: tuple[float, ...]) -> bool:
     return all(lo < hi for lo, hi in pairwise(bounds))
 
 
-def _at_floor(codebook: CodeBook, residual: np.ndarray) -> bool:
+def _max_abs(values) -> float:
+    """Max-norm as ``np.max(np.abs(values), initial=0.0)`` gives it: NaN
+    when any entry is NaN, which ``max`` alone may pass over."""
+    gaps = list(map(abs, values))
+    return math.nan if math.isnan(sum(gaps)) else max(gaps, default=0.0)
+
+
+def _at_floor(codebook: CodeBook, residual) -> bool:
     """Every |G_j| lies within ``_FLOOR_ULPS`` ulps of the largest term of G_j.
 
     Only near-critical books are checked: a local minimum has to pass the
     ``_CRITICAL_GRAD_THRESHOLD`` gate of :func:`classify_critical_point`.
+    Past that gate G is finite, so is every term, and ``math.ulp`` of the
+    largest is numpy's spacing of it.
     """
-    gaps = np.abs(residual)
-    if not gaps.max() <= _CRITICAL_GRAD_THRESHOLD:
+    if not _max_abs(residual) <= _CRITICAL_GRAD_THRESHOLD:
         return False
-    a = np.array(codebook.cuts)
-    lq, th, lp = np.array([codebook.log_q, codebook.theta_hat, codebook.log_partition])
-    terms = np.abs([lq[1:], a * th[1:], lp[1:], lq[:-1], a * th[:-1], lp[:-1]])
-    return bool(np.all(gaps <= _FLOOR_ULPS * np.spacing(terms.max(axis=0))))
+    lq, th, lp = codebook.log_q, codebook.theta_hat, codebook.log_partition
+    return all(
+        abs(g) <= _FLOOR_ULPS * math.ulp(
+            max(abs(q1), abs(x * t1), abs(p1), abs(q0), abs(x * t0), abs(p0)))
+        for g, x, q0, q1, t0, t1, p0, p1
+        in zip(residual, codebook.cuts, lq, lq[1:], th, th[1:], lp, lp[1:])
+    )
 
 
 def newton_solve(family: FamilyModel, marginal: MarginalModel, initial) -> SolveReport:
@@ -452,8 +467,9 @@ def newton_solve(family: FamilyModel, marginal: MarginalModel, initial) -> Solve
             codebook = codebook_from_cutpoints(family, marginal, cuts)
         except ArithmeticError as exc:
             return _unbuildable_report(marginal, cuts, exc)
-        residual = gradient(family, marginal, codebook)
-        trace = [float(np.max(np.abs(residual), initial=0.0))]
+        # G, its norms and the trial cuts stay Python floats between the calls
+        residual = gradient(family, marginal, codebook).tolist()
+        trace = [_max_abs(residual)]
         # a step is accepted only where the norm is finite, so only a start's G is NaN
         diagnostic = "the start's G is NaN" if math.isnan(trace[0]) else ""
 
@@ -462,17 +478,18 @@ def newton_solve(family: FamilyModel, marginal: MarginalModel, initial) -> Solve
                 diagnostic = f"reached max_iter={_MAX_ITER} (gradient norm {trace[-1]:.3e})"
                 break
             try:
-                step = _solve_tridiagonal(jacobian(family, marginal, codebook), -residual)
+                J = jacobian(family, marginal, codebook)
+                step = _solve_tridiagonal(J, [-g for g in residual]).tolist()
             except (np.linalg.LinAlgError, ArithmeticError) as exc:
                 diagnostic = f"singular tridiagonal system at iteration {len(trace) - 1}: {exc}"
                 break
-            if not np.all(np.isfinite(step)):
+            if not all(map(math.isfinite, step)):
                 diagnostic = f"non-finite Newton step at iteration {len(trace) - 1}"
                 break
             trials = 1 if _at_floor(codebook, residual) else _BACKTRACK_MAX + 1
-            a = np.array(codebook.cuts)
             for halvings in range(trials):
-                candidate = tuple((a + 0.5**halvings * step).tolist())
+                h = 0.5**halvings
+                candidate = tuple([x + h * d for x, d in zip(codebook.cuts, step)])
                 # only valid cuts are built: each build is a start, a step or a normed trial
                 if not _feasible(marginal, candidate):
                     continue
@@ -480,8 +497,8 @@ def newton_solve(family: FamilyModel, marginal: MarginalModel, initial) -> Solve
                     cand_book = codebook_from_cutpoints(family, marginal, candidate)
                 except ArithmeticError:  # an unbuildable candidate is a rejected trial
                     continue
-                cand_res = gradient(family, marginal, cand_book)
-                cand_norm = float(np.max(np.abs(cand_res)))
+                cand_res = gradient(family, marginal, cand_book).tolist()
+                cand_norm = _max_abs(cand_res)
                 if math.isfinite(cand_norm) and cand_norm < trace[-1]:
                     break
             else:
@@ -516,7 +533,7 @@ def newton_solve(family: FamilyModel, marginal: MarginalModel, initial) -> Solve
             message_length=message_length(family, marginal, codebook),
             entropy=marginal_entropy(marginal),
             classification=classify_critical_point(family, marginal, codebook, trace[-1]),
-            continuity_gaps=tuple(np.abs(residual).tolist()),
+            continuity_gaps=tuple(map(abs, residual)),
             grad_norm_trace=tuple(trace),
             diagnostic=diagnostic,
             at_floor=at_floor,
@@ -692,11 +709,7 @@ def _dedup_sorted(reports: list[SolveReport]) -> list[SolveReport]:
         ordered += sorted(ties, key=lambda r: (max(map(abs, r.cuts), default=0.0), r.cuts))
     deduped: list[SolveReport] = []
     for report in ordered:
-        a = np.asarray(report.cuts)
-        if all(
-            np.max(np.abs(a - np.asarray(other.cuts)), initial=0.0) > _DEDUP_TOL
-            for other in deduped
-        ):
+        if all(_max_abs(map(sub, report.cuts, other.cuts)) > _DEDUP_TOL for other in deduped):
             deduped.append(report)
     return deduped
 
@@ -735,10 +748,10 @@ def solve_sweep(
     be built ends its run or rejects its step, so no ``ArithmeticError``
     escapes; a stage where nothing succeeds has an empty list.
     Deterministic.  No solver state is kept between calls.  What persists is
-    ``scipy.special.erfcx``, loaded by the first Mills ratio, and bounded
-    memos of pure functions (the normal Mills-ratio terms, and the entropy
-    and carrier constant of marginals without closed forms), which cannot
-    change a result.
+    ``scipy.special.erfcx``, imported by the first Mills ratio and kept by a
+    one-entry memo, and bounded memos of pure functions (the normal
+    Mills-ratio terms, and the entropy and carrier constant of marginals
+    without closed forms), which cannot change a result.
     """
     if not n_max >= 1:
         raise ValueError(f"need n_max >= 1, got {n_max!r}")

@@ -272,6 +272,14 @@ def _narrow(width: float, log_ratio: Callable[[float], float]) -> tuple[float, f
     return width * total, moment / total
 
 
+@lru_cache(maxsize=1)
+def _erfcx():
+    """``scipy.special.erfcx``, imported at the first call and kept."""
+    from scipy.special import erfcx
+
+    return erfcx
+
+
 # R and h are pure functions of the standardised interval end.  A cut ends two
 # intervals, and the insertion scan keeps one end fixed over a whole scan, so
 # three in five of the ends the n <= 16 sweep of Table 1 forms are repeats;
@@ -281,11 +289,10 @@ def _mills(z: float) -> float:
     """Mills ratio R(z) = Q(z) / phi(z) of the standard normal.
 
     Only this uses ``scipy.special``, so its import, about 0.14 s and 24 MB
-    of resident memory, waits for the first Mills ratio.
+    of resident memory, waits for the first Mills ratio; ``_erfcx`` then
+    keeps the function, so a memo miss costs no import statement.
     """
-    from scipy.special import erfcx
-
-    return _SQRT_HALF_PI * float(erfcx(z / _SQRT2))
+    return _SQRT_HALF_PI * float(_erfcx()(z / _SQRT2))
 
 
 @lru_cache(maxsize=256)

@@ -322,16 +322,44 @@ class TestOptionTable:
             "-h", "--config", *("--" + opt.name.replace("_", "-") for opt in OPTIONS
                                 if opt.commands is None or command in opt.commands)]
 
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_help_is_that_of_the_full_parser(self, command, capsys):
+        """main builds the named command's subparser alone; its help is the
+        one the parser with all four subparsers prints."""
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        alone = capsys.readouterr().out
+        with pytest.raises(SystemExit):
+            _build_parser().parse_args([command, "--help"])
+        assert alone == capsys.readouterr().out
+        assert alone.startswith(f"usage: smml1d {command} ")
+
 
 class TestUsageErrors:
     @pytest.mark.parametrize("argv, message", [
         (["solve", "--n", "1", "--digits", "0"], "digits must be at least 1, got 0"),
         (["sweep", "--n-min", "1"], "sweep needs --n or both --n-min and --n-max"),
         (["curves", "--n", "0"], "n must be a positive integer, got 0"),
-    ], ids=["digits-0", "sweep-without-range", "curves-n-0"])
+        ([], "the following arguments are required: command"),
+        (["sweep", "--seed", "2"], "unrecognized arguments: --seed 2"),
+    ], ids=["digits-0", "sweep-without-range", "curves-n-0", "no-command",
+            "flag-of-another-command"])
     def test_exits_1_with_reason(self, argv, message, capsys):
         code, out, err = run_cli(argv, capsys)
         assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("argv", [["bogus"], ["--alpha", "2"], ["solve", "--n"],
+                                      ["verify", "solve"]])
+    def test_messages_are_those_of_the_full_parser(self, argv, capsys):
+        """A command line that names no command is parsed with every
+        subparser built, so an unknown command is told the choices (their
+        quoting is argparse's, which differs between Python versions)."""
+        with pytest.raises(ValueError) as full:
+            _build_parser().parse_args(argv)
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out, err) == (1, "", f"error: {full.value}\n")
+        if argv == ["bogus"]:
+            assert "argument command: invalid choice: 'bogus' (choose from " in err
 
 
 class TestCurves:

@@ -416,6 +416,108 @@ class TestJacobian:
             assert fd[band] == pytest.approx(dense[band], rel=1e-4, abs=1e-8 * scale)
 
 
+# The array forms of G, of J's bands and of the floor test, as numpy states
+# them; the estimator computes each on Python floats and must match them bit
+# for bit.
+def _array_gradient(book):
+    a = np.array(book.cuts)
+    lq, th, lp = np.array([book.log_q, book.theta_hat, book.log_partition])
+    return (lq[1:] + a * th[1:] - lp[1:]) - (lq[:-1] + a * th[:-1] - lp[:-1])
+
+
+def _array_jacobian(family, marginal, book):
+    a = np.array(book.cuts)
+    lq, th, mu = np.asarray(book.log_q), np.asarray(book.theta_hat), np.asarray(book.centroids)
+    var = np.array([family.variance(t) for t in book.theta_hat])
+    log_r = np.asarray(marginal.log_pdf(a), dtype=float)
+    r_over_up, r_over_lo = np.exp(log_r - lq[1:]), np.exp(log_r - lq[:-1])
+    diag = (th[1:] - th[:-1] - r_over_up * (1.0 + (a - mu[1:])**2 / var[1:])
+            - r_over_lo * (1.0 + (a - mu[:-1])**2 / var[:-1]))
+    shared = 1.0 + (a[:-1] - mu[1:-1]) * (a[1:] - mu[1:-1]) / var[1:-1]
+    return r_over_up[:-1] * shared, diag, r_over_lo[1:] * shared
+
+
+def _array_at_floor(book, residual):
+    gaps = np.abs(residual)
+    if not gaps.max() <= estimator._CRITICAL_GRAD_THRESHOLD:
+        return False
+    a = np.array(book.cuts)
+    lq, th, lp = np.array([book.log_q, book.theta_hat, book.log_partition])
+    terms = np.abs([lq[1:], a * th[1:], lp[1:], lq[:-1], a * th[:-1], lp[:-1]])
+    return bool(np.all(gaps <= estimator._FLOOR_ULPS * np.spacing(terms.max(axis=0))))
+
+
+def _hex(values):
+    return [float(v).hex() for v in values]
+
+
+class TestFloatKernel:
+    """gradient, jacobian and _at_floor run on Python floats; every entry
+    equals the array form's by float.hex."""
+
+    @staticmethod
+    def _assert_kernel_matches(family, marginal, book):
+        with np.errstate(all="ignore"):
+            G, J = gradient(family, marginal, book), jacobian(family, marginal, book)
+            expected = _array_jacobian(family, marginal, book)
+        assert isinstance(G, np.ndarray) and G.dtype == np.float64
+        assert _hex(G) == _hex(_array_gradient(book)), book.cuts
+        for got, want in zip((J.sub, J.diag, J.sup), expected):
+            assert isinstance(got, np.ndarray) and got.dtype == np.float64
+            assert _hex(got) == _hex(want), book.cuts
+
+    @pytest.mark.parametrize("pair_name", ["nn", "eg"])
+    def test_seeded_books_bulk_and_far_tail(self, pair_name, request):
+        family, marginal = request.getfixturevalue(pair_name)
+        rng = np.random.default_rng(28)
+        for n in range(17):
+            for far in (False, True):
+                cuts = [marginal.quantile(p) for p in rng.uniform(0.02, 0.98, n)]
+                if far and n:  # up to a third of the cuts in the far tails
+                    k = rng.integers(1, n // 3 + 2)
+                    if pair_name == "nn":  # 5 to 56 marginal sds out, either side
+                        cuts[:k] = rng.choice((-1.0, 1.0), k) * rng.uniform(11.0, 125.0, k)
+                    else:  # the Lomax(2, 1) survival 1e-3 to 1e-12
+                        cuts[:k] = 10.0 ** rng.uniform(1.5, 6.0, k)
+                cuts = sorted(set(cuts))
+                self._assert_kernel_matches(
+                    family, marginal, codebook_from_cutpoints(family, marginal, cuts))
+
+    def test_zero_variance_divides_like_numpy(self, eg):
+        """A Lomax interval (0, 1e-160) asserts theta ~ -2e160, whose variance
+        1/theta^2 is 0.0: the bands hold inf and NaN as numpy's division gives
+        them, and nothing raises."""
+        family, marginal = eg
+        for cuts in ([1e-160], [1e-160, 1.0], [1e-300, 1e-160, 3.0]):
+            book = codebook_from_cutpoints(family, marginal, cuts)
+            assert family.variance(book.theta_hat[0]) == 0.0
+            self._assert_kernel_matches(family, marginal, book)
+
+    def test_floor_test_on_the_floor_run(self, monkeypatch):
+        """Every book of the floor run of test_floor_run_ends_as_floor_outcome,
+        with its G scaled across the floor, gets the array form's answer, and
+        both answers occur."""
+        family, marginal = make_normal_normal(1.0)
+        books = []
+        build = codebook_from_cutpoints
+
+        def recording_build(*args):
+            books.append(build(*args))
+            return books[-1]
+
+        monkeypatch.setattr("smml1d.estimator.codebook_from_cutpoints", recording_build)
+        newton_solve(family, marginal, [-10.8, -2.7, 2.7, 10.8, 33.4, 100.6, 302.0])
+        seen = set()
+        for book in books:
+            self._assert_kernel_matches(family, marginal, book)
+            G = _array_gradient(book)
+            for scale in (1.0, 0.25, 2.0, 8.0, -1.0):
+                expected = _array_at_floor(book, scale * G)
+                assert estimator._at_floor(book, (scale * G).tolist()) == expected
+                seen.add(expected)
+        assert seen == {True, False}
+
+
 class TestNewtonSolve:
     def test_two_cuts_converges_to_symmetric_optimum(self, nn):
         family, marginal = nn
