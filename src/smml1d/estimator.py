@@ -191,8 +191,7 @@ def gradient(family: FamilyModel, marginal: MarginalModel, codebook: CodeBook) -
 
     The derivative of the expected length in ``a_j`` is ``r(a_j)`` times the
     j-th entry of this vector; the entries are computed entirely in the log
-    domain, on Python floats (numpy's per-call cost exceeds the arithmetic
-    on 17 entries), and returned as an array.
+    domain, on Python floats, and returned as an array.
     """
     lq, th, lp = codebook.log_q, codebook.theta_hat, codebook.log_partition
     return np.array([
@@ -251,7 +250,7 @@ def jacobian(family: FamilyModel, marginal: MarginalModel, codebook: CodeBook) -
     )
 
 
-def _solve_tridiagonal(J: Tridiagonal, rhs) -> np.ndarray:
+def _solve_tridiagonal(J: Tridiagonal, rhs) -> list[float]:
     """Solve ``J x = rhs`` by Gaussian elimination with partial pivoting.
 
     A transcription of reference LAPACK ``dgtsv`` for one right-hand side,
@@ -259,7 +258,7 @@ def _solve_tridiagonal(J: Tridiagonal, rhs) -> np.ndarray:
     ``scipy.linalg.solve_banded`` gives, bit for bit.  Rows i and i+1 swap
     where |diag_i| < |sub_i|; the back substitution is the three-term
     recurrence.  It works on lists of floats copied from J and ``rhs`` (any
-    sequence of numbers), so both are left unchanged.
+    sequence of numbers), so both are left unchanged, and returns a list.
     Raises ``LinAlgError`` when elimination meets an exactly zero pivot.
     """
     n = J.n
@@ -294,8 +293,8 @@ def _solve_tridiagonal(J: Tridiagonal, rhs) -> np.ndarray:
         # Only a NaN diagonal entry over a zero sub-diagonal entry reaches a
         # zero divisor: every other pivot is checked, or exceeds a nonzero
         # entry.  Where Python raises, LAPACK's solution is non-finite too.
-        return np.full(n, math.nan)
-    return np.array(b)
+        return [math.nan] * n
+    return b
 
 
 def classify_critical_point(
@@ -479,7 +478,7 @@ def newton_solve(family: FamilyModel, marginal: MarginalModel, initial) -> Solve
                 break
             try:
                 J = jacobian(family, marginal, codebook)
-                step = _solve_tridiagonal(J, [-g for g in residual]).tolist()
+                step = _solve_tridiagonal(J, [-g for g in residual])
             except (np.linalg.LinAlgError, ArithmeticError) as exc:
                 diagnostic = f"singular tridiagonal system at iteration {len(trace) - 1}: {exc}"
                 break

@@ -609,7 +609,7 @@ class TestNewtonSolve:
                 ab[0, 1:], ab[1], ab[2, :-1] = sup, diag, sub
                 expected = scipy.linalg.solve_banded((1, 1), ab, rhs)
                 J = Tridiagonal(sub=sub.copy(), diag=diag.copy(), sup=sup.copy())
-                got = _solve_tridiagonal(J, rhs.copy())
+                got = np.array(_solve_tridiagonal(J, rhs.copy()))
                 assert got.shape == (n,) and got.tobytes() == expected.tobytes(), (n, zero_lead)
                 for kept, orig in ((J.sub, sub), (J.diag, diag), (J.sup, sup)):
                     assert kept.tobytes() == orig.tobytes()
