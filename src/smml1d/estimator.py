@@ -33,8 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import pairwise, repeat
-from operator import mul, sub
+from operator import lt, mul, sub
 
 import numpy as np
 
@@ -114,7 +113,9 @@ class CodeBook:
         return len(self.cuts)
 
 
-def codebook_from_cutpoints(family: FamilyModel, marginal: MarginalModel, cuts) -> CodeBook:
+def codebook_from_cutpoints(
+    family: FamilyModel, marginal: MarginalModel, cuts, *, records=None
+) -> CodeBook:
     """Build the optimal code book for fixed cut-points.
 
     ``cuts`` is any sequence of numbers, stored as a tuple of floats; an
@@ -125,6 +126,12 @@ def codebook_from_cutpoints(family: FamilyModel, marginal: MarginalModel, cuts) 
     finite and not NaN), and ``ArithmeticError`` when a log mass, assertion
     or centroid is not finite: a mass that underflows to 0, or an assertion
     or centroid that overflows.
+
+    ``records`` is a cache: a map from an interval's ends ``(lo, hi)`` to
+    its ``(log q, theta_hat, centroid, log_partition)``, read off books
+    built with the same family and marginal.  An interval found there is
+    taken from it, not integrated again; each record is a pure function of
+    its two ends, so the cache never changes a result.
     """
     cuts = tuple(map(float, cuts))
     lo, hi = marginal.support_lo, marginal.support_hi
@@ -134,11 +141,37 @@ def codebook_from_cutpoints(family: FamilyModel, marginal: MarginalModel, cuts) 
             f"got {cuts}"
         )
     bounds = (lo, *cuts, hi)
-    log_q, centroids = zip(*map(interval_integrals, repeat(marginal), bounds[:-1], bounds[1:]))
-    theta_hat = tuple(map(family.invert_mean, centroids))
-    if not all(map(math.isfinite, (*log_q, *theta_hat, *centroids))):
+    recorded = (records or {}).get
+    rows = []
+    finite = True
+    for end in zip(bounds, bounds[1:]):
+        row = recorded(end)
+        if row is None:
+            log_q, centroid = interval_integrals(marginal, *end)
+            theta = family.invert_mean(centroid)
+            # raise only once every interval is integrated, so an interval
+            # whose integral raises does so first, wherever it lies
+            finite = finite and (
+                math.isfinite(log_q) and math.isfinite(theta) and math.isfinite(centroid))
+            row = (log_q, theta, centroid, family.log_partition(theta) if finite else math.nan)
+        rows.append(row)
+    if not finite:
         raise ArithmeticError(f"a log q, assertion or centroid is not finite at cut-points {cuts}")
-    return CodeBook(cuts, log_q, theta_hat, centroids, tuple(map(family.log_partition, theta_hat)))
+    return CodeBook(cuts, *zip(*rows))
+
+
+def _interval_records(marginal: MarginalModel, books) -> dict[tuple[float, float], tuple]:
+    """The cache :func:`codebook_from_cutpoints` takes: each interval of
+    `books` keyed on its ends, with its log q, assertion, centroid and log
+    partition."""
+    records = {}
+    for book in books:
+        bounds = (marginal.support_lo, *book.cuts, marginal.support_hi)
+        records.update(zip(
+            zip(bounds, bounds[1:]),
+            zip(book.log_q, book.theta_hat, book.centroids, book.log_partition),
+        ))
+    return records
 
 
 def _carrier_constant(family: FamilyModel, marginal: MarginalModel) -> float:
@@ -397,7 +430,7 @@ def _feasible(marginal: MarginalModel, cuts: tuple[float, ...]) -> bool:
     """Strictly increasing inside the open support, hence finite (NaN fails):
     the one test of a valid cut vector."""
     bounds = (marginal.support_lo, *cuts, marginal.support_hi)
-    return all(lo < hi for lo, hi in pairwise(bounds))
+    return all(map(lt, bounds, bounds[1:]))
 
 
 def _max_abs(values) -> float:
@@ -426,7 +459,9 @@ def _at_floor(codebook: CodeBook, residual) -> bool:
     )
 
 
-def newton_solve(family: FamilyModel, marginal: MarginalModel, initial) -> SolveReport:
+def newton_solve(
+    family: FamilyModel, marginal: MarginalModel, initial, *, records=None
+) -> SolveReport:
     """Damped Newton iteration on the stationarity map.
 
     The run stops converged once the max-norm of G is at most ``_TOL``
@@ -458,12 +493,17 @@ def newton_solve(family: FamilyModel, marginal: MarginalModel, initial) -> Solve
     is NaN ends at once.  The empty start is the zero-cut book: its G is
     empty, so the run converges at once, after 0 iterations, to a local
     minimum.  An invalid start raises ``SupportError``.
+
+    ``records`` is a cache of interval records that every build of the run
+    takes, the start's and each trial's (see :func:`codebook_from_cutpoints`):
+    it must come from books built with the same family and marginal, and it
+    never changes a result.
     """
     cuts = tuple(map(float, initial))
     # a non-finite G or J is a rejected trial or a failed run, not a fault to report
     with np.errstate(all="ignore"):
         try:
-            codebook = codebook_from_cutpoints(family, marginal, cuts)
+            codebook = codebook_from_cutpoints(family, marginal, cuts, records=records)
         except ArithmeticError as exc:
             return _unbuildable_report(marginal, cuts, exc)
         # G, its norms and the trial cuts stay Python floats between the calls
@@ -493,7 +533,8 @@ def newton_solve(family: FamilyModel, marginal: MarginalModel, initial) -> Solve
                 if not _feasible(marginal, candidate):
                     continue
                 try:
-                    cand_book = codebook_from_cutpoints(family, marginal, candidate)
+                    cand_book = codebook_from_cutpoints(
+                        family, marginal, candidate, records=records)
                 except ArithmeticError:  # an unbuildable candidate is a rejected trial
                     continue
                 cand_res = gradient(family, marginal, cand_book).tolist()
@@ -615,11 +656,12 @@ def _scan_grid(marginal: MarginalModel, outer: tuple[float, ...], side: int) -> 
         scale = marginal.quantile(0.75) - marginal.quantile(0.25)
     edge = outer[-1] if side > 0 else outer[0]
     bound = marginal.support_hi if side > 0 else marginal.support_lo
+    low, high = min(edge, bound), max(edge, bound)
     out: list[float] = []
     step = 0.05 * scale
     for _ in range(90):
         x = edge + side * step
-        if not (min(edge, bound) < x < max(edge, bound)):
+        if not low < x < high:
             break
         out.append(x)
         step *= 1.5
@@ -734,7 +776,10 @@ def solve_sweep(
     parents, and a book that is its parent plus one cut shares the scan of
     its other side with it; the empty book's scan ignores the side and runs
     once.  Each stage runs Newton once per distinct valid start: it is
-    deterministic, so an equal start would only repeat a report.
+    deterministic, so an equal start would only repeat a report.  Every
+    build of a stage's runs takes the intervals it shares with the stage's
+    seed books (at most four) from their records instead of integrating
+    them again; a record is a pure function of its two ends.
 
     Returns, for each n from 1 to ``n_max``, the runs whose
     ``SolveReport.kept`` holds: local minima only, converged or at the
@@ -746,7 +791,8 @@ def solve_sweep(
     shows fewer stages picks them from the dict.  A code book that cannot
     be built ends its run or rejects its step, so no ``ArithmeticError``
     escapes; a stage where nothing succeeds has an empty list.
-    Deterministic.  No solver state is kept between calls.  What persists is
+    Deterministic.  No solver state is kept between calls: the seed books'
+    records live for one stage.  What persists is
     ``scipy.special.erfcx``, imported by the first Mills ratio and kept by a
     one-entry memo, and bounded memos of pure functions (the normal
     Mills-ratio terms, and the entropy and carrier constant of marginals
@@ -776,9 +822,14 @@ def solve_sweep(
             right, left = root(cuts, 1), root(cuts, -1)
             if right is not None and left is not None:
                 starts.append((left, *cuts, right))
+        # a start is a seed book with one or two new outer cuts: the intervals
+        # it keeps come from the seed books' records
+        records = _interval_records(marginal, [
+            sol.codebook for k in (stage - 1, stage - 2) for sol in stages.get(k, [])[:2]
+        ])
         # a dict keeps each distinct start once, in first-seen order
         stages[stage] = _dedup_sorted([
-            newton_solve(family, marginal, start)
+            newton_solve(family, marginal, start, records=records)
             for start in dict.fromkeys(starts)
             if _feasible(marginal, start)
         ])

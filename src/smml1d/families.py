@@ -272,6 +272,12 @@ def _narrow(width: float, log_ratio: Callable[[float], float]) -> tuple[float, f
     return width * total, moment / total
 
 
+# Partial numerators of h's continued fraction, deepest first: 176.0 is the
+# depth 16 + 640/z^2 at z = 2, and floats spare the loop an int-to-float
+# conversion per term (the same IEEE operations as with ints).
+_MILLS_LADDER = tuple(map(float, range(176, 1, -1)))
+
+
 @lru_cache(maxsize=1)
 def _erfcx():
     """``scipy.special.erfcx``, imported at the first call and kept."""
@@ -303,9 +309,10 @@ def _mills_complement(z: float) -> float:
         return 1.0 - z * r
     # 1 - z R(z) ~ 1/z^2 cancels; Laplace's continued fraction
     # R(z) = 1/(z + 1/(z + 2/(z + ...))) gives h = R / (z + 2/(z + 3/(z + ...))),
-    # which this depth resolves to the last bit for z >= 2.
+    # which the depth 16 + 640/z^2 resolves to the last bit for z >= 2: its
+    # partial numerators are the ladder from that depth down to 2.
     t = z
-    for k in range(16 + int(640.0 / (z * z)), 1, -1):
+    for k in _MILLS_LADDER[160 - int(640.0 / (z * z)):]:
         t = z + k / t
     return r / t
 

@@ -451,6 +451,20 @@ def _hex(values):
     return [float(v).hex() for v in values]
 
 
+def _seeded_cuts(pair_name, marginal, rng, n, far):
+    """n sorted cuts drawn through the quantile map; with `far`, up to a
+    third of them in the far tails (5 to 56 marginal sds out for the normal,
+    Lomax(2, 1) survival 1e-3 to 1e-12)."""
+    cuts = [marginal.quantile(p) for p in rng.uniform(0.02, 0.98, n)]
+    if far and n:
+        k = rng.integers(1, n // 3 + 2)
+        if pair_name == "nn":
+            cuts[:k] = rng.choice((-1.0, 1.0), k) * rng.uniform(11.0, 125.0, k)
+        else:
+            cuts[:k] = 10.0 ** rng.uniform(1.5, 6.0, k)
+    return sorted(set(map(float, cuts)))
+
+
 class TestFloatKernel:
     """gradient, jacobian and _at_floor run on Python floats; every entry
     equals the array form's by float.hex."""
@@ -472,14 +486,7 @@ class TestFloatKernel:
         rng = np.random.default_rng(28)
         for n in range(17):
             for far in (False, True):
-                cuts = [marginal.quantile(p) for p in rng.uniform(0.02, 0.98, n)]
-                if far and n:  # up to a third of the cuts in the far tails
-                    k = rng.integers(1, n // 3 + 2)
-                    if pair_name == "nn":  # 5 to 56 marginal sds out, either side
-                        cuts[:k] = rng.choice((-1.0, 1.0), k) * rng.uniform(11.0, 125.0, k)
-                    else:  # the Lomax(2, 1) survival 1e-3 to 1e-12
-                        cuts[:k] = 10.0 ** rng.uniform(1.5, 6.0, k)
-                cuts = sorted(set(cuts))
+                cuts = _seeded_cuts(pair_name, marginal, rng, n, far)
                 self._assert_kernel_matches(
                     family, marginal, codebook_from_cutpoints(family, marginal, cuts))
 
@@ -501,8 +508,8 @@ class TestFloatKernel:
         books = []
         build = codebook_from_cutpoints
 
-        def recording_build(*args):
-            books.append(build(*args))
+        def recording_build(*args, **kwargs):
+            books.append(build(*args, **kwargs))
             return books[-1]
 
         monkeypatch.setattr("smml1d.estimator.codebook_from_cutpoints", recording_build)
@@ -516,6 +523,102 @@ class TestFloatKernel:
                 assert estimator._at_floor(book, (scale * G).tolist()) == expected
                 seen.add(expected)
         assert seen == {True, False}
+
+
+def _book_bits(book):
+    """Every field of a code book, each float by float.hex."""
+    return [_hex(field) for field in dataclasses.astuple(book)]
+
+
+class TestIntervalRecords:
+    """A build given the interval records of books it extends takes the
+    shared intervals from them and integrates only its new ones; the book
+    equals a fresh build in every field, bit for bit."""
+
+    @staticmethod
+    def _builds_alike(family, marginal, cuts, parents, monkeypatch):
+        """Build `cuts` fresh and from the parents' records; assert the two
+        books (or the two errors) agree and return the intervals integrated
+        with the records."""
+        records = estimator._interval_records(marginal, parents)
+        integrated = []
+        integrals = estimator.interval_integrals
+
+        def counted(marginal, lo, hi, **kwargs):
+            integrated.append((lo, hi))
+            return integrals(marginal, lo, hi, **kwargs)
+
+        def build(**kwargs):
+            try:
+                return _book_bits(codebook_from_cutpoints(family, marginal, cuts, **kwargs))
+            except ArithmeticError as exc:
+                return type(exc), str(exc)
+
+        fresh = build()
+        with monkeypatch.context() as patch:
+            patch.setattr(estimator, "interval_integrals", counted)
+            assert build(records=records) == fresh, cuts
+        assert not set(integrated) & set(records)
+        return integrated
+
+    @staticmethod
+    def _outer(pair_name, marginal, cuts, side, rng):
+        """A new cut beyond `cuts` on `side`, inside the support."""
+        if not cuts:
+            return marginal.quantile(0.5 + side * rng.uniform(0.05, 0.45))
+        edge = cuts[-1] if side > 0 else cuts[0]
+        if pair_name == "eg" and side < 0:
+            return edge * rng.uniform(0.05, 0.95)
+        return edge + side * rng.uniform(0.05, 3.0) * max(1.0, abs(edge))
+
+    @pytest.mark.parametrize("pair_name", ["nn", "eg"])
+    def test_seeded_parents_bulk_and_far_tail(self, pair_name, request, monkeypatch):
+        """Parents n = 0..16, in the bulk and out in the far tails, each
+        extended on the left, on the right and on both sides; the records
+        of a second, unrelated book ride along."""
+        family, marginal = request.getfixturevalue(pair_name)
+        rng = np.random.default_rng(29)
+        for n in range(17):
+            for far in (False, True):
+                parent = _seeded_cuts(pair_name, marginal, rng, n, far)
+                other = _seeded_cuts(pair_name, marginal, rng, n + 1, far)
+                books = [codebook_from_cutpoints(family, marginal, c) for c in (parent, other)]
+                left = self._outer(pair_name, marginal, parent, -1, rng)
+                right = self._outer(pair_name, marginal, parent, 1, rng)
+                for cuts, new in (([left, *parent], 2), ([*parent, right], 2),
+                                  ([left, *parent, right], 4 if n else 3)):
+                    integrated = self._builds_alike(family, marginal, cuts, books, monkeypatch)
+                    assert len(integrated) == new, cuts
+
+    def test_parent_cut_at_zero(self, nn, monkeypatch):
+        """The symmetric first cut, exactly 0.0, and a parent with 0.0
+        inside it, extended either way."""
+        family, marginal = nn
+        first = solve_sweep(family, marginal, 1)[1][0].codebook
+        assert first.cuts == (0.0,)
+        inner = codebook_from_cutpoints(family, marginal, [-1.5, 0.0, 2.25])
+        for parent in (first, inner):
+            a, b = parent.cuts[0], parent.cuts[-1]
+            for cuts, new in (([a - 2.0, *parent.cuts], 2), ([*parent.cuts, b + 2.0], 2),
+                              ([a - 2.0, *parent.cuts, b + 2.0], 4), ([a - 40.0, *parent.cuts], 2)):
+                integrated = self._builds_alike(family, marginal, cuts, [parent], monkeypatch)
+                assert len(integrated) == new, cuts
+
+    def test_new_interval_that_cannot_be_built(self, nn, eg, monkeypatch):
+        """A start whose new interval is not finite, or whose integral
+        raises, raises the same ArithmeticError with or without records,
+        the integral's first when both happen."""
+        for (family, marginal), parent, cuts, message in (
+            (nn, [-1.0, 1.0], [-1.0, 1.0, 1e200], "is not finite"),  # log q of (1e200, inf)
+            (eg, [2.0, 9.0], [1e-320, 2.0, 9.0], "is not finite"),   # assertion of (0, 1e-320)
+            (nn, [0.0], [0.0, 5e-324], "degenerate interval mass"),   # mass of (0, 5e-324)
+            (nn, [0.0], [-1e200, 0.0, 5e-324], "degenerate interval mass"),
+            (nn, [0.0], [-5e-324, 0.0, 5e-324], r"mass over \(-5e-324, 0.0\)"),
+        ):
+            parents = [codebook_from_cutpoints(family, marginal, parent)]
+            with pytest.raises(ArithmeticError, match=message):
+                codebook_from_cutpoints(family, marginal, cuts)
+            self._builds_alike(family, marginal, cuts, parents, monkeypatch)
 
 
 class TestNewtonSolve:
@@ -574,10 +677,10 @@ class TestNewtonSolve:
         builds = 0
         build = codebook_from_cutpoints
 
-        def counting_build(*args):
+        def counting_build(*args, **kwargs):
             nonlocal builds
             builds += 1
-            return build(*args)
+            return build(*args, **kwargs)
 
         monkeypatch.setattr("smml1d.estimator.codebook_from_cutpoints", counting_build)
         report = newton_solve(family, marginal, start)
@@ -675,8 +778,8 @@ class TestNewtonSolve:
         books = []
         build = codebook_from_cutpoints
 
-        def recording_build(*args):
-            books.append(build(*args))
+        def recording_build(*args, **kwargs):
+            books.append(build(*args, **kwargs))
             return books[-1]
 
         monkeypatch.setattr("smml1d.estimator.codebook_from_cutpoints", recording_build)
@@ -716,10 +819,10 @@ class TestNewtonSolve:
         builds = 0
         build = codebook_from_cutpoints
 
-        def counting_build(*args):
+        def counting_build(*args, **kwargs):
             nonlocal builds
             builds += 1
-            return build(*args)
+            return build(*args, **kwargs)
 
         monkeypatch.setattr("smml1d.estimator.codebook_from_cutpoints", counting_build)
         report = newton_solve(*pair, start)
@@ -755,12 +858,12 @@ class TestNewtonSolve:
         builds = 0
         build = codebook_from_cutpoints
 
-        def failing_first_step(*args):
+        def failing_first_step(*args, **kwargs):
             nonlocal builds
             builds += 1
             if builds == 2:
                 raise ArithmeticError("degenerate interval mass")
-            return build(*args)
+            return build(*args, **kwargs)
 
         monkeypatch.setattr("smml1d.estimator.codebook_from_cutpoints", failing_first_step)
         report = newton_solve(family, marginal, [-2.2, 1.8])
@@ -954,10 +1057,10 @@ class TestMultiStart:
         builds = itertools.count(1)
         build = codebook_from_cutpoints
 
-        def flaky_build(*args):
+        def flaky_build(*args, **kwargs):
             if next(builds) % 3 == 0:
                 raise ArithmeticError("unbuildable")
-            return build(*args)
+            return build(*args, **kwargs)
 
         monkeypatch.setattr("smml1d.estimator.codebook_from_cutpoints", flaky_build)
         stages = solve_sweep(*nn, 3)
@@ -1092,9 +1195,9 @@ def _count_sweep_work(monkeypatch, family, marginal, n_max):
         scans.append((outer, side))
         return outward_root(family, marginal, outer, side)
 
-    def counted_newton(family, marginal, initial):
+    def counted_newton(family, marginal, initial, *, records=None):
         starts.append(tuple(np.asarray(initial).tolist()))
-        return newton_solve(family, marginal, initial)
+        return newton_solve(family, marginal, initial, records=records)
 
     monkeypatch.setattr(estimator, "_outward_root", counted_root)
     monkeypatch.setattr(estimator, "newton_solve", counted_newton)
@@ -1130,6 +1233,50 @@ class TestSweepWork:
         scans, starts = _count_sweep_work(monkeypatch, *pair, 3)
         assert (scans, starts) == ([((), 1)], [])
         assert solve_sweep(*pair, 3) == {1: [], 2: [], 3: []}
+
+
+def _report_bits(report):
+    """Every field of a report, each float by float.hex."""
+    return (*_book_bits(report.codebook), report.classification, report.diagnostic,
+            report.at_floor, *map(_hex, (
+                (report.message_length, report.entropy), report.continuity_gaps,
+                report.grad_norm_trace)))
+
+
+class TestSeedRecords:
+    """Each stage hands its builds the interval records of its seed books."""
+
+    @pytest.mark.parametrize("pair,n_max,solver_integrals", [
+        (make_normal_normal(2.0), 16, 1042),
+        (make_exponential_gamma(2.0, 1.0), 5, 64),
+    ], ids=["nn", "eg"])
+    def test_solver_integrals_per_sweep(self, pair, n_max, solver_integrals, monkeypatch):
+        """The solver-tolerance interval integrals of a sweep: integrating
+        every interval of every build made 1 705 and 74."""
+        calls = 0
+        integrals = estimator.interval_integrals
+
+        def counted(marginal, lo, hi, **kwargs):
+            nonlocal calls
+            if "rel_tol" not in kwargs:  # the scans pass their looser tolerance
+                calls += 1
+            return integrals(marginal, lo, hi, **kwargs)
+
+        monkeypatch.setattr(estimator, "interval_integrals", counted)
+        solve_sweep(*pair, n_max)
+        assert calls == solver_integrals
+
+    def test_no_state_between_sweeps(self, nn, eg):
+        """A sweep gives the same reports when repeated, and after a sweep
+        of the other model."""
+        def sweep(pair, n_max):
+            return {n: [_report_bits(r) for r in reps]
+                    for n, reps in solve_sweep(*pair, n_max).items()}
+
+        normal, lomax = sweep(nn, 8), sweep(eg, 5)
+        assert sweep(nn, 8) == normal
+        assert sweep(eg, 5) == lomax
+        assert sweep(nn, 8) == normal
 
 
 def _minimum(cuts, length):

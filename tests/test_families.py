@@ -13,6 +13,7 @@ from smml1d import (
     make_normal_normal,
     mu_inverse_numeric,
 )
+from smml1d import families
 from smml1d.quadrature import expectation
 
 BETA = math.sqrt(5.0)
@@ -105,6 +106,29 @@ class TestNormalNormal:
             assert math.isfinite(centroid)
             assert centroid == pytest.approx(1e5 * ref_centroid, rel=1e-14)
             assert log_mass == pytest.approx(ref_log_mass, rel=1e-14)
+
+
+def _mills_complement_by_int_range(z):
+    """h(z) for z >= 2 by the continued fraction over ``range`` of ints:
+    the oracle of the float ladder."""
+    t = z
+    for k in range(16 + int(640.0 / (z * z)), 1, -1):
+        t = z + k / t
+    return families._mills(z) / t
+
+
+class TestMillsComplement:
+    def test_ladder_matches_int_range(self):
+        """The ladder of float partial numerators gives h bit for bit as the
+        integer range does: on a dense grid of [2, 60] and on either side of
+        every z where the depth 16 + int(640/z^2) steps."""
+        zs = list(map(float, np.linspace(2.0, 60.0, 5801)))
+        for k in range(1, 161):
+            step = math.sqrt(640.0 / k)
+            zs += [math.nextafter(step, 0.0), step, math.nextafter(step, math.inf)]
+        zs = [z for z in zs if z >= 2.0]
+        got = [families._mills_complement.__wrapped__(z).hex() for z in zs]
+        assert got == [_mills_complement_by_int_range(z).hex() for z in zs]
 
 
 class TestExponentialGamma:
