@@ -127,11 +127,12 @@ def codebook_from_cutpoints(
     or centroid is not finite: a mass that underflows to 0, or an assertion
     or centroid that overflows.
 
-    ``records`` is a cache: a map from an interval's ends ``(lo, hi)`` to
-    its ``(log q, theta_hat, centroid, log_partition)``, read off books
-    built with the same family and marginal.  An interval found there is
-    taken from it, not integrated again; each record is a pure function of
-    its two ends, so the cache never changes a result.
+    ``records`` is a cache, a dict from an interval's ends ``(lo, hi)`` to
+    its ``(log q, theta_hat, centroid, log_partition)``, shared by builds
+    with the same family and marginal.  An interval found there is taken
+    from it, not integrated again, and each finite interval the build
+    integrates is written into it; each record is a pure function of its
+    two ends, so the cache never changes a result.
     """
     cuts = tuple(map(float, cuts))
     lo, hi = marginal.support_lo, marginal.support_hi
@@ -140,38 +141,27 @@ def codebook_from_cutpoints(
             f"cut-points must be strictly increasing inside the support ({lo!r}, {hi!r}), "
             f"got {cuts}"
         )
+    if records is None:
+        records = {}
     bounds = (lo, *cuts, hi)
-    recorded = (records or {}).get
     rows = []
     finite = True
     for end in zip(bounds, bounds[1:]):
-        row = recorded(end)
+        row = records.get(end)
         if row is None:
             log_q, centroid = interval_integrals(marginal, *end)
             theta = family.invert_mean(centroid)
             # raise only once every interval is integrated, so an interval
             # whose integral raises does so first, wherever it lies
-            finite = finite and (
-                math.isfinite(log_q) and math.isfinite(theta) and math.isfinite(centroid))
-            row = (log_q, theta, centroid, family.log_partition(theta) if finite else math.nan)
+            if math.isfinite(log_q) and math.isfinite(theta) and math.isfinite(centroid):
+                row = records[end] = (log_q, theta, centroid, family.log_partition(theta))
+            else:
+                finite = False
+                row = (log_q, theta, centroid, math.nan)
         rows.append(row)
     if not finite:
         raise ArithmeticError(f"a log q, assertion or centroid is not finite at cut-points {cuts}")
     return CodeBook(cuts, *zip(*rows))
-
-
-def _interval_records(marginal: MarginalModel, books) -> dict[tuple[float, float], tuple]:
-    """The cache :func:`codebook_from_cutpoints` takes: each interval of
-    `books` keyed on its ends, with its log q, assertion, centroid and log
-    partition."""
-    records = {}
-    for book in books:
-        bounds = (marginal.support_lo, *book.cuts, marginal.support_hi)
-        records.update(zip(
-            zip(bounds, bounds[1:]),
-            zip(book.log_q, book.theta_hat, book.centroids, book.log_partition),
-        ))
-    return records
 
 
 def _carrier_constant(family: FamilyModel, marginal: MarginalModel) -> float:
@@ -494,10 +484,9 @@ def newton_solve(
     empty, so the run converges at once, after 0 iterations, to a local
     minimum.  An invalid start raises ``SupportError``.
 
-    ``records`` is a cache of interval records that every build of the run
-    takes, the start's and each trial's (see :func:`codebook_from_cutpoints`):
-    it must come from books built with the same family and marginal, and it
-    never changes a result.
+    ``records`` is the interval cache every build of the run reads and
+    fills, the start's and each trial's (see :func:`codebook_from_cutpoints`);
+    it never changes a result.
     """
     cuts = tuple(map(float, initial))
     # a non-finite G or J is a rejected trial or a failed run, not a fault to report
@@ -777,9 +766,10 @@ def solve_sweep(
     its other side with it; the empty book's scan ignores the side and runs
     once.  Each stage runs Newton once per distinct valid start: it is
     deterministic, so an equal start would only repeat a report.  Every
-    build of a stage's runs takes the intervals it shares with the stage's
-    seed books (at most four) from their records instead of integrating
-    them again; a record is a pure function of its two ends.
+    build of the sweep reads and fills one interval cache (see
+    :func:`codebook_from_cutpoints`), so an interval that an earlier start,
+    trial or stage integrated is not integrated again; a record is a pure
+    function of its two ends.
 
     Returns, for each n from 1 to ``n_max``, the runs whose
     ``SolveReport.kept`` holds: local minima only, converged or at the
@@ -791,16 +781,16 @@ def solve_sweep(
     shows fewer stages picks them from the dict.  A code book that cannot
     be built ends its run or rejects its step, so no ``ArithmeticError``
     escapes; a stage where nothing succeeds has an empty list.
-    Deterministic.  No solver state is kept between calls: the seed books'
-    records live for one stage.  What persists is
-    ``scipy.special.erfcx``, imported by the first Mills ratio and kept by a
-    one-entry memo, and bounded memos of pure functions (the normal
-    Mills-ratio terms, and the entropy and carrier constant of marginals
-    without closed forms), which cannot change a result.
+    Deterministic.  No solver state is kept between calls: the interval
+    cache lives for one sweep.  What persists are bounded memos of pure
+    functions (the normal Mills-ratio pair, and the entropy and carrier
+    constant of marginals without closed forms), which cannot change a
+    result.
     """
     if not n_max >= 1:
         raise ValueError(f"need n_max >= 1, got {n_max!r}")
     roots: dict[tuple[tuple[float, ...], int], float | None] = {}
+    records: dict[tuple[float, float], tuple[float, float, float, float]] = {}
 
     def root(cuts: tuple[float, ...], side: int) -> float | None:
         key = (cuts[-2:] if side > 0 else cuts[:2], side if cuts else 1)
@@ -822,11 +812,6 @@ def solve_sweep(
             right, left = root(cuts, 1), root(cuts, -1)
             if right is not None and left is not None:
                 starts.append((left, *cuts, right))
-        # a start is a seed book with one or two new outer cuts: the intervals
-        # it keeps come from the seed books' records
-        records = _interval_records(marginal, [
-            sol.codebook for k in (stage - 1, stage - 2) for sol in stages.get(k, [])[:2]
-        ])
         # a dict keeps each distinct start once, in first-seen order
         stages[stage] = _dedup_sorted([
             newton_solve(family, marginal, start, records=records)

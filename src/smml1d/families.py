@@ -272,49 +272,36 @@ def _narrow(width: float, log_ratio: Callable[[float], float]) -> tuple[float, f
     return width * total, moment / total
 
 
-# Partial numerators of h's continued fraction, deepest first: 176.0 is the
-# depth 16 + 640/z^2 at z = 2, and floats spare the loop an int-to-float
+# Partial numerators of Laplace's continued fraction, deepest first: 176.0 is
+# the depth 16 + 640/z^2 at z = 2, and floats spare the loop an int-to-float
 # conversion per term (the same IEEE operations as with ints).
 _MILLS_LADDER = tuple(map(float, range(176, 1, -1)))
 
 
-@lru_cache(maxsize=1)
-def _erfcx():
-    """``scipy.special.erfcx``, imported at the first call and kept."""
-    from scipy.special import erfcx
-
-    return erfcx
-
-
 # R and h are pure functions of the standardised interval end.  A cut ends two
 # intervals, and the insertion scan keeps one end fixed over a whole scan, so
-# three in five of the ends the n <= 16 sweep of Table 1 forms are repeats;
-# the bounded memos answer those without erfcx or the continued fraction.
+# half of the ends the n <= 16 sweep of Table 1 forms are repeats; the
+# bounded memo answers those without erfc or the continued fraction.
 @lru_cache(maxsize=256)
-def _mills(z: float) -> float:
-    """Mills ratio R(z) = Q(z) / phi(z) of the standard normal.
+def _mills_pair(z: float) -> tuple[float, float]:
+    """Mills ratio R(z) = Q(z) / phi(z) of the standard normal and its
+    complement h(z) = 1 - z R(z), for z >= 0.
 
-    Only this uses ``scipy.special``, so its import, about 0.14 s and 24 MB
-    of resident memory, waits for the first Mills ratio; ``_erfcx`` then
-    keeps the function, so a memo miss costs no import statement.
+    Below z = 2, R is sqrt(pi/2) exp(z^2/2) erfc(z/sqrt 2).  From z = 2 on,
+    1 - z R(z) ~ 1/z^2 cancels, and both come from Laplace's continued
+    fraction R(z) = 1/(z + 1/(z + 2/(z + ...))): with its tail
+    T = z + 2/(z + 3/(z + ...)), R = 1/(z + 1/T) and h = R/T.  The depth
+    16 + 640/z^2 resolves both to within a few units of the last bit; its
+    partial numerators are the ladder from that depth down to 2.
     """
-    return _SQRT_HALF_PI * float(_erfcx()(z / _SQRT2))
-
-
-@lru_cache(maxsize=256)
-def _mills_complement(z: float) -> float:
-    """h(z) = 1 - z R(z) for z >= 0."""
-    r = _mills(z)
     if z < 2.0:
-        return 1.0 - z * r
-    # 1 - z R(z) ~ 1/z^2 cancels; Laplace's continued fraction
-    # R(z) = 1/(z + 1/(z + 2/(z + ...))) gives h = R / (z + 2/(z + 3/(z + ...))),
-    # which the depth 16 + 640/z^2 resolves to the last bit for z >= 2: its
-    # partial numerators are the ladder from that depth down to 2.
+        r = _SQRT_HALF_PI * math.exp(0.5 * z * z) * math.erfc(z / _SQRT2)
+        return r, 1.0 - z * r
     t = z
     for k in _MILLS_LADDER[160 - int(640.0 / (z * z)):]:
         t = z + k / t
-    return r / t
+    r = 1.0 / (z + 1.0 / t)
+    return r, r / t
 
 
 def _normal_tail(a: float, w: float, s: float) -> tuple[float, float] | None:
@@ -323,15 +310,15 @@ def _normal_tail(a: float, w: float, s: float) -> tuple[float, float] | None:
     ``s`` is 2a + w; callers form ``w`` and ``s`` from the interval ends
     directly, so neither carries the cancellation of b - a.
     """
-    r_a = _mills(a)
+    r_a, h_a = _mills_pair(a)
     log_phi_a = -0.5 * a * a - 0.5 * _LOG_2PI
     if w == math.inf:
-        return log_phi_a + math.log(r_a), _mills_complement(a) / r_a
+        return log_phi_a + math.log(r_a), h_a / r_a
     b = a + w
-    r_b = _mills(b)
+    r_b, h_b = _mills_pair(b)
     arg = 0.5 * w * s                       # (b^2 - a^2) / 2
     rho = math.exp(-arg)                    # phi(b) / phi(a)
-    # mass / phi(a), from the central masses (erf) or the upper tails (erfcx)
+    # mass / phi(a), from the central masses (erf) or the upper tails (R)
     erf_b = math.erf(b / _SQRT2)
     central = 0.5 * (erf_b - math.erf(a / _SQRT2))
     central_cancel = _cancellation(0.5 * erf_b, central)
@@ -350,8 +337,7 @@ def _normal_tail(a: float, w: float, s: float) -> tuple[float, float] | None:
         one_minus_rho = -math.expm1(-arg)
         direct = one_minus_rho - a * scaled
         direct_cancel = _cancellation(one_minus_rho, direct)
-        h_a = _mills_complement(a)
-        via_h = h_a - rho * (_mills_complement(b) + w * r_b)
+        via_h = h_a - rho * (h_b + w * r_b)
         via_h_cancel = _cancellation(h_a, via_h)
         if min(direct_cancel, via_h_cancel) <= _MAX_CANCELLATION:
             return log_mass, (direct if direct_cancel < via_h_cancel else via_h) / scaled

@@ -1,3 +1,4 @@
+import math
 import time
 
 import pytest
@@ -25,3 +26,27 @@ def normal_sweep16(nn):
     start = time.perf_counter()
     stages = solve_sweep(family, marginal, 16)
     return stages, time.perf_counter() - start
+
+
+def continued_fraction_tail(z):
+    """T(z) = z + 2/(z + 3/(z + ...)), the tail of Laplace's continued
+    fraction for the Mills ratio, at the package's depth 16 + int(640/z^2)
+    and over ``range`` of ints; for z >= 2."""
+    t = z
+    for k in range(16 + int(640.0 / (z * z)), 1, -1):
+        t = z + k / t
+    return t
+
+
+@pytest.fixture(scope="session")
+def erfcx_mills_pair():
+    """The Mills pair (R, h) as the package formed it from scipy's erfcx: R
+    is sqrt(pi/2) erfcx(z/sqrt 2), and h is 1 - z R below z = 2 and R / T(z)
+    from z = 2 on.  An oracle only; the package needs no scipy."""
+    from scipy.special import erfcx
+
+    def pair(z):
+        r = math.sqrt(0.5 * math.pi) * float(erfcx(z / math.sqrt(2.0)))
+        return r, (1.0 - z * r if z < 2.0 else r / continued_fraction_tail(z))
+
+    return pair

@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import math
 import statistics
+from operator import sub
 
 import numpy as np
 import pytest
@@ -31,7 +32,7 @@ from smml1d import (
     message_length,
     newton_solve,
 )
-from smml1d import estimator
+from smml1d import estimator, families
 from smml1d.checks import gradient_fd, length_fd, log_code_jumps, separated_cuts
 from smml1d.estimator import _dedup_sorted, _solve_tridiagonal, solve_sweep
 from test_quadrature import _lomax_exact, _normal_exact
@@ -531,16 +532,20 @@ def _book_bits(book):
 
 
 class TestIntervalRecords:
-    """A build given the interval records of books it extends takes the
-    shared intervals from them and integrates only its new ones; the book
-    equals a fresh build in every field, bit for bit."""
+    """A build given the interval cache that books it extends filled takes
+    the shared intervals from it and integrates only its new ones, writing
+    those back; the book equals a fresh build in every field, bit for bit."""
 
     @staticmethod
     def _builds_alike(family, marginal, cuts, parents, monkeypatch):
-        """Build `cuts` fresh and from the parents' records; assert the two
-        books (or the two errors) agree and return the intervals integrated
-        with the records."""
-        records = estimator._interval_records(marginal, parents)
+        """Build `cuts` fresh and with the cache that building the `parents`
+        (cut vectors) filled; assert the two books (or the two errors) agree
+        and that the cache holds finite records only; return the intervals
+        integrated with the cache."""
+        records = {}
+        for parent in parents:
+            codebook_from_cutpoints(family, marginal, parent, records=records)
+        cached = set(records)
         integrated = []
         integrals = estimator.interval_integrals
 
@@ -558,8 +563,9 @@ class TestIntervalRecords:
         with monkeypatch.context() as patch:
             patch.setattr(estimator, "interval_integrals", counted)
             assert build(records=records) == fresh, cuts
-        assert not set(integrated) & set(records)
-        return integrated
+        assert not set(integrated) & cached
+        assert all(math.isfinite(x) for row in records.values() for x in row[:3])
+        return integrated, records
 
     @staticmethod
     def _outer(pair_name, marginal, cuts, side, rng):
@@ -582,32 +588,38 @@ class TestIntervalRecords:
             for far in (False, True):
                 parent = _seeded_cuts(pair_name, marginal, rng, n, far)
                 other = _seeded_cuts(pair_name, marginal, rng, n + 1, far)
-                books = [codebook_from_cutpoints(family, marginal, c) for c in (parent, other)]
                 left = self._outer(pair_name, marginal, parent, -1, rng)
                 right = self._outer(pair_name, marginal, parent, 1, rng)
                 for cuts, new in (([left, *parent], 2), ([*parent, right], 2),
                                   ([left, *parent, right], 4 if n else 3)):
-                    integrated = self._builds_alike(family, marginal, cuts, books, monkeypatch)
+                    integrated, records = self._builds_alike(
+                        family, marginal, cuts, [parent, other], monkeypatch)
                     assert len(integrated) == new, cuts
+                    # the cache now holds every interval of the book
+                    book = codebook_from_cutpoints(family, marginal, cuts)
+                    bounds = (marginal.support_lo, *book.cuts, marginal.support_hi)
+                    rows = zip(book.log_q, book.theta_hat, book.centroids, book.log_partition)
+                    for end, row in zip(zip(bounds, bounds[1:]), rows):
+                        assert records[end] == row, end
 
     def test_parent_cut_at_zero(self, nn, monkeypatch):
         """The symmetric first cut, exactly 0.0, and a parent with 0.0
         inside it, extended either way."""
         family, marginal = nn
-        first = solve_sweep(family, marginal, 1)[1][0].codebook
-        assert first.cuts == (0.0,)
-        inner = codebook_from_cutpoints(family, marginal, [-1.5, 0.0, 2.25])
-        for parent in (first, inner):
-            a, b = parent.cuts[0], parent.cuts[-1]
-            for cuts, new in (([a - 2.0, *parent.cuts], 2), ([*parent.cuts, b + 2.0], 2),
-                              ([a - 2.0, *parent.cuts, b + 2.0], 4), ([a - 40.0, *parent.cuts], 2)):
-                integrated = self._builds_alike(family, marginal, cuts, [parent], monkeypatch)
+        first = solve_sweep(family, marginal, 1)[1][0].cuts
+        assert first == (0.0,)
+        for parent in (first, (-1.5, 0.0, 2.25)):
+            a, b = parent[0], parent[-1]
+            for cuts, new in (([a - 2.0, *parent], 2), ([*parent, b + 2.0], 2),
+                              ([a - 2.0, *parent, b + 2.0], 4), ([a - 40.0, *parent], 2)):
+                integrated, _ = self._builds_alike(family, marginal, cuts, [parent], monkeypatch)
                 assert len(integrated) == new, cuts
 
     def test_new_interval_that_cannot_be_built(self, nn, eg, monkeypatch):
         """A start whose new interval is not finite, or whose integral
         raises, raises the same ArithmeticError with or without records,
-        the integral's first when both happen."""
+        the integral's first when both happen, and the cache keeps the
+        finite intervals only."""
         for (family, marginal), parent, cuts, message in (
             (nn, [-1.0, 1.0], [-1.0, 1.0, 1e200], "is not finite"),  # log q of (1e200, inf)
             (eg, [2.0, 9.0], [1e-320, 2.0, 9.0], "is not finite"),   # assertion of (0, 1e-320)
@@ -615,10 +627,9 @@ class TestIntervalRecords:
             (nn, [0.0], [-1e200, 0.0, 5e-324], "degenerate interval mass"),
             (nn, [0.0], [-5e-324, 0.0, 5e-324], r"mass over \(-5e-324, 0.0\)"),
         ):
-            parents = [codebook_from_cutpoints(family, marginal, parent)]
             with pytest.raises(ArithmeticError, match=message):
                 codebook_from_cutpoints(family, marginal, cuts)
-            self._builds_alike(family, marginal, cuts, parents, monkeypatch)
+            self._builds_alike(family, marginal, cuts, [parent], monkeypatch)
 
 
 class TestNewtonSolve:
@@ -1207,7 +1218,7 @@ def _count_sweep_work(monkeypatch, family, marginal, n_max):
 
 class TestSweepWork:
     @pytest.mark.parametrize("pair_name,n_max,n_scans,n_runs", [
-        ("nn", 16, 38, 67),
+        ("nn", 16, 38, 68),
         ("eg", 5, 9, 5),
     ])
     def test_each_scan_and_start_once(self, pair_name, n_max, n_scans, n_runs,
@@ -1216,7 +1227,11 @@ class TestSweepWork:
         Newton twice from the same start.  Scanning every book and running
         every start made the n<=16 normal sweep 53 scans and 78 runs.  Stage
         1's scan, of the empty book, goes through the same memo, first and
-        once, and every scan is keyed on at most two cuts."""
+        once, and every scan is keyed on at most two cuts.  The normal count
+        was 67 with the erfcx Mills ratio: there, stage 9's second book was its
+        start unmoved, so its left extension was bit for bit the best book's
+        right extension; with the continued fraction it takes one Newton step,
+        and the two stage-10 starts differ in their last bits."""
         scans, starts = _count_sweep_work(
             monkeypatch, *request.getfixturevalue(pair_name), n_max)
         assert (len(scans), len(starts)) == (n_scans, n_runs)
@@ -1244,27 +1259,27 @@ def _report_bits(report):
 
 
 class TestSeedRecords:
-    """Each stage hands its builds the interval records of its seed books."""
+    """Every build of a sweep reads and fills one interval cache."""
 
     @pytest.mark.parametrize("pair,n_max,solver_integrals", [
-        (make_normal_normal(2.0), 16, 1042),
+        (make_normal_normal(2.0), 16, 805),
         (make_exponential_gamma(2.0, 1.0), 5, 64),
     ], ids=["nn", "eg"])
     def test_solver_integrals_per_sweep(self, pair, n_max, solver_integrals, monkeypatch):
-        """The solver-tolerance interval integrals of a sweep: integrating
-        every interval of every build made 1 705 and 74."""
-        calls = 0
+        """The solver-tolerance interval integrals of a sweep, none of them
+        twice: integrating every interval of every build made 1 705 and 74,
+        and the seed books' records of one stage 1 042 and 64."""
+        calls = []
         integrals = estimator.interval_integrals
 
         def counted(marginal, lo, hi, **kwargs):
-            nonlocal calls
             if "rel_tol" not in kwargs:  # the scans pass their looser tolerance
-                calls += 1
+                calls.append((lo, hi))
             return integrals(marginal, lo, hi, **kwargs)
 
         monkeypatch.setattr(estimator, "interval_integrals", counted)
         solve_sweep(*pair, n_max)
-        assert calls == solver_integrals
+        assert len(calls) == len(set(calls)) == solver_integrals
 
     def test_no_state_between_sweeps(self, nn, eg):
         """A sweep gives the same reports when repeated, and after a sweep
@@ -1277,6 +1292,73 @@ class TestSeedRecords:
         assert sweep(nn, 8) == normal
         assert sweep(eg, 5) == lomax
         assert sweep(nn, 8) == normal
+
+
+def _error_bar(family, marginal, book):
+    """e2 = max(|J^-1| (|G| + 8 ulp of the largest term of G_j)), with J^-1
+    formed densely: how far a book may lie from the stationary book it
+    stands for, counting the rounding of G as well as its size."""
+    lq, th, lp = book.log_q, book.theta_hat, book.log_partition
+    rounding = [
+        8.0 * math.ulp(max(abs(q1), abs(x * t1), abs(p1), abs(q0), abs(x * t0), abs(p0)))
+        for x, q0, q1, t0, t1, p0, p1 in zip(book.cuts, lq, lq[1:], th, th[1:], lp, lp[1:])
+    ]
+    inverse = np.linalg.inv(jacobian(family, marginal, book).to_dense())
+    noise = np.abs(gradient(family, marginal, book)) + rounding
+    return float(np.max(np.abs(inverse) @ noise))
+
+
+def _sweep_with_mills_pair(pair, monkeypatch, n_max=16):
+    """The normal alpha=2 sweep with `pair` as the Mills pair: each stage's
+    kept reports, each with its error bar."""
+    with monkeypatch.context() as patch:
+        patch.setattr(families, "_mills_pair", pair)
+        family, marginal = make_normal_normal(2.0)
+        return {n: [(r, _error_bar(family, marginal, r.codebook)) for r in reps]
+                for n, reps in solve_sweep(family, marginal, n_max).items()}
+
+
+def _disagreements(ours, theirs):
+    """Stages where the best book of one sweep lies farther than the sum of
+    the two error bars from every kept book of the other, in either mirror
+    orientation, or where the best redundancies differ by 1e-12 or more."""
+    def near(a, bar, kept):
+        mirror = tuple(-x for x in reversed(a))
+        return any(
+            max(map(abs, map(sub, c, r.cuts))) <= bar + other_bar
+            for r, other_bar in kept for c in (a, mirror))
+
+    found = []
+    for n in ours:
+        if not (ours[n] and theirs[n]):
+            found.append((n, "a stage without minima"))
+            continue
+        for one, other in ((ours[n], theirs[n]), (theirs[n], ours[n])):
+            best, bar = one[0]
+            if not near(best.cuts, bar, other):
+                found.append((n, best.cuts))
+        moved = abs(ours[n][0][0].redundancy - theirs[n][0][0].redundancy)
+        if not moved < 1e-12:
+            found.append((n, moved))
+    return found
+
+
+class TestMillsPairNumerics:
+    def test_books_within_error_bars_of_erfcx_books(self, erfcx_mills_pair, monkeypatch):
+        """The continued-fraction Mills pair changes last bits only: on the
+        normal alpha=2 n <= 16 sweep every stage's best book lies within the
+        two error bars of a book the erfcx pair keeps, and the other way
+        round, and the best redundancies agree to 1e-12.  The check sees R
+        perturbed by 1e-9."""
+        pair = families._mills_pair
+        ours = _sweep_with_mills_pair(pair, monkeypatch)
+        assert _disagreements(ours, _sweep_with_mills_pair(erfcx_mills_pair, monkeypatch)) == []
+
+        def perturbed(z):
+            r, h = pair(z)
+            return r * (1.0 + 1e-9), h
+
+        assert _disagreements(ours, _sweep_with_mills_pair(perturbed, monkeypatch))
 
 
 def _minimum(cuts, length):

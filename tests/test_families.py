@@ -16,6 +16,8 @@ from smml1d import (
 from smml1d import families
 from smml1d.quadrature import expectation
 
+from conftest import continued_fraction_tail
+
 BETA = math.sqrt(5.0)
 
 
@@ -108,27 +110,65 @@ class TestNormalNormal:
             assert log_mass == pytest.approx(ref_log_mass, rel=1e-14)
 
 
-def _mills_complement_by_int_range(z):
-    """h(z) for z >= 2 by the continued fraction over ``range`` of ints:
-    the oracle of the float ladder."""
-    t = z
-    for k in range(16 + int(640.0 / (z * z)), 1, -1):
-        t = z + k / t
-    return families._mills(z) / t
+def _mills_pair_by_int_range(z):
+    """R(z) and h(z) for z >= 2 from the continued fraction's tail T run over
+    ``range`` of ints: the oracle of the float ladder."""
+    t = continued_fraction_tail(z)
+    r = 1.0 / (z + 1.0 / t)
+    return r, r / t
+
+
+def _mills_reference(mpmath, z):
+    """R(z) and h(z) = 1 - z R(z) at the working precision.  Past z = 1e3 the
+    asymptotic series R(z) = (1/z) sum_k (-1)^k (2k-1)!! / z^(2k) is the
+    reference: eleven terms leave an error below 1e-60 there, and mpmath's
+    erfc overflows past about z = 1e6."""
+    z = mpmath.mpf(z)
+    if z <= 1000:
+        r = mpmath.sqrt(mpmath.pi / 2) * mpmath.exp(z * z / 2) * mpmath.erfc(z / mpmath.sqrt(2))
+        return r, 1 - z * r
+    terms = [mpmath.mpf(1)]
+    for k in range(1, 12):
+        terms.append(-terms[-1] * (2 * k - 1) / (z * z))
+    return mpmath.fsum(terms) / z, -mpmath.fsum(terms[1:])
 
 
 class TestMillsComplement:
+    """The Mills ratio R and its complement h = 1 - z R, one memoised pair."""
+
     def test_ladder_matches_int_range(self):
-        """The ladder of float partial numerators gives h bit for bit as the
-        integer range does: on a dense grid of [2, 60] and on either side of
-        every z where the depth 16 + int(640/z^2) steps."""
+        """The ladder of float partial numerators gives R and h bit for bit as
+        the integer range does: on a dense grid of [2, 60] and on either side
+        of every z where the depth 16 + int(640/z^2) steps."""
         zs = list(map(float, np.linspace(2.0, 60.0, 5801)))
         for k in range(1, 161):
             step = math.sqrt(640.0 / k)
             zs += [math.nextafter(step, 0.0), step, math.nextafter(step, math.inf)]
         zs = [z for z in zs if z >= 2.0]
-        got = [families._mills_complement.__wrapped__(z).hex() for z in zs]
-        assert got == [_mills_complement_by_int_range(z).hex() for z in zs]
+        got = [tuple(map(float.hex, families._mills_pair.__wrapped__(z))) for z in zs]
+        assert got == [tuple(map(float.hex, _mills_pair_by_int_range(z))) for z in zs]
+
+    def test_pair_matches_mpmath(self, erfcx_mills_pair):
+        """R within 8 units of 2^-53 of 50-digit mpmath, relative, on a dense
+        grid of [0, 60], next to z = 2 where the two forms meet, and out to
+        z = 1e100; h within 8 units relative from z = 2 on, and below 2, where
+        1 - z R cancels, within 8 units of its operand 1.  The erfcx form
+        the pair replaced is held to the same bounds."""
+        mpmath = pytest.importorskip("mpmath")
+
+        unit = 2.0**-53
+        zs = list(map(float, np.linspace(0.0, 60.0, 6001)))
+        zs += [math.nextafter(2.0, 0.0), 2.0, math.nextafter(2.0, 3.0)]
+        zs += [10.0**k for k in (3, 4, 5, 6, 8, 10, 20, 50, 100)]
+        with mpmath.workdps(50):
+            for z in zs:
+                ref_r, ref_h = _mills_reference(mpmath, z)
+                for r, h in (families._mills_pair.__wrapped__(z), erfcx_mills_pair(z)):
+                    assert abs(r - ref_r) <= 8.0 * unit * ref_r, z
+                    if z >= 2.0:
+                        assert abs(h - ref_h) <= 8.0 * unit * ref_h, z
+                    else:
+                        assert abs(h - ref_h) <= 8.0 * unit, z
 
 
 class TestExponentialGamma:

@@ -392,25 +392,23 @@ class TestClosedForms:
                               _centroid_offset(lo, hi, centroid), 0.5, f"({lo!r}, {hi!r})")
 
     def test_mills_memo_does_not_depend_on_order(self, nn):
-        """The memoised Mills-ratio terms give the same bits whichever
-        intervals filled the memo before, and from a full memo."""
+        """The memoised Mills pair gives the same bits whichever intervals
+        filled the memo before, and from a full memo."""
         _, marginal = nn
         intervals = _normal_intervals(np.random.default_rng(20240611))
 
         def bits(order):
             return {iv: tuple(map(float.hex, marginal.closed_form(*iv))) for iv in order}
 
-        memos = (families._mills, families._mills_complement)
-        for memo in memos:
-            memo.cache_clear()
+        memo = families._mills_pair
+        memo.cache_clear()
         forwards = bits(intervals)
-        for memo in memos:
-            memo.cache_clear()
+        memo.cache_clear()
         backwards = bits(intervals[::-1])
-        hits = [memo.cache_info().hits for memo in memos]
+        hits = memo.cache_info().hits
         again = bits(intervals[::-1])
         assert forwards == backwards == again
-        assert all(memo.cache_info().hits > h for memo, h in zip(memos, hits))
+        assert memo.cache_info().hits > hits
 
     def test_subnormal_intervals_fall_back(self, nn):
         """An interval whose mass underflows the erf sum gets None from the
