@@ -607,6 +607,20 @@ class TestEntryPoint:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
 
+    @pytest.mark.parametrize("first_use", [
+        pytest.param("smml1d.codebook_from_cutpoints(*smml1d.make_normal_normal(2.0), [1.0])",
+                     id="first-normal-codebook"),
+        "smml1d.families._mills_pair(1.0)",
+    ])
+    def test_normal_model_imports_no_scipy(self, first_use):
+        """The first normal code book and the Mills ratio itself load no
+        `scipy` module."""
+        proc = run_python(["-c", "import sys, smml1d; "
+                           f"{first_use}; "
+                           "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"])
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
     def test_normal_sweep_imports_no_scipy(self):
         """The normal Mills ratio comes from `math.erfc` and a continued
         fraction, so a normal sweep, which forms it in the bulk and in the far
