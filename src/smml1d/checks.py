@@ -5,16 +5,19 @@ tridiagonal Jacobian; callers compare both with the centred quotients here,
 on cuts from :func:`separated_cuts`, at their own seeds and tolerances.
 G_j itself is the jump of the log code density across ``a_j``, which
 :func:`log_code_jumps` reads off the sampled curves without calling
-:func:`~smml1d.estimator.gradient`.
+:func:`~smml1d.estimator.gradient`.  Each oracle imports numpy at its
+first call, so importing this module (as ``smml1d`` does) loads none.
 """
 
 from __future__ import annotations
 
 import math
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .estimator import codebook_from_cutpoints, curve_samples, gradient, message_length
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Seed of the random configurations `smml1d verify` draws; the solver is not random.
 DEFAULT_SEED = 1729
@@ -26,6 +29,7 @@ def separated_cuts(marginal, rng: np.random.Generator, fewest: int, most: int | 
     neighbours are more than min(0.05, span/40) apart, where span is the
     range between those two quantiles: a narrow marginal cannot fit cuts
     0.05 apart."""
+    import numpy as np
     gap = min(0.05, _span(marginal) / 40)
     for _ in range(100):
         n = int(rng.integers(fewest, (most or fewest) + 1))
@@ -51,6 +55,7 @@ def fd_step(marginal) -> float:
 
 def _centred(fn, cuts: np.ndarray, h: float) -> np.ndarray:
     """Row k is (fn(cuts + h e_k) - fn(cuts - h e_k)) / 2h."""
+    import numpy as np
     steps = h * np.eye(cuts.size)
     return np.array([(fn(cuts + e) - fn(cuts - e)) / (2 * h) for e in steps])
 
@@ -77,6 +82,7 @@ def log_code_jumps(family, marginal, book) -> np.ndarray:
     that at the next double below it.  It is the oracle of
     :func:`~smml1d.estimator.gradient`: the log carrier is continuous, so
     |G_j| is the size of this jump."""
+    import numpy as np
     jumps = []
     for a in book.cuts:
         table = curve_samples(family, marginal, book, np.nextafter(a, -np.inf), a, 2)

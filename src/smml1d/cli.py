@@ -17,8 +17,6 @@ import re
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .families import FamilyModel, MarginalModel, make_exponential_gamma, make_normal_normal
 from .estimator import (
     _TOL,
@@ -336,6 +334,7 @@ def cmd_curves(cfg: RunConfig) -> int:
 
 
 def _verify_model(cfg: RunConfig, name: str) -> list[tuple[str, bool, str]]:
+    import numpy as np
     checks: list[tuple[str, bool, str]] = []
     family, marginal = dataclasses.replace(cfg, model=name).models()
     rng = np.random.default_rng(cfg.seed)
@@ -399,6 +398,7 @@ def _verify_model(cfg: RunConfig, name: str) -> list[tuple[str, bool, str]]:
 
 
 def cmd_verify(cfg: RunConfig) -> int:
+    import numpy as np
     all_ok = True
     lines = []
     for name in MODELS:

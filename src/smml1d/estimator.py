@@ -34,11 +34,13 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import lt, mul, sub
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .families import FamilyModel, MarginalModel, SupportError
 from .quadrature import differential_entropy, expectation, interval_integrals
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "LOCAL_MINIMUM",
@@ -186,6 +188,7 @@ def marginal_entropy(marginal: MarginalModel) -> float:
 # repeat calls with the same objects; a small bound keeps them from growing.
 @lru_cache(maxsize=16)
 def _quadrature_carrier_constant(family: FamilyModel, marginal: MarginalModel) -> float:
+    import numpy as np
     return expectation(marginal, lambda x: -np.asarray(family.log_carrier(x), dtype=float))
 
 
@@ -216,6 +219,7 @@ def gradient(family: FamilyModel, marginal: MarginalModel, codebook: CodeBook) -
     j-th entry of this vector; the entries are computed entirely in the log
     domain, on Python floats, and returned as an array.
     """
+    import numpy as np
     lq, th, lp = codebook.log_q, codebook.theta_hat, codebook.log_partition
     return np.array([
         (q1 + x * t1 - p1) - (q0 + x * t0 - p0)
@@ -236,6 +240,7 @@ class Tridiagonal:
         return self.diag.size
 
     def to_dense(self) -> np.ndarray:
+        import numpy as np
         out = np.diag(self.diag)
         if self.n > 1:
             out += np.diag(self.sub, k=-1) + np.diag(self.sup, k=1)
@@ -250,6 +255,7 @@ def jacobian(family: FamilyModel, marginal: MarginalModel, codebook: CodeBook) -
     The bands are formed on Python floats; the ratios come from one
     ``np.exp`` call, whose last bits ``math.exp`` does not always match.
     """
+    import numpy as np
     a, lq, th, mu = codebook.cuts, codebook.log_q, codebook.theta_hat, codebook.centroids
     var = list(map(family.variance, th))
     if 0.0 in var:  # 1/theta^2 can round to 0: divide by it as numpy does, to inf or NaN
@@ -290,6 +296,7 @@ def _solve_tridiagonal(J: Tridiagonal, rhs) -> list[float]:
         for i in range(n - 1):
             if abs(d[i]) >= abs(dl[i]):
                 if d[i] == 0.0:
+                    import numpy as np
                     raise np.linalg.LinAlgError("singular matrix")
                 fact = dl[i] / d[i]
                 d[i + 1] -= fact * du[i]
@@ -306,6 +313,7 @@ def _solve_tridiagonal(J: Tridiagonal, rhs) -> list[float]:
                 du[i] = temp
                 b[i], b[i + 1] = b[i + 1], b[i] - fact * b[i + 1]
         if d[n - 1] == 0.0:
+            import numpy as np
             raise np.linalg.LinAlgError("singular matrix")
         b[n - 1] /= d[n - 1]
         if n > 1:
@@ -488,6 +496,7 @@ def newton_solve(
     fills, the start's and each trial's (see :func:`codebook_from_cutpoints`);
     it never changes a result.
     """
+    import numpy as np
     cuts = tuple(map(float, initial))
     # a non-finite G or J is a rejected trial or a failed run, not a fault to report
     with np.errstate(all="ignore"):
@@ -860,6 +869,7 @@ def curve_samples(
     count = int(count)
     if count < 2:
         raise ValueError(f"need at least two samples, got count={count!r}")
+    import numpy as np
     x = np.linspace(x_lo, x_hi, count)
     lq, th, lp = np.array([codebook.log_q, codebook.theta_hat, codebook.log_partition])
     idx = np.searchsorted(np.array(codebook.cuts), x, side="right")

@@ -27,12 +27,12 @@ Gauss-Legendre rule.
 from __future__ import annotations
 
 import math
-import statistics
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "FamilyModel",
@@ -88,11 +88,14 @@ class SupportError(ValueError):
 class FamilyModel:
     """A 1-dimensional exponential family in natural parametrization.
 
-    ``log_carrier`` must accept numpy arrays; the remaining callables are
-    scalar maps.  ``mean`` is the derivative of ``log_partition`` (it sends a
-    natural parameter to the corresponding expectation parameter) and
-    ``variance`` is the derivative of ``mean``, strictly positive on the whole
-    parameter interval.  The data support is the marginal's.
+    ``log_carrier`` maps numpy arrays elementwise (the package calls it on
+    arrays only, in the carrier-constant quadrature and the curves); the
+    remaining callables are scalar maps on Python floats.  ``mean`` is the
+    derivative of ``log_partition`` (it sends a natural parameter to the
+    corresponding expectation parameter) and ``variance`` is the derivative
+    of ``mean``, strictly positive on the whole parameter interval.  The data
+    support is the marginal's.  The built-in families import numpy in their
+    ``log_carrier``, at its first call, not at the package's import.
     """
 
     param_lo: float
@@ -115,12 +118,16 @@ class MarginalModel:
     """Marginal distribution of the data after integrating out the prior.
 
     ``support_lo`` and ``support_hi`` bound the open data support, which
-    cut-points and intervals must lie in.  ``log_pdf`` must accept numpy
-    arrays; ``quantile`` is a scalar map.  ``mode`` is the maximizer of the
-    density over the closed support (it anchors the scaled quadrature).  The
-    density is strictly positive on the open support and has a finite first
-    moment; the constructors below enforce the parameter ranges that
-    guarantee this.
+    cut-points and intervals must lie in.  ``log_pdf`` must accept both
+    numpy arrays, mapped elementwise (the adaptive quadrature, the Jacobian
+    and the curves), and Python floats, returning a number that ``float``
+    converts (the insertion scan's slope and the quadrature's tail scales).
+    The built-in marginals import numpy in their ``log_pdf``, at its first
+    call; their closed forms run on the standard library alone.
+    ``quantile`` is a scalar map.  ``mode`` is the maximizer of the density
+    over the closed support (it anchors the scaled quadrature).  The density
+    is strictly positive on the open support and has a finite first moment;
+    the constructors below enforce the parameter ranges that guarantee this.
 
     ``closed_form``, when given, maps an interval ``(lo, hi)`` inside the
     support (either end may be infinite) to its ``(log_mass, centroid)``
@@ -157,19 +164,26 @@ def make_normal_normal(alpha: float) -> tuple[FamilyModel, MarginalModel]:
         raise ParameterError(f"alpha must be a positive real, got {alpha!r}")
     beta = math.hypot(1.0, alpha)
     log_norm = math.log(beta) + 0.5 * _LOG_2PI
+    # here, not at the top: a Lomax run then loads neither statistics nor fractions
+    import statistics
     inv_cdf = statistics.NormalDist(0.0, beta).inv_cdf
+
+    def log_carrier(x):
+        import numpy as np
+        return -0.5 * np.asarray(x, dtype=float) ** 2 - 0.5 * _LOG_2PI
 
     family = FamilyModel(
         param_lo=-math.inf,
         param_hi=math.inf,
         log_partition=lambda t: 0.5 * t * t,
-        log_carrier=lambda x: -0.5 * np.asarray(x, dtype=float) ** 2 - 0.5 * _LOG_2PI,
+        log_carrier=log_carrier,
         mean=lambda t: t,
         variance=lambda t: 1.0,
         mean_inverse=lambda m: m,
     )
 
     def log_pdf(x):
+        import numpy as np
         x = np.asarray(x, dtype=float)
         return -0.5 * (x / beta) ** 2 - log_norm
 
@@ -216,17 +230,22 @@ def make_exponential_gamma(alpha: float, beta: float) -> tuple[FamilyModel, Marg
             raise SupportError(f"mean values are positive, got {m!r}")
         return -1.0 / m
 
+    def log_carrier(x):
+        import numpy as np
+        return np.zeros_like(np.asarray(x, dtype=float))
+
     family = FamilyModel(
         param_lo=-math.inf,
         param_hi=0.0,
         log_partition=lambda t: -math.log(-t),
-        log_carrier=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
+        log_carrier=log_carrier,
         mean=lambda t: -1.0 / t,
         variance=lambda t: 1.0 / (t * t),
         mean_inverse=_mean_inverse,
     )
 
     def log_pdf(x):
+        import numpy as np
         x = np.asarray(x, dtype=float)
         with np.errstate(invalid="ignore", divide="ignore"):
             out = log_ab - (alpha + 1.0) * np.log1p(x / beta)

@@ -42,17 +42,20 @@ The rule is a 15-point Gauss-Kronrod scheme with batched adaptive bisection:
 every round evaluates the panels of all pieces in one ``log_pdf`` call, and
 the mass and first-moment integrals share every function evaluation.  An
 integral whose error estimate stays above its tolerance raises
-``ArithmeticError``.
+``ArithmeticError``.  The kernel imports numpy at its first call, so a
+closed-form answer never loads it.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, NamedTuple
-
-import numpy as np
+from functools import lru_cache
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .families import MarginalModel, SupportError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "IntervalIntegrals",
@@ -62,8 +65,8 @@ __all__ = [
 
 # 15-point Kronrod extension of the 7-point Gauss rule on [-1, 1]
 # (positive abscissae; even nodes are Kronrod-only, odd nodes carry the
-# underlying Gauss rule).
-_XGK = np.array([
+# underlying Gauss rule).  Floats: _gk_rule makes the kernel's arrays.
+_XGK = (
     0.991455371120813,
     0.949107912342759,
     0.864864423359769,
@@ -72,8 +75,8 @@ _XGK = np.array([
     0.405845151377397,
     0.207784955007898,
     0.000000000000000,
-])
-_WGK = np.array([
+)
+_WGK = (
     0.022935322010529,
     0.063092092629979,
     0.104790010322250,
@@ -82,20 +85,26 @@ _WGK = np.array([
     0.190350578064785,
     0.204432940075298,
     0.209482141084728,
-])
-_WG = np.array([
+)
+_WG = (
     0.129484966168870,
     0.279705391489277,
     0.381830050505119,
     0.417959183673469,
-])
+)
 
-_NODES = np.concatenate([-_XGK[:-1], _XGK[::-1]])  # ascending, 15 nodes
-_KRONROD_W = np.concatenate([_WGK[:-1], _WGK[::-1]])
-_GAUSS_W = np.zeros(15)
-_GAUSS_W[[1, 3, 5, 7, 9, 11, 13]] = [
-    _WG[0], _WG[1], _WG[2], _WG[3], _WG[2], _WG[1], _WG[0],
-]
+_NODES = tuple(-x for x in _XGK[:-1]) + _XGK[::-1]  # ascending, 15 nodes
+_KRONROD_W = _WGK[:-1] + _WGK[::-1]
+_GAUSS_W = (0.0, _WG[0], 0.0, _WG[1], 0.0, _WG[2], 0.0, _WG[3],
+            0.0, _WG[2], 0.0, _WG[1], 0.0, _WG[0], 0.0)
+
+
+@lru_cache(maxsize=1)
+def _gk_rule():
+    """_NODES, _KRONROD_W and _GAUSS_W as float arrays, made once."""
+    import numpy as np
+    return np.array(_NODES), np.array(_KRONROD_W), np.array(_GAUSS_W)
+
 
 _REL_TOL = 1e-13        # target relative accuracy of the scaled integrals
 _FAR = (2.0**100, 2.0**200)  # decay-scale multiples at which a tail's power law is read
@@ -166,6 +175,8 @@ def _integrate(
         table.insert(0, _tail_row(marginal, ref, -1.0))
     if hi == math.inf:
         table.append(_tail_row(marginal, ref, 1.0))
+    import numpy as np
+    nodes, kronrod_w, gauss_w = _gk_rule()
     table = np.array(table)
     log_ref = float(marginal.log_pdf(ref))
     reach = max(abs(left), abs(right), *table[:, 3].tolist())
@@ -173,7 +184,7 @@ def _integrate(
 
     def panels(ids, a, b):
         half = 0.5 * (b - a)
-        t = ((0.5 * (a + b))[:, None] + half[:, None] * _NODES).ravel()
+        t = ((0.5 * (a + b))[:, None] + half[:, None] * nodes).ravel()
         _, _, sign, scale, power = table[np.repeat(ids, 15)].T
         tail = scale > 0.0
         log_u = np.log1p(-t)
@@ -185,10 +196,10 @@ def _integrate(
         vals = np.array([f * g for g in moments(dx, unit)])
         vals[:, f == 0.0] = 0.0  # where a moment is infinite and r is 0
         vals = vals.reshape(len(vals), -1, 15)
-        k = half * (vals @ _KRONROD_W)
-        absk = half * (np.abs(vals) @ _KRONROD_W)
+        k = half * (vals @ kronrod_w)
+        absk = half * (np.abs(vals) @ kronrod_w)
         norm = np.where(absk > 0.0, absk, 1.0)
-        diff = np.abs(k - half * (vals @ _GAUSS_W))
+        diff = np.abs(k - half * (vals @ gauss_w))
         return k, norm * np.minimum(1.0, (200.0 * diff / norm) ** 1.5), absk
 
     mid = 0.5 * (table[:, 0] + table[:, 1])
@@ -252,6 +263,7 @@ def interval_integrals(
     # The first moment is taken of dx / unit, with the unit _integrate picks.
     # A NaN that reaches the integrals (at a tail node past the largest
     # double or rounding to t = 1) ends in the degenerate-mass error below.
+    import numpy as np
     with np.errstate(all="ignore"):
         log_ref, (mass, shift), unit = _integrate(
             marginal, lo, hi, ref, lambda dx, unit: (1.0, dx / unit), rel_tol)
@@ -269,6 +281,7 @@ def expectation(marginal: MarginalModel, fn: Callable[[np.ndarray], np.ndarray])
     Uses the same rescaled integrand and tail substitution as
     :func:`interval_integrals`.
     """
+    import numpy as np
     ref = marginal.mode
     with np.errstate(all="ignore"):
         log_ref, (total,), _ = _integrate(marginal, marginal.support_lo, marginal.support_hi, ref,
@@ -278,4 +291,5 @@ def expectation(marginal: MarginalModel, fn: Callable[[np.ndarray], np.ndarray])
 
 def differential_entropy(marginal: MarginalModel) -> float:
     """Differential entropy -∫ r log r of the marginal, in nats."""
+    import numpy as np
     return expectation(marginal, lambda x: -np.asarray(marginal.log_pdf(x), dtype=float))

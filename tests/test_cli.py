@@ -569,6 +569,37 @@ def run_module(argv):
     return run_python(["-m", "smml1d.cli", *argv])
 
 
+# Set-up as perfbench/setup_probe.py times it: the model pair, its marginal
+# entropy, and the carrier constant through message_length of the one-cut
+# median code book.
+SETUP_PATH = (
+    "import smml1d\n"
+    "family, marginal = {make}\n"
+    "smml1d.marginal_entropy(marginal)\n"
+    "book = smml1d.codebook_from_cutpoints(family, marginal, [marginal.quantile(0.5)])\n"
+    "smml1d.message_length(family, marginal, book)\n"
+)
+
+# Model constructor and the cuts of a three-cut book, per built-in model.
+FIRST_USE_MODELS = {
+    "normal": ("smml1d.make_normal_normal(2.0)", (-1.5, 0.25, 2.0)),
+    "lomax": ("smml1d.make_exponential_gamma(2.0, 1.0)", (0.3, 1.1, 4.0)),
+}
+# Calls that import numpy at their first use, each flattened to floats.  The
+# hook-stripped marginal sends every interval of the book, half-lines too,
+# through the Gauss-Kronrod kernel and its lazily built tables.
+FIRST_USES = {
+    "gradient": "smml1d.gradient(f, m, book)",
+    "jacobian": "smml1d.jacobian(f, m, book).to_dense().ravel()",
+    "curve_samples": "[v for row in smml1d.curve_samples("
+                     "f, m, book, book.cuts[0] - 1.0, book.cuts[-1] + 1.0, 9).rows() for v in row]",
+    "differential_entropy": "[smml1d.differential_entropy(m)]",
+    "gk_interval_integrals": "[v for end in zip((m.support_lo, *book.cuts), "
+                             "(*book.cuts, m.support_hi)) for v in smml1d.interval_integrals("
+                             "dataclasses.replace(m, closed_form=None), *end)]",
+}
+
+
 class TestEntryPoint:
     def test_module_invocation(self):
         proc = run_module(["solve", "--model", "normal-normal",
@@ -577,7 +608,7 @@ class TestEntryPoint:
         assert "0.2968787934" in proc.stdout
 
     def test_import_leaves_out_scipy_optimize(self):
-        """`scipy.optimize` would add 60-160 ms to a ~170 ms import, and the
+        """`scipy.optimize` would add 60-160 ms to a ~35 ms import, and the
         package uses none of it."""
         proc = run_python(["-c", "import sys, smml1d; print('scipy.optimize' in sys.modules)"])
         assert proc.returncode == 0, proc.stderr
@@ -630,6 +661,41 @@ class TestEntryPoint:
                            "print(rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"])
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "0 []"
+
+    @pytest.mark.parametrize("code", [
+        pytest.param("import smml1d\n", id="import-smml1d"),
+        pytest.param("import smml1d.cli\n", id="import-cli"),
+        pytest.param(SETUP_PATH.format(make="smml1d.make_normal_normal(2.0)"), id="normal-setup"),
+        pytest.param(SETUP_PATH.format(make="smml1d.make_exponential_gamma(2.0, 1.0)"),
+                     id="lomax-setup"),
+    ])
+    def test_setup_path_imports_no_numpy(self, code):
+        """numpy's import is about two thirds of a run's set-up, and neither
+        the import nor a closed-form code book and its lengths use an array,
+        so none of them loads a `numpy` module."""
+        proc = run_python(["-c", f"import sys\n{code}"
+                           "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))"])
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    @pytest.mark.parametrize("model", FIRST_USE_MODELS)
+    @pytest.mark.parametrize("call", FIRST_USES)
+    def test_first_numpy_use_matches_in_process(self, model, call):
+        """The first call that imports numpy, in a fresh interpreter, gives
+        the same floats, bit for bit, as the same call here, where numpy is
+        long loaded."""
+        make, cuts = FIRST_USE_MODELS[model]
+        setup = (f"f, m = {make}\n"
+                 f"book = smml1d.codebook_from_cutpoints(f, m, {cuts!r})\n")
+        proc = run_python(["-c", "import dataclasses, sys, smml1d\n" + setup
+                           + "assert 'numpy' not in sys.modules\n"
+                           + f"print(*(float(v).hex() for v in {FIRST_USES[call]}))"])
+        assert proc.returncode == 0, proc.stderr
+        namespace = {"dataclasses": dataclasses, "smml1d": smml1d}
+        exec(setup, namespace)
+        expected = [float(v).hex() for v in eval(FIRST_USES[call], namespace)]
+        assert expected
+        assert proc.stdout.split() == expected
 
     def test_public_names(self):
         """Each module's ``__all__`` is re-exported, and nothing else."""
