@@ -31,7 +31,7 @@ masses are far below the smallest positive double.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from operator import lt, mul, sub
 from typing import TYPE_CHECKING
@@ -66,6 +66,9 @@ SADDLE = "saddle/indefinite"
 NOT_CRITICAL = "not-critical"
 
 _DEDUP_TOL = 1e-6
+# A start whose mirror image is this close, cut by cut, to a start already run
+# takes the reflection of that run (mirror-symmetric pairs only).
+_MIRROR_REL = 1e-9
 # Rounding moves a length by ~1e-15; distinct minima differ by 5.4e-7 or more.
 _LENGTH_TIE = 1e-12
 _CRITICAL_GRAD_THRESHOLD = 1e-8  # |G| above it is not classified (not critical)
@@ -229,7 +232,11 @@ def gradient(family: FamilyModel, marginal: MarginalModel, codebook: CodeBook) -
 
 @dataclass(frozen=True)
 class Tridiagonal:
-    """Tridiagonal matrix; entries beyond the three bands are identically zero."""
+    """Tridiagonal matrix; entries beyond the three bands are identically zero.
+
+    :func:`jacobian` gives the bands as arrays; :func:`newton_solve` wraps
+    the lists of Python floats of its own band kernel.
+    """
 
     sub: np.ndarray
     diag: np.ndarray
@@ -237,7 +244,7 @@ class Tridiagonal:
 
     @property
     def n(self) -> int:
-        return self.diag.size
+        return len(self.diag)
 
     def to_dense(self) -> np.ndarray:
         import numpy as np
@@ -256,9 +263,19 @@ def jacobian(family: FamilyModel, marginal: MarginalModel, codebook: CodeBook) -
     ``np.exp`` call, whose last bits ``math.exp`` does not always match.
     """
     import numpy as np
+    lower, diag, upper = _jacobian_bands(family, marginal, codebook)
+    return Tridiagonal(sub=np.array(lower), diag=np.array(diag), sup=np.array(upper))
+
+
+def _jacobian_bands(
+    family: FamilyModel, marginal: MarginalModel, codebook: CodeBook
+) -> tuple[list[float], list[float], list[float]]:
+    """The bands (sub, diag, sup) of :func:`jacobian` as lists of Python floats."""
+    import numpy as np
     a, lq, th, mu = codebook.cuts, codebook.log_q, codebook.theta_hat, codebook.centroids
     var = list(map(family.variance, th))
-    if 0.0 in var:  # 1/theta^2 can round to 0: divide by it as numpy does, to inf or NaN
+    zero_var = 0.0 in var
+    if zero_var:  # 1/theta^2 can round to 0: divide by it as numpy does, to inf or NaN
         var = list(map(np.float64, var))
     log_r = np.asarray(marginal.log_pdf(np.array(a)), dtype=float).tolist()
     n = len(a)
@@ -272,11 +289,14 @@ def jacobian(family: FamilyModel, marginal: MarginalModel, codebook: CodeBook) -
     ]
     # Off-diagonal rows j and j+1 share the interval between cuts j and j+1.
     shared = [1.0 + (x0 - m) * (x1 - m) / v for x0, x1, m, v in zip(a, a[1:], mu[1:], var[1:])]
-    return Tridiagonal(
-        sub=np.array(list(map(mul, r_over_up, shared))),      # r(a_j) / q_j
-        diag=np.array(diag),
-        sup=np.array(list(map(mul, r_over_lo[1:], shared))),  # r(a_{j+1}) / q_j
+    bands = (
+        list(map(mul, r_over_up, shared)),      # r(a_j) / q_j
+        diag,
+        list(map(mul, r_over_lo[1:], shared)),  # r(a_{j+1}) / q_j
     )
+    if zero_var:  # numpy's quotients, as the Python floats they equal
+        bands = tuple([list(map(float, band)) for band in bands])
+    return bands
 
 
 def _solve_tridiagonal(J: Tridiagonal, rhs) -> list[float]:
@@ -286,12 +306,13 @@ def _solve_tridiagonal(J: Tridiagonal, rhs) -> list[float]:
     in its operation order, so the solution is the one
     ``scipy.linalg.solve_banded`` gives, bit for bit.  Rows i and i+1 swap
     where |diag_i| < |sub_i|; the back substitution is the three-term
-    recurrence.  It works on lists of floats copied from J and ``rhs`` (any
-    sequence of numbers), so both are left unchanged, and returns a list.
-    Raises ``LinAlgError`` when elimination meets an exactly zero pivot.
+    recurrence.  It works on lists of floats copied from J's bands (arrays
+    or lists) and ``rhs`` (any sequence of numbers), so both are left
+    unchanged, and returns a list.  Raises ``LinAlgError`` when elimination
+    meets an exactly zero pivot.
     """
     n = J.n
-    dl, d, du, b = J.sub.tolist(), J.diag.tolist(), J.sup.tolist(), list(map(float, rhs))
+    dl, d, du, b = (list(map(float, v)) for v in (J.sub, J.diag, J.sup, rhs))
     try:
         for i in range(n - 1):
             if abs(d[i]) >= abs(dl[i]):
@@ -349,7 +370,7 @@ def classify_critical_point(
     """
     if not grad_norm <= _CRITICAL_GRAD_THRESHOLD:
         return NOT_CRITICAL
-    J = jacobian(family, marginal, codebook)
+    lower, diag, upper = _jacobian_bands(family, marginal, codebook)
     # The Hessian is diag(r(a)) @ J, but the densities underflow for far-out
     # cut-points.  diag(r)^(1/2) @ J @ diag(r)^(-1/2) is congruent to it, so
     # it has the same inertia (Sylvester), is symmetric at a critical point,
@@ -357,10 +378,10 @@ def classify_critical_point(
     # J's finite off-diagonal pairs; its scale stays representable.  Row 0
     # has no pair, and the infinite pivot above it leaves its entry as it is.
     pivot = math.inf
-    for d, sub, sup in zip(J.diag.tolist(), [0.0, *J.sub.tolist()], [0.0, *J.sup.tolist()]):
+    for d, below, above in zip(diag, [0.0, *lower], [0.0, *upper]):
         if not pivot > 0.0:
             return SADDLE
-        pivot = d - max(sub * sup, 0.0) / pivot
+        pivot = d - max(below * above, 0.0) / pivot
     return LOCAL_MINIMUM if pivot > 0.0 else SADDLE
 
 
@@ -515,7 +536,7 @@ def newton_solve(
                 diagnostic = f"reached max_iter={_MAX_ITER} (gradient norm {trace[-1]:.3e})"
                 break
             try:
-                J = jacobian(family, marginal, codebook)
+                J = Tridiagonal(*_jacobian_bands(family, marginal, codebook))
                 step = _solve_tridiagonal(J, [-g for g in residual])
             except (np.linalg.LinAlgError, ArithmeticError) as exc:
                 diagnostic = f"singular tridiagonal system at iteration {len(trace) - 1}: {exc}"
@@ -731,6 +752,31 @@ def _outward_root(
     return x
 
 
+def _reflect(values: tuple[float, ...]) -> tuple[float, ...]:
+    """The mirror image about 0: entries negated, in reverse order."""
+    return tuple([-v for v in reversed(values)])
+
+
+def _reflect_report(report: SolveReport) -> SolveReport:
+    """The report of the mirror-image run, formed exactly: cuts, assertions
+    and centroids are reflected, log q, log partitions and continuity gaps
+    reversed, and everything else kept."""
+    book = report.codebook
+    return replace(
+        report,
+        codebook=CodeBook(
+            _reflect(book.cuts), book.log_q[::-1], _reflect(book.theta_hat),
+            _reflect(book.centroids), book.log_partition[::-1]),
+        continuity_gaps=report.continuity_gaps[::-1],
+    )
+
+
+def _mirrors(start: tuple[float, ...], other: tuple[float, ...]) -> bool:
+    """The mirror image of `start` lies within ``_MIRROR_REL`` of `other`, a
+    start of the same stage, relative and cut by cut."""
+    return all(math.isclose(a, b, rel_tol=_MIRROR_REL) for a, b in zip(_reflect(start), other))
+
+
 def _dedup_sorted(reports: list[SolveReport]) -> list[SolveReport]:
     """Local minima, converged or at the floor, best first, one per cut-point
     configuration.
@@ -780,6 +826,18 @@ def solve_sweep(
     trial or stage integrated is not integrated again; a record is a pure
     function of its two ends.
 
+    A mirror-symmetric pair (``MarginalModel.mirror_symmetric``) has each
+    mirror pair of starts solved once.  A start whose mirror image lies
+    within 1e-9, relative and cut by cut, of a start already run from a
+    different seed book runs no Newton: it gets the exact reflection of that
+    run's report (cuts, assertions and centroids negated and reversed; log q,
+    log partitions and continuity gaps reversed; the rest copied).  The two
+    extensions of one seed book are both run, even where they are near
+    mirror images.  A root whose exact mirror key, the reflected outer two
+    cuts and the other side, is in the memo is that root negated.  A
+    reflected report ties exactly with the run it reflects, so of such a
+    pair the image with the lower first cut comes first.
+
     Returns, for each n from 1 to ``n_max``, the runs whose
     ``SolveReport.kept`` holds: local minima only, converged or at the
     rounding floor of G (saddles of the length are not estimators),
@@ -798,35 +856,49 @@ def solve_sweep(
     """
     if not n_max >= 1:
         raise ValueError(f"need n_max >= 1, got {n_max!r}")
+    mirror = marginal.mirror_symmetric
     roots: dict[tuple[tuple[float, ...], int], float | None] = {}
     records: dict[tuple[float, float], tuple[float, float, float, float]] = {}
 
     def root(cuts: tuple[float, ...], side: int) -> float | None:
         key = (cuts[-2:] if side > 0 else cuts[:2], side if cuts else 1)
         if key not in roots:
-            roots[key] = _outward_root(family, marginal, *key)
+            image = (_reflect(key[0]), -key[1])
+            if mirror and image in roots:
+                x = roots[image]
+                roots[key] = None if x is None else -x
+            else:
+                roots[key] = _outward_root(family, marginal, *key)
         return roots[key]
 
     # each stage's best two books seed the next two; the empty book seeds stage 1
     seeds: dict[int, list[tuple[float, ...]]] = {0: [()]}
     stages: dict[int, list[SolveReport]] = {}
     for stage in range(1, n_max + 1):
-        starts = []
+        # each distinct start once, in first-seen order, with the seed book it extends
+        starts: dict[tuple[float, ...], tuple[float, ...]] = {}
         for cuts in seeds[stage - 1]:
             for side in (1, -1):
                 x = root(cuts, side)
                 if x is not None:
-                    starts.append(tuple(sorted((*cuts, x))))
+                    starts.setdefault(tuple(sorted((*cuts, x))), cuts)
         for cuts in seeds.get(stage - 2, []):
             right, left = root(cuts, 1), root(cuts, -1)
             if right is not None and left is not None:
-                starts.append((left, *cuts, right))
-        # a dict keeps each distinct start once, in first-seen order
-        stages[stage] = _dedup_sorted([
-            newton_solve(family, marginal, start, records=records)
-            for start in dict.fromkeys(starts)
-            if _feasible(marginal, start)
-        ])
+                starts.setdefault((left, *cuts, right), cuts)
+        runs: list[tuple[tuple[float, ...], tuple[float, ...], SolveReport]] = []
+        reports = []
+        for start, seed in starts.items():
+            if not _feasible(marginal, start):
+                continue
+            twin = mirror and next(
+                (run for run in runs if run[1] != seed and _mirrors(start, run[0])), None)
+            if twin:
+                reports.append(_reflect_report(twin[2]))
+            else:
+                reports.append(newton_solve(family, marginal, start, records=records))
+                runs.append((start, seed, reports[-1]))
+        stages[stage] = _dedup_sorted(reports)
         seeds[stage] = [sol.cuts for sol in stages[stage][:2]]
     return stages
 

@@ -139,6 +139,15 @@ class MarginalModel:
     differential entropy and of ``-E_r[log carrier]`` for the family built
     with it; the estimator integrates them by quadrature when they are
     absent.
+
+    ``mirror_symmetric`` declares that the model pair is symmetric about 0:
+    log r is even, the assertion of the mirrored interval is the negated one
+    (theta_hat is odd) and the family's log partition is even.  The
+    reflection a -> (-a_n, ..., -a_1) then maps every code book to one of the
+    same length,
+    and :func:`smml1d.estimator.solve_sweep` solves each mirror pair of its
+    starts once.  ``make_normal_normal`` sets it; the Lomax pair and pairs
+    built field by field leave it off.
     """
 
     log_pdf: Callable[[np.ndarray], np.ndarray]
@@ -151,6 +160,7 @@ class MarginalModel:
     closed_form: Callable[[float, float], tuple[float, float] | None] | None = None
     entropy: float | None = None
     carrier_constant: float | None = None
+    mirror_symmetric: bool = False
 
 
 def make_normal_normal(alpha: float) -> tuple[FamilyModel, MarginalModel]:
@@ -203,6 +213,7 @@ def make_normal_normal(alpha: float) -> tuple[FamilyModel, MarginalModel]:
         closed_form=lambda lo, hi: _normal_interval(beta, lo, hi),
         entropy=log_norm + 0.5,
         carrier_constant=0.5 * (1.0 + alpha * alpha + _LOG_2PI),
+        mirror_symmetric=True,
     )
     return family, marginal
 

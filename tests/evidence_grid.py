@@ -1,17 +1,17 @@
 """Evidence grid: which books every stage of a set of sweeps keeps.
 
 Run as ``PYTHONPATH=src python tests/evidence_grid.py``.  Each line names one
-sweep and gives its kept total, its per-stage counts and the sha256 of every
-stage's list of (length, cuts), best first.  It prints no timings, so the
-outputs of two checkouts can be compared with ``diff``: a change that keeps
-every book bit for bit prints the same lines.  The name has no ``test_``
-prefix, so pytest does not collect it.
+sweep and gives its kept total, its per-stage counts, the sha256 of every
+stage's list of (length, cuts), best first, and the sweep's work: its Newton
+runs and its insertion scans.  It prints no timings, so the outputs of two
+checkouts can be compared with ``diff``: a change that keeps every book bit
+for bit and does the same work prints the same lines.  The name has no
+``test_`` prefix, so pytest does not collect it.
 """
 
 import hashlib
 
-from smml1d import make_exponential_gamma, make_normal_normal
-from smml1d.estimator import solve_sweep
+from smml1d import estimator, make_exponential_gamma, make_normal_normal
 
 # (name, model pair, n_max): the sweeps whose books a change of the solver
 # must keep, the wide priors (alpha 10 and 30) and the windows with empty
@@ -30,20 +30,46 @@ GRID = [
     ("lomax alpha=1.05 beta=1 n<=5", make_exponential_gamma(1.05, 1.0), 5),
 ]
 
+# the calls counted as a sweep's work: one per Newton run and one per scan
+WORK = ("newton_solve", "_outward_root")
 
-def describe(name, stages):
-    """One line: the sweep's name, kept total, per-stage counts and hash."""
+
+def counted_sweep(family, marginal, n_max):
+    """solve_sweep's stages and the calls it made to each function of WORK,
+    counted by wrapping the module attributes for the one sweep."""
+    counts = dict.fromkeys(WORK, 0)
+    originals = {name: getattr(estimator, name) for name in WORK}
+
+    def counting(name):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return originals[name](*args, **kwargs)
+        return wrapper
+
+    for name in WORK:
+        setattr(estimator, name, counting(name))
+    try:
+        stages = estimator.solve_sweep(family, marginal, n_max)
+    finally:
+        for name, original in originals.items():
+            setattr(estimator, name, original)
+    return stages, counts
+
+
+def describe(name, stages, counts):
+    """One line: the sweep's name, kept total, per-stage counts, hash and work."""
     books = repr([
         (n, [(r.message_length, r.cuts) for r in reps]) for n, reps in sorted(stages.items())
     ])
-    counts = [len(reps) for _, reps in sorted(stages.items())]
+    kept = [len(reps) for _, reps in sorted(stages.items())]
     digest = hashlib.sha256(books.encode()).hexdigest()
-    return f"{name}: kept {sum(counts)} per stage {counts} sha256 {digest}"
+    return (f"{name}: kept {sum(kept)} per stage {kept} sha256 {digest} "
+            f"runs {counts['newton_solve']} scans {counts['_outward_root']}")
 
 
 def main():
     for name, (family, marginal), n_max in GRID:
-        print(describe(name, solve_sweep(family, marginal, n_max)), flush=True)
+        print(describe(name, *counted_sweep(family, marginal, n_max)), flush=True)
 
 
 if __name__ == "__main__":

@@ -467,19 +467,22 @@ def _seeded_cuts(pair_name, marginal, rng, n, far):
 
 
 class TestFloatKernel:
-    """gradient, jacobian and _at_floor run on Python floats; every entry
-    equals the array form's by float.hex."""
+    """gradient, jacobian, the band kernel Newton reads and _at_floor run on
+    Python floats; every entry equals the array form's by float.hex."""
 
     @staticmethod
     def _assert_kernel_matches(family, marginal, book):
         with np.errstate(all="ignore"):
             G, J = gradient(family, marginal, book), jacobian(family, marginal, book)
+            bands = estimator._jacobian_bands(family, marginal, book)
             expected = _array_jacobian(family, marginal, book)
         assert isinstance(G, np.ndarray) and G.dtype == np.float64
         assert _hex(G) == _hex(_array_gradient(book)), book.cuts
-        for got, want in zip((J.sub, J.diag, J.sup), expected):
+        for got, band, want in zip((J.sub, J.diag, J.sup), bands, expected):
             assert isinstance(got, np.ndarray) and got.dtype == np.float64
             assert _hex(got) == _hex(want), book.cuts
+            assert isinstance(band, list) and all(type(v) is float for v in band)
+            assert _hex(band) == _hex(want), book.cuts
 
     @pytest.mark.parametrize("pair_name", ["nn", "eg"])
     def test_seeded_books_bulk_and_far_tail(self, pair_name, request):
@@ -751,9 +754,9 @@ class TestNewtonSolve:
 
         def zero_jacobian(family, marginal, codebook):
             n = codebook.n
-            return Tridiagonal(sub=np.zeros(n - 1), diag=np.zeros(n), sup=np.zeros(n - 1))
+            return [0.0] * (n - 1), [0.0] * n, [0.0] * (n - 1)
 
-        monkeypatch.setattr("smml1d.estimator.jacobian", zero_jacobian)
+        monkeypatch.setattr("smml1d.estimator._jacobian_bands", zero_jacobian)
         report = newton_solve(family, marginal, [-2.2, 1.8])
         assert not report.converged and report.iterations == 0
         assert report.diagnostic.startswith("singular tridiagonal system at iteration 0")
@@ -766,7 +769,7 @@ class TestNewtonSolve:
         def dividing_jacobian(family, marginal, codebook):
             return 1.0 / 0.0
 
-        monkeypatch.setattr("smml1d.estimator.jacobian", dividing_jacobian)
+        monkeypatch.setattr("smml1d.estimator._jacobian_bands", dividing_jacobian)
         report = newton_solve(family, marginal, [-2.2, 1.8])
         assert not report.converged and report.iterations == 0
         assert report.diagnostic == (
@@ -928,8 +931,9 @@ class TestClassification:
                 (base - lowest - 1e-8, off, off),
             ]
             for diag, sub, sup in cases:
-                J = Tridiagonal(sub=sub, diag=diag, sup=sup)
-                monkeypatch.setattr("smml1d.estimator.jacobian", lambda *_, J=J: J)
+                bands = sub.tolist(), diag.tolist(), sup.tolist()
+                monkeypatch.setattr(
+                    "smml1d.estimator._jacobian_bands", lambda *_, bands=bands: bands)
                 sym_off = np.sign(sup) * np.sqrt(np.maximum(sub * sup, 0.0))
                 positive = scipy.linalg.eigvalsh_tridiagonal(diag, sym_off)[0] > 0.0
                 kind = classify_critical_point(family, marginal, book, 0.0)
@@ -1218,20 +1222,23 @@ def _count_sweep_work(monkeypatch, family, marginal, n_max):
 
 class TestSweepWork:
     @pytest.mark.parametrize("pair_name,n_max,n_scans,n_runs", [
-        ("nn", 16, 38, 68),
+        ("nn", 16, 34, 46),
         ("eg", 5, 9, 5),
-    ])
+    ], ids=["nn", "eg"])
     def test_each_scan_and_start_once(self, pair_name, n_max, n_scans, n_runs,
                                       monkeypatch, request):
         """No two scans share their outer two cuts and side, and no stage runs
-        Newton twice from the same start.  Scanning every book and running
-        every start made the n<=16 normal sweep 53 scans and 78 runs.  Stage
-        1's scan, of the empty book, goes through the same memo, first and
-        once, and every scan is keyed on at most two cuts.  The normal count
-        was 67 with the erfcx Mills ratio: there, stage 9's second book was its
-        start unmoved, so its left extension was bit for bit the best book's
-        right extension; with the continued fraction it takes one Newton step,
-        and the two stage-10 starts differ in their last bits."""
+        Newton twice from the same start, nor from two starts that are mirror
+        images (to 1e-9) unless both extend one seed book.  Scanning every
+        book and running every start made the n<=16 normal sweep 53 scans and
+        78 runs.  Stage 1's scan, of the empty book, goes through the same
+        memo, first and once, and every scan is keyed on at most two cuts.
+        The normal counts were (38, 67) with the erfcx Mills ratio, (38, 68)
+        with the continued fraction, where stage 9's second book takes one
+        Newton step and the two stage-10 starts differ in their last bits,
+        and are (34, 46) since the normal pair solves each mirror pair once:
+        a mirror start from another seed book takes the reflected report, and
+        a root whose mirror key is in the memo is negated, not scanned."""
         scans, starts = _count_sweep_work(
             monkeypatch, *request.getfixturevalue(pair_name), n_max)
         assert (len(scans), len(starts)) == (n_scans, n_runs)
@@ -1239,6 +1246,10 @@ class TestSweepWork:
         assert all(len(outer) <= 2 for outer, _ in scans)
         assert len(set(scans)) == len(scans)
         assert len(set(starts)) == len(starts)  # a start's length is its stage
+        for one, other in itertools.combinations(starts, 2):
+            if len(one) == len(other) and estimator._mirrors(one, other):
+                # the right and the left extension of one seed book
+                assert one[:-1] == other[1:] or one[1:] == other[:-1], (one, other)
 
     @pytest.mark.parametrize("pair", [make_normal_normal(0.05), make_exponential_gamma(60.0, 1.0)],
                              ids=["nn-alpha0.05", "eg-alpha60"])
@@ -1248,6 +1259,44 @@ class TestSweepWork:
         scans, starts = _count_sweep_work(monkeypatch, *pair, 3)
         assert (scans, starts) == ([((), 1)], [])
         assert solve_sweep(*pair, 3) == {1: [], 2: [], 3: []}
+
+
+class TestMirrorPairs:
+    """The normal pair declares mirror symmetry, so a sweep reflects the
+    report of one start of each mirror pair instead of solving it; with the
+    declaration stripped every start is solved."""
+
+    @pytest.mark.parametrize("alpha,n_max", [(0.5, 8), (1.0, 8), (2.0, 16)])
+    def test_reflected_sweep_matches_full_sweep(self, alpha, n_max, monkeypatch):
+        family, marginal = make_normal_normal(alpha)
+        assert marginal.mirror_symmetric
+        assert not make_exponential_gamma(2.0, 1.0)[1].mirror_symmetric
+        full = solve_sweep(family, dataclasses.replace(marginal, mirror_symmetric=False), n_max)
+        solved = []
+        newton = estimator.newton_solve
+
+        def recording_newton(*args, **kwargs):
+            solved.append(newton(*args, **kwargs))
+            return solved[-1]
+
+        monkeypatch.setattr(estimator, "newton_solve", recording_newton)
+        stages = solve_sweep(family, marginal, n_max)
+        assert {n: len(reps) for n, reps in stages.items()} == {
+            n: len(reps) for n, reps in full.items()}
+        reflected = 0
+        for n, reports in stages.items():
+            for ours, theirs in zip(reports, full[n]):
+                assert abs(ours.message_length - theirs.message_length) <= 1e-12, n
+            for report in reports:
+                if any(report is run for run in solved):
+                    continue
+                reflected += 1
+                # builds are exactly mirror-symmetric, so the reflected gaps
+                # are those of a fresh build of the reflected cuts
+                book = codebook_from_cutpoints(family, marginal, report.cuts)
+                assert _hex(report.continuity_gaps) == _hex(
+                    np.abs(gradient(family, marginal, book))), report.cuts
+        assert reflected > 0
 
 
 def _report_bits(report):
@@ -1262,13 +1311,14 @@ class TestSeedRecords:
     """Every build of a sweep reads and fills one interval cache."""
 
     @pytest.mark.parametrize("pair,n_max,solver_integrals", [
-        (make_normal_normal(2.0), 16, 805),
+        (make_normal_normal(2.0), 16, 797),
         (make_exponential_gamma(2.0, 1.0), 5, 64),
     ], ids=["nn", "eg"])
     def test_solver_integrals_per_sweep(self, pair, n_max, solver_integrals, monkeypatch):
         """The solver-tolerance interval integrals of a sweep, none of them
         twice: integrating every interval of every build made 1 705 and 74,
-        and the seed books' records of one stage 1 042 and 64."""
+        and the seed books' records of one stage 1 042 and 64.  The normal
+        sweep made 805 while it solved both images of each mirror pair."""
         calls = []
         integrals = estimator.interval_integrals
 
