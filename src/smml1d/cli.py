@@ -387,7 +387,7 @@ def _verify_model(cfg: RunConfig, name: str) -> list[tuple[str, bool, str]]:
         checks.append(("monotonicity", mono, "best length non-increasing in n"))
         worst = max(r.final_grad_norm for reps in stages.values() for r in reps)
         checks.append(("continuity-gaps", worst <= 10 * _TOL, f"max gap {worst:.2e}"))
-        if marginal.support_lo == -math.inf and marginal.support_hi == math.inf:
+        if marginal.mirror_symmetric:
             rep = stages[3][0]
             mirrored = sorted(-c for c in rep.cuts)
             mrep = newton_solve(family, marginal, mirrored)

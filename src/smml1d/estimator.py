@@ -234,8 +234,8 @@ def gradient(family: FamilyModel, marginal: MarginalModel, codebook: CodeBook) -
 class Tridiagonal:
     """Tridiagonal matrix; entries beyond the three bands are identically zero.
 
-    :func:`jacobian` gives the bands as arrays; :func:`newton_solve` wraps
-    the lists of Python floats of its own band kernel.
+    :func:`jacobian` returns one, its bands as arrays; Newton's solve reads
+    the bands as lists and builds none.
     """
 
     sub: np.ndarray
@@ -261,6 +261,8 @@ def jacobian(family: FamilyModel, marginal: MarginalModel, codebook: CodeBook) -
     as exp(log r - log q), never as quotients of possibly-underflowed values.
     The bands are formed on Python floats; the ratios come from one
     ``np.exp`` call, whose last bits ``math.exp`` does not always match.
+    Raises ``ZeroDivisionError`` where an assertion's variance rounds to 0,
+    as a Lomax interval's 1/theta^2 does once theta^2 overflows.
     """
     import numpy as np
     lower, diag, upper = _jacobian_bands(family, marginal, codebook)
@@ -274,9 +276,6 @@ def _jacobian_bands(
     import numpy as np
     a, lq, th, mu = codebook.cuts, codebook.log_q, codebook.theta_hat, codebook.centroids
     var = list(map(family.variance, th))
-    zero_var = 0.0 in var
-    if zero_var:  # 1/theta^2 can round to 0: divide by it as numpy does, to inf or NaN
-        var = list(map(np.float64, var))
     log_r = np.asarray(marginal.log_pdf(np.array(a)), dtype=float).tolist()
     n = len(a)
     # r(a_j) / q_j, then r(a_j) / q_{j-1}
@@ -289,63 +288,50 @@ def _jacobian_bands(
     ]
     # Off-diagonal rows j and j+1 share the interval between cuts j and j+1.
     shared = [1.0 + (x0 - m) * (x1 - m) / v for x0, x1, m, v in zip(a, a[1:], mu[1:], var[1:])]
-    bands = (
+    return (
         list(map(mul, r_over_up, shared)),      # r(a_j) / q_j
         diag,
         list(map(mul, r_over_lo[1:], shared)),  # r(a_{j+1}) / q_j
     )
-    if zero_var:  # numpy's quotients, as the Python floats they equal
-        bands = tuple([list(map(float, band)) for band in bands])
-    return bands
 
 
-def _solve_tridiagonal(J: Tridiagonal, rhs) -> list[float]:
-    """Solve ``J x = rhs`` by Gaussian elimination with partial pivoting.
+def _solve_tridiagonal(lower, diag, upper, rhs) -> list[float]:
+    """Solve the tridiagonal system with bands (sub, diag, sup) for ``rhs``
+    by Gaussian elimination with partial pivoting.
 
     A transcription of reference LAPACK ``dgtsv`` for one right-hand side,
     in its operation order, so the solution is the one
     ``scipy.linalg.solve_banded`` gives, bit for bit.  Rows i and i+1 swap
     where |diag_i| < |sub_i|; the back substitution is the three-term
-    recurrence.  It works on lists of floats copied from J's bands (arrays
-    or lists) and ``rhs`` (any sequence of numbers), so both are left
-    unchanged, and returns a list.  Raises ``LinAlgError`` when elimination
-    meets an exactly zero pivot.
+    recurrence.  It works on lists of floats copied from the bands and
+    ``rhs`` (any sequences of numbers), so they are left unchanged, and
+    returns a list.  A zero pivot, where ``dgtsv`` reports a singular
+    matrix, raises ``ZeroDivisionError`` at its division, as does a NaN
+    diagonal entry over a zero sub-diagonal entry.
     """
-    n = J.n
-    dl, d, du, b = (list(map(float, v)) for v in (J.sub, J.diag, J.sup, rhs))
-    try:
-        for i in range(n - 1):
-            if abs(d[i]) >= abs(dl[i]):
-                if d[i] == 0.0:
-                    import numpy as np
-                    raise np.linalg.LinAlgError("singular matrix")
-                fact = dl[i] / d[i]
-                d[i + 1] -= fact * du[i]
-                b[i + 1] -= fact * b[i]
-                dl[i] = 0.0
-            else:
-                fact = d[i] / dl[i]
-                d[i] = dl[i]
-                temp = d[i + 1]
-                d[i + 1] = du[i] - fact * temp
-                if i < n - 2:
-                    dl[i] = du[i + 1]
-                    du[i + 1] = -fact * dl[i]
-                du[i] = temp
-                b[i], b[i + 1] = b[i + 1], b[i] - fact * b[i + 1]
-        if d[n - 1] == 0.0:
-            import numpy as np
-            raise np.linalg.LinAlgError("singular matrix")
-        b[n - 1] /= d[n - 1]
-        if n > 1:
-            b[n - 2] = (b[n - 2] - du[n - 2] * b[n - 1]) / d[n - 2]
-        for i in range(n - 3, -1, -1):
-            b[i] = (b[i] - du[i] * b[i + 1] - dl[i] * b[i + 2]) / d[i]
-    except ZeroDivisionError:
-        # Only a NaN diagonal entry over a zero sub-diagonal entry reaches a
-        # zero divisor: every other pivot is checked, or exceeds a nonzero
-        # entry.  Where Python raises, LAPACK's solution is non-finite too.
-        return [math.nan] * n
+    n = len(diag)
+    dl, d, du, b = (list(map(float, v)) for v in (lower, diag, upper, rhs))
+    for i in range(n - 1):
+        if abs(d[i]) >= abs(dl[i]):
+            fact = dl[i] / d[i]
+            d[i + 1] -= fact * du[i]
+            b[i + 1] -= fact * b[i]
+            dl[i] = 0.0
+        else:
+            fact = d[i] / dl[i]
+            d[i] = dl[i]
+            temp = d[i + 1]
+            d[i + 1] = du[i] - fact * temp
+            if i < n - 2:
+                dl[i] = du[i + 1]
+                du[i + 1] = -fact * dl[i]
+            du[i] = temp
+            b[i], b[i + 1] = b[i + 1], b[i] - fact * b[i + 1]
+    b[n - 1] /= d[n - 1]
+    if n > 1:
+        b[n - 2] = (b[n - 2] - du[n - 2] * b[n - 1]) / d[n - 2]
+    for i in range(n - 3, -1, -1):
+        b[i] = (b[i] - du[i] * b[i + 1] - dl[i] * b[i + 2]) / d[i]
     return b
 
 
@@ -370,7 +356,10 @@ def classify_critical_point(
     """
     if not grad_norm <= _CRITICAL_GRAD_THRESHOLD:
         return NOT_CRITICAL
-    lower, diag, upper = _jacobian_bands(family, marginal, codebook)
+    try:
+        lower, diag, upper = _jacobian_bands(family, marginal, codebook)
+    except ArithmeticError:  # a variance that rounds to 0 gives no pivots
+        return SADDLE
     # The Hessian is diag(r(a)) @ J, but the densities underflow for far-out
     # cut-points.  diag(r)^(1/2) @ J @ diag(r)^(-1/2) is congruent to it, so
     # it has the same inertia (Sylvester), is symmetric at a critical point,
@@ -536,9 +525,9 @@ def newton_solve(
                 diagnostic = f"reached max_iter={_MAX_ITER} (gradient norm {trace[-1]:.3e})"
                 break
             try:
-                J = Tridiagonal(*_jacobian_bands(family, marginal, codebook))
-                step = _solve_tridiagonal(J, [-g for g in residual])
-            except (np.linalg.LinAlgError, ArithmeticError) as exc:
+                step = _solve_tridiagonal(
+                    *_jacobian_bands(family, marginal, codebook), [-g for g in residual])
+            except ArithmeticError as exc:
                 diagnostic = f"singular tridiagonal system at iteration {len(trace) - 1}: {exc}"
                 break
             if not all(map(math.isfinite, step)):
@@ -824,7 +813,8 @@ def solve_sweep(
     build of the sweep reads and fills one interval cache (see
     :func:`codebook_from_cutpoints`), so an interval that an earlier start,
     trial or stage integrated is not integrated again; a record is a pure
-    function of its two ends.
+    function of its two ends.  A reflected report (below) writes its finite
+    intervals into the cache too, as a build of its cuts would.
 
     A mirror-symmetric pair (``MarginalModel.mirror_symmetric``) has each
     mirror pair of starts solved once.  A start whose mirror image lies
@@ -895,6 +885,12 @@ def solve_sweep(
                 (run for run in runs if run[1] != seed and _mirrors(start, run[0])), None)
             if twin:
                 reports.append(_reflect_report(twin[2]))
+                book = reports[-1].codebook  # its finite rows, as a build of it writes them
+                ends = zip((marginal.support_lo, *book.cuts), (*book.cuts, marginal.support_hi))
+                rows = zip(book.log_q, book.theta_hat, book.centroids, book.log_partition)
+                for end, row in zip(ends, rows):
+                    if all(map(math.isfinite, row)):
+                        records.setdefault(end, row)
             else:
                 reports.append(newton_solve(family, marginal, start, records=records))
                 runs.append((start, seed, reports[-1]))

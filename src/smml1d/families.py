@@ -144,10 +144,10 @@ class MarginalModel:
     log r is even, the assertion of the mirrored interval is the negated one
     (theta_hat is odd) and the family's log partition is even.  The
     reflection a -> (-a_n, ..., -a_1) then maps every code book to one of the
-    same length,
-    and :func:`smml1d.estimator.solve_sweep` solves each mirror pair of its
-    starts once.  ``make_normal_normal`` sets it; the Lomax pair and pairs
-    built field by field leave it off.
+    same length, so :func:`smml1d.estimator.solve_sweep` solves each mirror
+    pair of its starts once, and ``smml1d verify`` checks that a solved book
+    and its mirror image have one length.  ``make_normal_normal`` sets it;
+    the Lomax pair and pairs built field by field leave it off.
     """
 
     log_pdf: Callable[[np.ndarray], np.ndarray]

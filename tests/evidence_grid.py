@@ -3,7 +3,8 @@
 Run as ``PYTHONPATH=src python tests/evidence_grid.py``.  Each line names one
 sweep and gives its kept total, its per-stage counts, the sha256 of every
 stage's list of (length, cuts), best first, and the sweep's work: its Newton
-runs and its insertion scans.  It prints no timings, so the outputs of two
+runs, its insertion scans and its interval integrals at the solver's
+tolerance.  It prints no timings, so the outputs of two
 checkouts can be compared with ``diff``: a change that keeps every book bit
 for bit and does the same work prints the same lines.  The name has no
 ``test_`` prefix, so pytest does not collect it.
@@ -30,8 +31,9 @@ GRID = [
     ("lomax alpha=1.05 beta=1 n<=5", make_exponential_gamma(1.05, 1.0), 5),
 ]
 
-# the calls counted as a sweep's work: one per Newton run and one per scan
-WORK = ("newton_solve", "_outward_root")
+# the calls counted as a sweep's work: one per Newton run, one per scan and one
+# per interval integral at the solver's tolerance
+WORK = ("newton_solve", "_outward_root", "interval_integrals")
 
 
 def counted_sweep(family, marginal, n_max):
@@ -42,7 +44,8 @@ def counted_sweep(family, marginal, n_max):
 
     def counting(name):
         def wrapper(*args, **kwargs):
-            counts[name] += 1
+            # the scans' integrals pass their looser rel_tol and are not counted
+            counts[name] += "rel_tol" not in kwargs
             return originals[name](*args, **kwargs)
         return wrapper
 
@@ -64,7 +67,8 @@ def describe(name, stages, counts):
     kept = [len(reps) for _, reps in sorted(stages.items())]
     digest = hashlib.sha256(books.encode()).hexdigest()
     return (f"{name}: kept {sum(kept)} per stage {kept} sha256 {digest} "
-            f"runs {counts['newton_solve']} scans {counts['_outward_root']}")
+            f"runs {counts['newton_solve']} scans {counts['_outward_root']} "
+            f"integrals {counts['interval_integrals']}")
 
 
 def main():

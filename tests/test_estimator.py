@@ -20,7 +20,6 @@ from smml1d import (
     MarginalModel,
     SolveReport,
     SupportError,
-    Tridiagonal,
     classify_critical_point,
     codebook_from_cutpoints,
     curve_samples,
@@ -494,15 +493,22 @@ class TestFloatKernel:
                 self._assert_kernel_matches(
                     family, marginal, codebook_from_cutpoints(family, marginal, cuts))
 
-    def test_zero_variance_divides_like_numpy(self, eg):
+    def test_zero_variance_raises(self, eg):
         """A Lomax interval (0, 1e-160) asserts theta ~ -2e160, whose variance
-        1/theta^2 is 0.0: the bands hold inf and NaN as numpy's division gives
-        them, and nothing raises."""
+        1/theta^2 is 0.0: forming the bands divides by it and raises, the
+        book classifies as a saddle, and a Newton run from it ends at its
+        first Jacobian."""
         family, marginal = eg
         for cuts in ([1e-160], [1e-160, 1.0], [1e-300, 1e-160, 3.0]):
             book = codebook_from_cutpoints(family, marginal, cuts)
             assert family.variance(book.theta_hat[0]) == 0.0
-            self._assert_kernel_matches(family, marginal, book)
+            for form in (estimator._jacobian_bands, jacobian):
+                with pytest.raises(ZeroDivisionError):
+                    form(family, marginal, book)
+            assert classify_critical_point(family, marginal, book, 0.0) == SADDLE
+            report = newton_solve(family, marginal, cuts)
+            assert report.diagnostic == (
+                "singular tridiagonal system at iteration 0: float division by zero"), cuts
 
     def test_floor_test_on_the_floor_run(self, monkeypatch):
         """Every book of the floor run of test_floor_run_ends_as_floor_outcome,
@@ -714,7 +720,7 @@ class TestNewtonSolve:
     def test_step_matches_solve_banded(self):
         """The dgtsv transcription gives scipy.linalg.solve_banded's solution bit
         for bit, also where a zero leading diagonal forces a row swap, and
-        leaves J and the right-hand side as they were."""
+        leaves the bands and the right-hand side as they were."""
         rng = np.random.default_rng(1301)
         for n in range(1, 18):
             for zero_lead in ((False, True) if n > 1 else (False,)):
@@ -725,29 +731,23 @@ class TestNewtonSolve:
                 ab = np.zeros((3, n))
                 ab[0, 1:], ab[1], ab[2, :-1] = sup, diag, sub
                 expected = scipy.linalg.solve_banded((1, 1), ab, rhs)
-                J = Tridiagonal(sub=sub.copy(), diag=diag.copy(), sup=sup.copy())
-                got = np.array(_solve_tridiagonal(J, rhs.copy()))
+                inputs = sub.tolist(), diag.tolist(), sup.tolist(), rhs.tolist()
+                got = np.array(_solve_tridiagonal(*inputs))
                 assert got.shape == (n,) and got.tobytes() == expected.tobytes(), (n, zero_lead)
-                for kept, orig in ((J.sub, sub), (J.diag, diag), (J.sup, sup)):
-                    assert kept.tobytes() == orig.tobytes()
+                assert inputs == (sub.tolist(), diag.tolist(), sup.tolist(), rhs.tolist())
 
     def test_singular_system_raises(self):
-        """A zero pivot raises at every size, a 1x1 system included."""
-        singular = (
-            Tridiagonal(sub=np.array([]), diag=np.array([0.0]), sup=np.array([])),
-            Tridiagonal(sub=np.array([1.0]), diag=np.array([1.0, 1.0]), sup=np.array([1.0])),
-        )
-        for J in singular:
-            with pytest.raises(np.linalg.LinAlgError):
-                _solve_tridiagonal(J, np.arange(1.0, J.n + 1.0))
+        """A zero pivot raises at every size: the 1x1 zero, and a 2x2 system
+        that eliminates to one."""
+        for bands in (([], [0.0], []), ([1.0], [1.0, 1.0], [1.0])):
+            with pytest.raises(ZeroDivisionError):
+                _solve_tridiagonal(*bands, np.arange(1.0, len(bands[1]) + 1.0))
 
-    def test_nan_over_zero_gives_non_finite_step(self):
+    def test_nan_over_zero_raises(self):
         """A NaN diagonal entry over a zero sub-diagonal entry divides by zero
-        in the elimination; the solve returns a non-finite step, as LAPACK
-        does, which newton_solve reports, instead of raising."""
-        J = Tridiagonal(sub=np.array([0.0, 1.0]), diag=np.array([math.nan, 2.0, 3.0]),
-                        sup=np.array([1.0, 1.0]))
-        assert not np.any(np.isfinite(_solve_tridiagonal(J, np.array([1.0, 2.0, 3.0]))))
+        in the elimination, which raises like a singular system."""
+        with pytest.raises(ZeroDivisionError):
+            _solve_tridiagonal([0.0, 1.0], [math.nan, 2.0, 3.0], [1.0, 1.0], [1.0, 2.0, 3.0])
 
     def test_singular_jacobian_ends_run(self, nn, monkeypatch):
         family, marginal = nn
@@ -1311,14 +1311,16 @@ class TestSeedRecords:
     """Every build of a sweep reads and fills one interval cache."""
 
     @pytest.mark.parametrize("pair,n_max,solver_integrals", [
-        (make_normal_normal(2.0), 16, 797),
+        (make_normal_normal(2.0), 16, 775),
         (make_exponential_gamma(2.0, 1.0), 5, 64),
     ], ids=["nn", "eg"])
     def test_solver_integrals_per_sweep(self, pair, n_max, solver_integrals, monkeypatch):
         """The solver-tolerance interval integrals of a sweep, none of them
         twice: integrating every interval of every build made 1 705 and 74,
         and the seed books' records of one stage 1 042 and 64.  The normal
-        sweep made 805 while it solved both images of each mirror pair."""
+        sweep made 805 while it solved both images of each mirror pair, and
+        797 while its reflected reports left their intervals out of the
+        cache, so a later build of a reflected book's cut integrated them."""
         calls = []
         integrals = estimator.interval_integrals
 
