@@ -272,11 +272,19 @@ def jacobian(family: FamilyModel, marginal: MarginalModel, codebook: CodeBook) -
 def _jacobian_bands(
     family: FamilyModel, marginal: MarginalModel, codebook: CodeBook
 ) -> tuple[list[float], list[float], list[float]]:
-    """The bands (sub, diag, sup) of :func:`jacobian` as lists of Python floats."""
+    """The bands (sub, diag, sup) of :func:`jacobian` as lists of Python floats.
+
+    The densities at the cuts come from the marginal's ``log_pdf_float`` where
+    it has one, which gives the array ``log_pdf``'s bits without its numpy
+    round trip; the ratios still come from one ``np.exp`` call.
+    """
     import numpy as np
     a, lq, th, mu = codebook.cuts, codebook.log_q, codebook.theta_hat, codebook.centroids
     var = list(map(family.variance, th))
-    log_r = np.asarray(marginal.log_pdf(np.array(a)), dtype=float).tolist()
+    if marginal.log_pdf_float is not None:
+        log_r = list(map(marginal.log_pdf_float, a))
+    else:
+        log_r = np.asarray(marginal.log_pdf(np.array(a)), dtype=float).tolist()
     n = len(a)
     # r(a_j) / q_j, then r(a_j) / q_{j-1}
     ratios = np.exp([*map(sub, log_r, lq[1:]), *map(sub, log_r, lq)]).tolist()
@@ -624,19 +632,18 @@ def _insertion_residual(
     hi = base[0] if side < 0 and base else marginal.support_hi
     below = interval_integrals(marginal, lo, x, rel_tol=_SCAN_TOL)
     above = interval_integrals(marginal, x, hi, rel_tol=_SCAN_TOL)
-    th_below = family.invert_mean(below.centroid)
-    th_above = family.invert_mean(above.centroid)
-
-    def bracket(iv, th):
-        return iv.log_mass + x * th - family.log_partition(th)
-
-    residual = bracket(above, th_above) - bracket(below, th_below)
+    lq_below, mu_below = below
+    lq_above, mu_above = above
+    th_below = family.invert_mean(mu_below)
+    th_above = family.invert_mean(mu_above)
+    residual = ((lq_above + x * th_above - family.log_partition(th_above))
+                - (lq_below + x * th_below - family.log_partition(th_below)))
     if not slope:
         return residual
     log_r = float(marginal.log_pdf(x))
-    return residual, th_above - th_below - sum(
-        math.exp(log_r - iv.log_mass) * (1.0 + (x - iv.centroid) ** 2 / family.variance(th))
-        for iv, th in ((above, th_above), (below, th_below))
+    return residual, th_above - th_below - (
+        math.exp(log_r - lq_above) * (1.0 + (x - mu_above) ** 2 / family.variance(th_above))
+        + math.exp(log_r - lq_below) * (1.0 + (x - mu_below) ** 2 / family.variance(th_below))
     )
 
 
@@ -821,12 +828,15 @@ def solve_sweep(
     within 1e-9, relative and cut by cut, of a start already run from a
     different seed book runs no Newton: it gets the exact reflection of that
     run's report (cuts, assertions and centroids negated and reversed; log q,
-    log partitions and continuity gaps reversed; the rest copied).  The two
-    extensions of one seed book are both run, even where they are near
-    mirror images.  A root whose exact mirror key, the reflected outer two
-    cuts and the other side, is in the memo is that root negated.  A
-    reflected report ties exactly with the run it reflects, so of such a
-    pair the image with the lower first cut comes first.
+    log partitions and continuity gaps reversed; the rest copied).  Of the
+    two extensions of one seed book, the second takes the reflection of the
+    first only where the first ended not critical (|G| above 1e-8, so not
+    kept); where it found a critical point, both are run, even where they
+    are near mirror images, as reflecting those lost a minimum.  A root
+    whose exact mirror key, the reflected outer two cuts and the other
+    side, is in the memo is that root negated.  A reflected report ties
+    exactly with the run it reflects, so of such a pair the image with the
+    lower first cut comes first.
 
     Returns, for each n from 1 to ``n_max``, the runs whose
     ``SolveReport.kept`` holds: local minima only, converged or at the
@@ -881,8 +891,10 @@ def solve_sweep(
         for start, seed in starts.items():
             if not _feasible(marginal, start):
                 continue
-            twin = mirror and next(
-                (run for run in runs if run[1] != seed and _mirrors(start, run[0])), None)
+            twin = mirror and next((
+                run for run in runs
+                if (run[1] != seed or run[2].classification == NOT_CRITICAL)
+                and _mirrors(start, run[0])), None)
             if twin:
                 reports.append(_reflect_report(twin[2]))
                 book = reports[-1].codebook  # its finite rows, as a build of it writes them

@@ -119,9 +119,10 @@ class MarginalModel:
 
     ``support_lo`` and ``support_hi`` bound the open data support, which
     cut-points and intervals must lie in.  ``log_pdf`` must accept both
-    numpy arrays, mapped elementwise (the adaptive quadrature, the Jacobian
-    and the curves), and Python floats, returning a number that ``float``
-    converts (the insertion scan's slope and the quadrature's tail scales).
+    numpy arrays, mapped elementwise (the adaptive quadrature, the curves,
+    and the Jacobian unless ``log_pdf_float`` is set), and Python floats,
+    returning a number that ``float`` converts (the insertion scan's slope
+    and the quadrature's tail scales).
     The built-in marginals import numpy in their ``log_pdf``, at its first
     call; their closed forms run on the standard library alone.
     ``quantile`` is a scalar map.  ``mode`` is the maximizer of the density
@@ -148,6 +149,14 @@ class MarginalModel:
     pair of its starts once, and ``smml1d verify`` checks that a solved book
     and its mirror image have one length.  ``make_normal_normal`` sets it;
     the Lomax pair and pairs built field by field leave it off.
+
+    ``log_pdf_float``, when given, is ``log_pdf`` on one Python float: it
+    returns a float with the bits that the array ``log_pdf`` gives the same
+    point, and :func:`smml1d.estimator.jacobian` maps it over the cuts in
+    place of an array call and its numpy round trip.  A pair that replaces
+    ``log_pdf`` must replace or clear it too.  ``make_normal_normal`` sets
+    it.  The Lomax pair leaves it unset: numpy's vectorised ``log1p``
+    differs from ``math.log1p`` in the last bit at some arguments.
     """
 
     log_pdf: Callable[[np.ndarray], np.ndarray]
@@ -161,6 +170,7 @@ class MarginalModel:
     entropy: float | None = None
     carrier_constant: float | None = None
     mirror_symmetric: bool = False
+    log_pdf_float: Callable[[float], float] | None = None
 
 
 def make_normal_normal(alpha: float) -> tuple[FamilyModel, MarginalModel]:
@@ -197,6 +207,12 @@ def make_normal_normal(alpha: float) -> tuple[FamilyModel, MarginalModel]:
         x = np.asarray(x, dtype=float)
         return -0.5 * (x / beta) ** 2 - log_norm
 
+    def log_pdf_float(x: float) -> float:
+        # numpy squares an array by multiplication, so this matches it bit
+        # for bit; a float's ** 2 goes to pow, which can differ in the last bit
+        y = x / beta
+        return -0.5 * (y * y) - log_norm
+
     def quantile(p: float) -> float:
         if not 0.0 < p < 1.0:
             raise SupportError(f"quantile needs 0 < p < 1, got {p!r}")
@@ -214,6 +230,7 @@ def make_normal_normal(alpha: float) -> tuple[FamilyModel, MarginalModel]:
         entropy=log_norm + 0.5,
         carrier_constant=0.5 * (1.0 + alpha * alpha + _LOG_2PI),
         mirror_symmetric=True,
+        log_pdf_float=log_pdf_float,
     )
     return family, marginal
 
@@ -351,9 +368,10 @@ def _normal_tail(a: float, w: float, s: float) -> tuple[float, float] | None:
     # mass / phi(a), from the central masses (erf) or the upper tails (R)
     erf_b = math.erf(b / _SQRT2)
     central = 0.5 * (erf_b - math.erf(a / _SQRT2))
-    central_cancel = _cancellation(0.5 * erf_b, central)
+    # _cancellation, inlined four times: this runs for every one-sided interval
+    central_cancel = 0.5 * erf_b / central if central > 0.0 else math.inf
     tails = r_a - rho * r_b
-    tails_cancel = _cancellation(r_a, tails)
+    tails_cancel = r_a / tails if tails > 0.0 else math.inf
     if min(central_cancel, tails_cancel) <= _MAX_CANCELLATION:
         if central_cancel < tails_cancel:
             log_mass = math.log(central)
@@ -366,9 +384,9 @@ def _normal_tail(a: float, w: float, s: float) -> tuple[float, float] | None:
         # does not cancel against a * R(a)
         one_minus_rho = -math.expm1(-arg)
         direct = one_minus_rho - a * scaled
-        direct_cancel = _cancellation(one_minus_rho, direct)
+        direct_cancel = one_minus_rho / direct if direct > 0.0 else math.inf
         via_h = h_a - rho * (h_b + w * r_b)
-        via_h_cancel = _cancellation(h_a, via_h)
+        via_h_cancel = h_a / via_h if via_h > 0.0 else math.inf
         if min(direct_cancel, via_h_cancel) <= _MAX_CANCELLATION:
             return log_mass, (direct if direct_cancel < via_h_cancel else via_h) / scaled
     # narrow: log phi(a + t) - log phi(a) = -t (2a + t) / 2 spans arg

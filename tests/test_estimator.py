@@ -493,6 +493,24 @@ class TestFloatKernel:
                 self._assert_kernel_matches(
                     family, marginal, codebook_from_cutpoints(family, marginal, cuts))
 
+    @pytest.mark.parametrize("pair_name", ["nn", "eg"])
+    def test_float_log_density_keeps_the_bands(self, pair_name, request):
+        """The bands read the normal marginal's float log density; with it
+        stripped they read the array log_pdf, and every band keeps its bits.
+        The Lomax marginal has none, as math.log1p and numpy's log1p differ."""
+        family, marginal = request.getfixturevalue(pair_name)
+        assert (marginal.log_pdf_float is None) == (pair_name == "eg")
+        stripped = dataclasses.replace(marginal, log_pdf_float=None)
+        rng = np.random.default_rng(28)
+        for n in range(17):
+            for far in (False, True):
+                cuts = _seeded_cuts(pair_name, marginal, rng, n, far)
+                book = codebook_from_cutpoints(family, marginal, cuts)
+                with np.errstate(all="ignore"):
+                    bands = estimator._jacobian_bands(family, marginal, book)
+                    array_bands = estimator._jacobian_bands(family, stripped, book)
+                assert list(map(_hex, bands)) == list(map(_hex, array_bands)), cuts
+
     def test_zero_variance_raises(self, eg):
         """A Lomax interval (0, 1e-160) asserts theta ~ -2e160, whose variance
         1/theta^2 is 0.0: forming the bands divides by it and raises, the
@@ -1222,23 +1240,27 @@ def _count_sweep_work(monkeypatch, family, marginal, n_max):
 
 class TestSweepWork:
     @pytest.mark.parametrize("pair_name,n_max,n_scans,n_runs", [
-        ("nn", 16, 34, 46),
+        ("nn", 16, 34, 45),
         ("eg", 5, 9, 5),
     ], ids=["nn", "eg"])
     def test_each_scan_and_start_once(self, pair_name, n_max, n_scans, n_runs,
                                       monkeypatch, request):
         """No two scans share their outer two cuts and side, and no stage runs
         Newton twice from the same start, nor from two starts that are mirror
-        images (to 1e-9) unless both extend one seed book.  Scanning every
+        images (to 1e-9) unless both extend one seed book and the first run
+        found a critical point.  Scanning every
         book and running every start made the n<=16 normal sweep 53 scans and
         78 runs.  Stage 1's scan, of the empty book, goes through the same
         memo, first and once, and every scan is keyed on at most two cuts.
         The normal counts were (38, 67) with the erfcx Mills ratio, (38, 68)
         with the continued fraction, where stage 9's second book takes one
         Newton step and the two stage-10 starts differ in their last bits,
-        and are (34, 46) since the normal pair solves each mirror pair once:
+        and were (34, 46) once the normal pair solved each mirror pair once:
         a mirror start from another seed book takes the reflected report, and
-        a root whose mirror key is in the memo is negated, not scanned."""
+        a root whose mirror key is in the memo is negated, not scanned.  They
+        are (34, 45) since a same-seed twin is solved only when the first run
+        found a critical point: at stage 4 the second extension of one seed
+        book takes the reflection of the first, a stall that is not kept."""
         scans, starts = _count_sweep_work(
             monkeypatch, *request.getfixturevalue(pair_name), n_max)
         assert (len(scans), len(starts)) == (n_scans, n_runs)
@@ -1298,6 +1320,39 @@ class TestMirrorPairs:
                     np.abs(gradient(family, marginal, book))), report.cuts
         assert reflected > 0
 
+    @pytest.mark.parametrize("alpha,n_max", [(2.0, 16), (1.5, 3)])
+    def test_reflected_twins_of_stalls_are_not_kept(self, alpha, n_max, monkeypatch):
+        """A start whose mirror twin was run and ended not critical takes the
+        reflected report, even when both extend one seed book.  Solved
+        directly, each such start is not kept either: the reflection loses
+        no minimum.  Each of these sweeps has one, a stall at |G| >= 1.5e-3
+        (stage 4 at alpha=2, stage 2 at alpha=1.5)."""
+        family, marginal = make_normal_normal(alpha)
+        runs, twins = {}, []
+        newton, mirrors = estimator.newton_solve, estimator._mirrors
+
+        def recording_newton(family, marginal, initial, **kwargs):
+            runs[tuple(initial)] = newton(family, marginal, initial, **kwargs)
+            return runs[tuple(initial)]
+
+        def recording_mirrors(start, other):
+            # the sweep tests each start against its earlier runs and takes
+            # the first match, so each match is one reflected start
+            if mirrors(start, other):
+                twins.append((start, other))
+                return True
+            return False
+
+        monkeypatch.setattr(estimator, "newton_solve", recording_newton)
+        monkeypatch.setattr(estimator, "_mirrors", recording_mirrors)
+        solve_sweep(family, marginal, n_max)
+        stalls = [start for start, other in twins if runs[other].classification == NOT_CRITICAL]
+        assert len(stalls) == 1
+        for start in stalls:
+            assert start not in runs
+            report = newton(family, marginal, start)
+            assert not report.kept and report.grad_norm_trace[-1] >= 1.5e-3, start
+
 
 def _report_bits(report):
     """Every field of a report, each float by float.hex."""
@@ -1311,7 +1366,7 @@ class TestSeedRecords:
     """Every build of a sweep reads and fills one interval cache."""
 
     @pytest.mark.parametrize("pair,n_max,solver_integrals", [
-        (make_normal_normal(2.0), 16, 775),
+        (make_normal_normal(2.0), 16, 635),
         (make_exponential_gamma(2.0, 1.0), 5, 64),
     ], ids=["nn", "eg"])
     def test_solver_integrals_per_sweep(self, pair, n_max, solver_integrals, monkeypatch):
@@ -1320,7 +1375,9 @@ class TestSeedRecords:
         and the seed books' records of one stage 1 042 and 64.  The normal
         sweep made 805 while it solved both images of each mirror pair, and
         797 while its reflected reports left their intervals out of the
-        cache, so a later build of a reflected book's cut integrated them."""
+        cache, so a later build of a reflected book's cut integrated them,
+        and 775 while it solved the mirror twin of a stalled run from the
+        same seed book (29 builds) instead of reflecting it."""
         calls = []
         integrals = estimator.interval_integrals
 

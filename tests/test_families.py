@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smml1d import (
     FamilyModel,
@@ -64,6 +66,32 @@ class TestNormalNormal:
         _, marginal = nn
         x = np.linspace(0.1, 40.0, 57)
         assert np.array_equal(marginal.log_pdf(x), marginal.log_pdf(-x))
+
+    @staticmethod
+    def _assert_float_log_pdf_matches(alpha, xs):
+        marginal = make_normal_normal(alpha)[1]
+        got = [marginal.log_pdf_float(x).hex() for x in xs]
+        with np.errstate(over="ignore"):
+            want = marginal.log_pdf(np.array(xs)).tolist()
+        assert got == [v.hex() for v in want], alpha
+
+    def test_float_log_pdf_matches_array_seeded(self):
+        """The float log density has the array log_pdf's bits, from the bulk
+        to |x| = 1e300, where (x / beta)^2 overflows, and for sds from 1 to
+        1e150.  The scalar numpy path does not: its ** 2 goes to pow."""
+        rng = np.random.default_rng(34)
+        for alpha in (1e-3, 0.5, 2.0, 10.0, 30.0, 1e5, 1e150):
+            xs = rng.choice((-1.0, 1.0), 20_000) * 10.0 ** rng.uniform(-3.0, 300.0, 20_000)
+            self._assert_float_log_pdf_matches(alpha, [0.0, -0.0, *xs.tolist()])
+        assert make_exponential_gamma(2.0, 1.0)[1].log_pdf_float is None
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        alpha=st.floats(1e-3, 1e150),
+        xs=st.lists(st.floats(-1e300, 1e300), min_size=1, max_size=20),
+    )
+    def test_float_log_pdf_matches_array(self, alpha, xs):
+        self._assert_float_log_pdf_matches(alpha, xs)
 
     def test_quantile_against_bisection(self, nn):
         """Independent oracle: bisect the CDF instead of trusting the quantile."""
