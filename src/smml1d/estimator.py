@@ -259,8 +259,10 @@ def jacobian(family: FamilyModel, marginal: MarginalModel, codebook: CodeBook) -
 
     Only bands |row - col| <= 1 are nonzero.  Density/mass ratios are formed
     as exp(log r - log q), never as quotients of possibly-underflowed values.
-    The bands are formed on Python floats; the ratios come from one
-    ``np.exp`` call, whose last bits ``math.exp`` does not always match.
+    The bands are formed on Python floats; the cut densities come from one
+    array call of the marginal's ``log_pdf``, so a replaced ``log_pdf`` is
+    read here as everywhere else, and the ratios from one ``np.exp`` call,
+    whose last bits ``math.exp`` does not always match.
     Raises ``ZeroDivisionError`` where an assertion's variance rounds to 0,
     as a Lomax interval's 1/theta^2 does once theta^2 overflows.
     """
@@ -274,17 +276,15 @@ def _jacobian_bands(
 ) -> tuple[list[float], list[float], list[float]]:
     """The bands (sub, diag, sup) of :func:`jacobian` as lists of Python floats.
 
-    The densities at the cuts come from the marginal's ``log_pdf_float`` where
-    it has one, which gives the array ``log_pdf``'s bits without its numpy
-    round trip; the ratios still come from one ``np.exp`` call.
+    The densities at the cuts come from one array call of the marginal's
+    ``log_pdf``, and the ratios from one ``np.exp`` call.  Mapping the density
+    over the floats would give the same bits for the built-in marginals, but
+    costs the Lomax one a numpy round trip per cut.
     """
     import numpy as np
     a, lq, th, mu = codebook.cuts, codebook.log_q, codebook.theta_hat, codebook.centroids
     var = list(map(family.variance, th))
-    if marginal.log_pdf_float is not None:
-        log_r = list(map(marginal.log_pdf_float, a))
-    else:
-        log_r = np.asarray(marginal.log_pdf(np.array(a)), dtype=float).tolist()
+    log_r = np.asarray(marginal.log_pdf(np.array(a)), dtype=float).tolist()
     n = len(a)
     # r(a_j) / q_j, then r(a_j) / q_{j-1}
     ratios = np.exp([*map(sub, log_r, lq[1:]), *map(sub, log_r, lq)]).tolist()

@@ -118,13 +118,15 @@ class MarginalModel:
     """Marginal distribution of the data after integrating out the prior.
 
     ``support_lo`` and ``support_hi`` bound the open data support, which
-    cut-points and intervals must lie in.  ``log_pdf`` must accept both
-    numpy arrays, mapped elementwise (the adaptive quadrature, the curves,
-    and the Jacobian unless ``log_pdf_float`` is set), and Python floats,
-    returning a number that ``float`` converts (the insertion scan's slope
-    and the quadrature's tail scales).
-    The built-in marginals import numpy in their ``log_pdf``, at its first
-    call; their closed forms run on the standard library alone.
+    cut-points and intervals must lie in.  ``log_pdf`` is the one log
+    density every reader reads: it must accept both numpy arrays, mapped
+    elementwise (the adaptive quadrature, the curves and the Jacobian), and
+    Python floats, returning a number that ``float`` converts (the insertion
+    scan's slope and the quadrature's tail scales).  A pair that replaces it
+    replaces the density for all of them.  Each built-in ``log_pdf`` gives a
+    float the bits that an array gives at the same point.  The normal one is
+    float arithmetic that loads no numpy; the Lomax one imports numpy at its
+    first call.  Both closed forms run on the standard library alone.
     ``quantile`` is a scalar map.  ``mode`` is the maximizer of the density
     over the closed support (it anchors the scaled quadrature).  The density
     is strictly positive on the open support and has a finite first moment;
@@ -149,14 +151,6 @@ class MarginalModel:
     pair of its starts once, and ``smml1d verify`` checks that a solved book
     and its mirror image have one length.  ``make_normal_normal`` sets it;
     the Lomax pair and pairs built field by field leave it off.
-
-    ``log_pdf_float``, when given, is ``log_pdf`` on one Python float: it
-    returns a float with the bits that the array ``log_pdf`` gives the same
-    point, and :func:`smml1d.estimator.jacobian` maps it over the cuts in
-    place of an array call and its numpy round trip.  A pair that replaces
-    ``log_pdf`` must replace or clear it too.  ``make_normal_normal`` sets
-    it.  The Lomax pair leaves it unset: numpy's vectorised ``log1p``
-    differs from ``math.log1p`` in the last bit at some arguments.
     """
 
     log_pdf: Callable[[np.ndarray], np.ndarray]
@@ -170,7 +164,6 @@ class MarginalModel:
     entropy: float | None = None
     carrier_constant: float | None = None
     mirror_symmetric: bool = False
-    log_pdf_float: Callable[[float], float] | None = None
 
 
 def make_normal_normal(alpha: float) -> tuple[FamilyModel, MarginalModel]:
@@ -203,13 +196,8 @@ def make_normal_normal(alpha: float) -> tuple[FamilyModel, MarginalModel]:
     )
 
     def log_pdf(x):
-        import numpy as np
-        x = np.asarray(x, dtype=float)
-        return -0.5 * (x / beta) ** 2 - log_norm
-
-    def log_pdf_float(x: float) -> float:
-        # numpy squares an array by multiplication, so this matches it bit
-        # for bit; a float's ** 2 goes to pow, which can differ in the last bit
+        # squared by multiplication, as numpy squares an array, so a float gets
+        # the bits an array gets; a float's ** 2 goes to pow, which can differ
         y = x / beta
         return -0.5 * (y * y) - log_norm
 
@@ -230,7 +218,6 @@ def make_normal_normal(alpha: float) -> tuple[FamilyModel, MarginalModel]:
         entropy=log_norm + 0.5,
         carrier_constant=0.5 * (1.0 + alpha * alpha + _LOG_2PI),
         mirror_symmetric=True,
-        log_pdf_float=log_pdf_float,
     )
     return family, marginal
 
@@ -274,9 +261,9 @@ def make_exponential_gamma(alpha: float, beta: float) -> tuple[FamilyModel, Marg
 
     def log_pdf(x):
         import numpy as np
-        x = np.asarray(x, dtype=float)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            out = log_ab - (alpha + 1.0) * np.log1p(x / beta)
+        # clamped so that log1p does not warn below the support, where the
+        # density is 0 anyway; for x >= 0 the clamp returns x itself
+        out = log_ab - (alpha + 1.0) * np.log1p(np.maximum(x, 0.0) / beta)
         return np.where(x >= 0.0, out, -np.inf)
 
     def quantile(p: float) -> float:

@@ -493,24 +493,6 @@ class TestFloatKernel:
                 self._assert_kernel_matches(
                     family, marginal, codebook_from_cutpoints(family, marginal, cuts))
 
-    @pytest.mark.parametrize("pair_name", ["nn", "eg"])
-    def test_float_log_density_keeps_the_bands(self, pair_name, request):
-        """The bands read the normal marginal's float log density; with it
-        stripped they read the array log_pdf, and every band keeps its bits.
-        The Lomax marginal has none, as math.log1p and numpy's log1p differ."""
-        family, marginal = request.getfixturevalue(pair_name)
-        assert (marginal.log_pdf_float is None) == (pair_name == "eg")
-        stripped = dataclasses.replace(marginal, log_pdf_float=None)
-        rng = np.random.default_rng(28)
-        for n in range(17):
-            for far in (False, True):
-                cuts = _seeded_cuts(pair_name, marginal, rng, n, far)
-                book = codebook_from_cutpoints(family, marginal, cuts)
-                with np.errstate(all="ignore"):
-                    bands = estimator._jacobian_bands(family, marginal, book)
-                    array_bands = estimator._jacobian_bands(family, stripped, book)
-                assert list(map(_hex, bands)) == list(map(_hex, array_bands)), cuts
-
     def test_zero_variance_raises(self, eg):
         """A Lomax interval (0, 1e-160) asserts theta ~ -2e160, whose variance
         1/theta^2 is 0.0: forming the bands divides by it and raises, the
@@ -551,6 +533,54 @@ class TestFloatKernel:
                 assert estimator._at_floor(book, (scale * G).tolist()) == expected
                 seen.add(expected)
         assert seen == {True, False}
+
+
+class TestOneDensity:
+    """A pair that replaces log_pdf replaces the density for every reader:
+    the Jacobian reads its cuts through it, as the scan's slope does."""
+
+    @staticmethod
+    def _counting(marginal):
+        calls = []
+
+        def log_pdf(x):
+            calls.append(x.tolist() if isinstance(x, np.ndarray) else x)
+            return marginal.log_pdf(x)
+        return dataclasses.replace(marginal, log_pdf=log_pdf), calls
+
+    def test_jacobian_reads_the_replaced_density(self, nn):
+        family, marginal = nn
+        counted, calls = self._counting(marginal)
+        book = codebook_from_cutpoints(family, marginal, [-1.5, 0.25, 2.0])
+        with np.errstate(all="ignore"):
+            bands = estimator._jacobian_bands(family, counted, book)
+            want = estimator._jacobian_bands(family, marginal, book)
+        assert calls == [[-1.5, 0.25, 2.0]]
+        assert list(map(_hex, bands)) == list(map(_hex, want))
+
+    def test_sweep_reads_the_replaced_density(self, nn, monkeypatch):
+        """Every Jacobian of a sweep reads its cuts by one call of the replaced
+        log_pdf, the scan's slope reads it on floats, and every report keeps
+        its bits."""
+        family, marginal = nn
+        counted, calls = self._counting(marginal)
+        reads = []
+        bands = estimator._jacobian_bands
+
+        def watched(family, marginal, book):
+            before = len(calls)
+            out = bands(family, marginal, book)
+            reads.append((calls[before:], list(book.cuts)))
+            return out
+
+        monkeypatch.setattr(estimator, "_jacobian_bands", watched)
+        got = solve_sweep(family, counted, 3)
+        assert reads and all(read == [cuts] for read, cuts in reads)
+        assert any(type(x) is float for x in calls)
+        monkeypatch.undo()
+        want = solve_sweep(family, marginal, 3)
+        assert {n: list(map(_report_bits, reports)) for n, reports in got.items()} == {
+            n: list(map(_report_bits, reports)) for n, reports in want.items()}
 
 
 def _book_bits(book):

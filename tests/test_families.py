@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -35,6 +36,24 @@ def _lomax_cdf(x, alpha=2.0, beta=1.0):
     return 1.0 - (1.0 + x / beta) ** -alpha
 
 
+def _assert_float_log_pdf_matches(marginal, xs):
+    """log_pdf on each Python float has the bits of log_pdf on the array of
+    them; returns the values it gave the floats."""
+    got = [marginal.log_pdf(x) for x in xs]
+    with np.errstate(over="ignore"):
+        want = marginal.log_pdf(np.array(xs)).tolist()
+    assert [float(v).hex() for v in got] == [v.hex() for v in want], marginal.prior_params
+    return got
+
+
+def _errstate_lomax_log_pdf(alpha, beta, x):
+    """The Lomax log density as written before its clamp: log1p of any x,
+    its warnings silenced, then -inf below the support."""
+    with np.errstate(invalid="ignore", divide="ignore"):
+        out = math.log(alpha / beta) - (alpha + 1.0) * np.log1p(x / beta)
+    return np.where(x >= 0.0, out, -np.inf)
+
+
 class TestParameterValidation:
     @pytest.mark.parametrize("alpha", [0.0, -1.0, math.nan, math.inf])
     def test_normal_normal_rejects_bad_alpha(self, alpha):
@@ -67,23 +86,16 @@ class TestNormalNormal:
         x = np.linspace(0.1, 40.0, 57)
         assert np.array_equal(marginal.log_pdf(x), marginal.log_pdf(-x))
 
-    @staticmethod
-    def _assert_float_log_pdf_matches(alpha, xs):
-        marginal = make_normal_normal(alpha)[1]
-        got = [marginal.log_pdf_float(x).hex() for x in xs]
-        with np.errstate(over="ignore"):
-            want = marginal.log_pdf(np.array(xs)).tolist()
-        assert got == [v.hex() for v in want], alpha
-
     def test_float_log_pdf_matches_array_seeded(self):
-        """The float log density has the array log_pdf's bits, from the bulk
-        to |x| = 1e300, where (x / beta)^2 overflows, and for sds from 1 to
-        1e150.  The scalar numpy path does not: its ** 2 goes to pow."""
+        """log_pdf gives each Python float the bits the array gives it, from
+        the bulk to |x| = 1e300, where (x / beta)^2 overflows, and for sds
+        from 1 to 1e150, and returns a float."""
         rng = np.random.default_rng(34)
         for alpha in (1e-3, 0.5, 2.0, 10.0, 30.0, 1e5, 1e150):
             xs = rng.choice((-1.0, 1.0), 20_000) * 10.0 ** rng.uniform(-3.0, 300.0, 20_000)
-            self._assert_float_log_pdf_matches(alpha, [0.0, -0.0, *xs.tolist()])
-        assert make_exponential_gamma(2.0, 1.0)[1].log_pdf_float is None
+            got = _assert_float_log_pdf_matches(
+                make_normal_normal(alpha)[1], [0.0, -0.0, *xs.tolist()])
+            assert all(type(v) is float for v in got)
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -91,7 +103,8 @@ class TestNormalNormal:
         xs=st.lists(st.floats(-1e300, 1e300), min_size=1, max_size=20),
     )
     def test_float_log_pdf_matches_array(self, alpha, xs):
-        self._assert_float_log_pdf_matches(alpha, xs)
+        got = _assert_float_log_pdf_matches(make_normal_normal(alpha)[1], xs)
+        assert all(type(v) is float for v in got)
 
     def test_quantile_against_bisection(self, nn):
         """Independent oracle: bisect the CDF instead of trusting the quantile."""
@@ -221,6 +234,26 @@ class TestExponentialGamma:
     def test_log_pdf_outside_support(self, eg):
         _, marginal = eg
         assert marginal.log_pdf(-0.5) == -math.inf
+
+    @pytest.mark.parametrize("alpha, beta", [
+        (2.0, 1.0), (1.02, 1.0), (40.0, 1.0), (2.0, 1e-100), (2.0, 1e100), (3.0, 7.5)])
+    def test_clamped_log_pdf_keeps_the_bits(self, alpha, beta):
+        """Clamping below the support moves no bit of the array density, and
+        warns nowhere: at -beta (log1p(-1)), beyond it (log1p of < -1), at
+        NaN, at both infinities and at -0.0.  A Python float gets the array's
+        bits too."""
+        marginal = make_exponential_gamma(alpha, beta)[1]
+        rng = np.random.default_rng(35)
+        xs = [-beta, -2.0 * beta, -0.5 * beta, -1e-300, -0.0, 0.0, math.nan,
+              math.inf, -math.inf, *(beta * 10.0 ** rng.uniform(-20.0, 20.0, 2_000)).tolist()]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = marginal.log_pdf(np.array(xs))
+            _assert_float_log_pdf_matches(marginal, xs)
+        want = _errstate_lomax_log_pdf(alpha, beta, np.array(xs))
+        assert got.tobytes() == want.tobytes()
+        log_ab = math.log(alpha / beta)
+        assert got[:9].tolist() == [-math.inf] * 4 + [log_ab, log_ab] + [-math.inf] * 3
 
     def test_family_mean_variance(self, eg):
         family, _ = eg
