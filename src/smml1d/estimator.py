@@ -825,18 +825,19 @@ def solve_sweep(
 
     A mirror-symmetric pair (``MarginalModel.mirror_symmetric``) has each
     mirror pair of starts solved once.  A start whose mirror image lies
-    within 1e-9, relative and cut by cut, of a start already run from a
-    different seed book runs no Newton: it gets the exact reflection of that
-    run's report (cuts, assertions and centroids negated and reversed; log q,
-    log partitions and continuity gaps reversed; the rest copied).  Of the
-    two extensions of one seed book, the second takes the reflection of the
-    first only where the first ended not critical (|G| above 1e-8, so not
-    kept); where it found a critical point, both are run, even where they
-    are near mirror images, as reflecting those lost a minimum.  A root
+    within 1e-9, relative and cut by cut, of a start already run in its
+    stage runs no Newton: it gets the exact reflection of that run's report
+    (cuts, assertions and centroids negated and reversed; log q, log
+    partitions and continuity gaps reversed; the rest copied).  A root
     whose exact mirror key, the reflected outer two cuts and the other
     side, is in the memo is that root negated.  A reflected report ties
     exactly with the run it reflects, so of such a pair the image with the
-    lower first cut comes first.
+    lower first cut comes first.  A stage of such a pair that runs Newton
+    and keeps nothing gets one more start, the symmetric lattice
+    a_j = (j - (n+1)/2) sqrt(12 v(0)), j = 1..n, with v the family's
+    variance; Wallace's spacing for a flat prior, it is skipped where it
+    leaves the support, and the books it keeps seed the next stages as any
+    kept book does.  A stage with no start at all gets no lattice.
 
     Returns, for each n from 1 to ``n_max``, the runs whose
     ``SolveReport.kept`` holds: local minima only, converged or at the
@@ -875,28 +876,25 @@ def solve_sweep(
     seeds: dict[int, list[tuple[float, ...]]] = {0: [()]}
     stages: dict[int, list[SolveReport]] = {}
     for stage in range(1, n_max + 1):
-        # each distinct start once, in first-seen order, with the seed book it extends
-        starts: dict[tuple[float, ...], tuple[float, ...]] = {}
+        # each distinct start once, in first-seen order
+        starts: dict[tuple[float, ...], None] = {}
         for cuts in seeds[stage - 1]:
             for side in (1, -1):
                 x = root(cuts, side)
                 if x is not None:
-                    starts.setdefault(tuple(sorted((*cuts, x))), cuts)
+                    starts.setdefault(tuple(sorted((*cuts, x))))
         for cuts in seeds.get(stage - 2, []):
             right, left = root(cuts, 1), root(cuts, -1)
             if right is not None and left is not None:
-                starts.setdefault((left, *cuts, right), cuts)
-        runs: list[tuple[tuple[float, ...], tuple[float, ...], SolveReport]] = []
+                starts.setdefault((left, *cuts, right))
+        runs: dict[tuple[float, ...], SolveReport] = {}
         reports = []
-        for start, seed in starts.items():
+        for start in starts:
             if not _feasible(marginal, start):
                 continue
-            twin = mirror and next((
-                run for run in runs
-                if (run[1] != seed or run[2].classification == NOT_CRITICAL)
-                and _mirrors(start, run[0])), None)
+            twin = mirror and next((run for s, run in runs.items() if _mirrors(start, s)), None)
             if twin:
-                reports.append(_reflect_report(twin[2]))
+                reports.append(_reflect_report(twin))
                 book = reports[-1].codebook  # its finite rows, as a build of it writes them
                 ends = zip((marginal.support_lo, *book.cuts), (*book.cuts, marginal.support_hi))
                 rows = zip(book.log_q, book.theta_hat, book.centroids, book.log_partition)
@@ -904,9 +902,15 @@ def solve_sweep(
                     if all(map(math.isfinite, row)):
                         records.setdefault(end, row)
             else:
-                reports.append(newton_solve(family, marginal, start, records=records))
-                runs.append((start, seed, reports[-1]))
+                runs[start] = newton_solve(family, marginal, start, records=records)
+                reports.append(runs[start])
         stages[stage] = _dedup_sorted(reports)
+        if mirror and reports and not stages[stage]:
+            spacing = math.sqrt(12.0 * family.variance(0.0))
+            lattice = tuple([(j - (stage + 1) / 2) * spacing for j in range(1, stage + 1)])
+            if _feasible(marginal, lattice):
+                stages[stage] = _dedup_sorted(
+                    [newton_solve(family, marginal, lattice, records=records)])
         seeds[stage] = [sol.cuts for sol in stages[stage][:2]]
     return stages
 

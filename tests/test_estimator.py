@@ -113,6 +113,22 @@ ALPHA10_MINIMA = {n: [red] for n, red in enumerate([
     0.17648323115353, 0.17648322451283, 0.17648322232876, 0.17648322163514,
     0.17648322142248, 0.17648322135954, 0.17648322134158, 0.17648322133665],
     start=1)}
+# Prior sd 10, n=41 to 45: item 1's 80-digit minimum values, which n=41 and 42
+# reach only from the rescue's lattice start.
+ALPHA10_BEST_41_45 = [0.1764832213353, 0.1764832213350] + [0.1764832213349] * 3
+# Prior sd 1.5, n<=8: the continuation stalls at n=2, and the rescue's lattice
+# start finds the symmetric two-cut minimum; from it the sweep reaches the
+# three-cut mirror pair and, from n=4, the books of item 16's DP.
+ALPHA15_ONE_CUT, ALPHA15_TWO_CUT = 0.19431255229180, 0.16933390209159
+ALPHA15_THREE_CUT, ALPHA15_BEST = 0.16927992041531, 0.16922914721730
+ALPHA15_MINIMA = {
+    1: [ALPHA15_ONE_CUT],
+    2: [ALPHA15_TWO_CUT],
+    3: [ALPHA15_THREE_CUT] * 2,
+    4: [ALPHA15_BEST] + [ALPHA15_THREE_CUT] * 2,
+    5: [ALPHA15_BEST] * 2 + [ALPHA15_THREE_CUT],
+    **{n: [ALPHA15_BEST] * 3 for n in range(6, 9)},
+}
 
 
 @pytest.fixture(scope="module")
@@ -157,9 +173,21 @@ def nn_alpha05_sweep8():
 
 
 @pytest.fixture(scope="module")
-def nn_alpha10_sweep40():
+def nn_alpha10_sweep45():
     family, marginal = make_normal_normal(10.0)
-    return solve_sweep(family, marginal, 40)
+    return solve_sweep(family, marginal, 45)
+
+
+@pytest.fixture(scope="module")
+def nn_alpha10_sweep40(nn_alpha10_sweep45):
+    # stage n never depends on n_max
+    return {n: nn_alpha10_sweep45[n] for n in range(1, 41)}
+
+
+@pytest.fixture(scope="module")
+def nn_alpha15_sweep8():
+    family, marginal = make_normal_normal(1.5)
+    return solve_sweep(family, marginal, 8)
 
 
 @pytest.fixture
@@ -1052,7 +1080,9 @@ class TestMultiStart:
         ("nn_sweep30", ALPHA2_MINIMA_30),
         ("nn_alpha05_sweep8", ALPHA05_MINIMA),
         ("nn_alpha10_sweep40", ALPHA10_MINIMA),
-    ], ids=["nn", "eg", "nn-alpha1", "nn-alpha3", "nn-n30", "nn-alpha05", "nn-alpha10"])
+        ("nn_alpha15_sweep8", ALPHA15_MINIMA),
+    ], ids=["nn", "eg", "nn-alpha1", "nn-alpha3", "nn-n30", "nn-alpha05", "nn-alpha10",
+            "nn-alpha15"])
     def test_every_minimum_per_stage(self, sweep, minima, request):
         """The count and the redundancies of all deduplicated minima at every
         stage, so that no change to the starts loses one silently."""
@@ -1098,15 +1128,24 @@ class TestMultiStart:
         for n in range(1, 4):
             assert stages[n][0].redundancy == pytest.approx(nn_sweep6[n][0].redundancy, abs=1e-9)
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "prior sd 1.3 to 1.5: both continuation starts of stage 2, (0, 4.27) and "
-        "its mirror, stall at |G| = 5.7e-2, so every stage from n=2 is empty"))
     def test_alpha15_two_cut_minimum(self):
-        """The symmetric two-cut minimum, which Newton from (-2, 2) reaches."""
+        """The symmetric two-cut minimum.  Both continuation starts of stage 2,
+        (0, 4.27) and its mirror, stall at |G| = 5.7e-2; the rescue's lattice
+        start (-sqrt 3, sqrt 3) reaches it."""
         reports = solve_sweep(*make_normal_normal(1.5), 2)[2]
         assert reports, "no two-cut minimum"
         np.testing.assert_allclose(reports[0].cuts, [-2.1142183340, 2.1142183340], atol=1e-9)
         assert reports[0].redundancy == pytest.approx(0.16933390209, abs=1e-10)
+
+    def test_alpha10_minimum_at_every_stage(self, nn_alpha10_sweep45):
+        """Prior sd 10 keeps a minimum at every stage up to n=45.  At n = 40
+        to 42 every continuation run ends short of _TOL and above the
+        rounding floor, and the stage keeps the book of the rescue's lattice
+        start; without the rescue, every stage from n=40 keeps nothing."""
+        assert all(nn_alpha10_sweep45.values())
+        np.testing.assert_allclose(
+            [nn_alpha10_sweep45[n][0].redundancy for n in range(41, 46)], ALPHA10_BEST_41_45,
+            rtol=0.0, atol=1e-12)
 
     def test_sweep_survives_unbuildable_books(self, heavy_gk, nn, monkeypatch):
         """Code books that cannot be built end runs or reject trials; the
@@ -1270,15 +1309,14 @@ def _count_sweep_work(monkeypatch, family, marginal, n_max):
 
 class TestSweepWork:
     @pytest.mark.parametrize("pair_name,n_max,n_scans,n_runs", [
-        ("nn", 16, 34, 45),
+        ("nn", 16, 30, 36),
         ("eg", 5, 9, 5),
     ], ids=["nn", "eg"])
     def test_each_scan_and_start_once(self, pair_name, n_max, n_scans, n_runs,
                                       monkeypatch, request):
         """No two scans share their outer two cuts and side, and no stage runs
-        Newton twice from the same start, nor from two starts that are mirror
-        images (to 1e-9) unless both extend one seed book and the first run
-        found a critical point.  Scanning every
+        Newton twice from the same start (nor from two mirror images, see
+        TestMirrorPairs.test_one_run_per_mirror_pair).  Scanning every
         book and running every start made the n<=16 normal sweep 53 scans and
         78 runs.  Stage 1's scan, of the empty book, goes through the same
         memo, first and once, and every scan is keyed on at most two cuts.
@@ -1290,7 +1328,11 @@ class TestSweepWork:
         a root whose mirror key is in the memo is negated, not scanned.  They
         are (34, 45) since a same-seed twin is solved only when the first run
         found a critical point: at stage 4 the second extension of one seed
-        book takes the reflection of the first, a stall that is not kept."""
+        book takes the reflection of the first, a stall that is not kept.
+        They are (30, 36) since every near-mirror twin takes the reflection,
+        also where both extend one seed book and the first run found a
+        critical point: 9 fewer runs, and 4 fewer scans of the books that
+        the stages then keep and extend."""
         scans, starts = _count_sweep_work(
             monkeypatch, *request.getfixturevalue(pair_name), n_max)
         assert (len(scans), len(starts)) == (n_scans, n_runs)
@@ -1298,10 +1340,6 @@ class TestSweepWork:
         assert all(len(outer) <= 2 for outer, _ in scans)
         assert len(set(scans)) == len(scans)
         assert len(set(starts)) == len(starts)  # a start's length is its stage
-        for one, other in itertools.combinations(starts, 2):
-            if len(one) == len(other) and estimator._mirrors(one, other):
-                # the right and the left extension of one seed book
-                assert one[:-1] == other[1:] or one[1:] == other[:-1], (one, other)
 
     @pytest.mark.parametrize("pair", [make_normal_normal(0.05), make_exponential_gamma(60.0, 1.0)],
                              ids=["nn-alpha0.05", "eg-alpha60"])
@@ -1384,6 +1422,119 @@ class TestMirrorPairs:
             assert not report.kept and report.grad_norm_trace[-1] >= 1.5e-3, start
 
 
+    def test_one_run_per_mirror_pair(self, monkeypatch):
+        """No stage runs Newton from two starts that are mirror images to
+        1e-9, relative and cut by cut: the second takes the reflection of
+        the first run, also where both extend one seed book and that run
+        found a critical point (the sweep has eight such twins)."""
+        family, marginal = make_normal_normal(2.0)
+        runs, twins = {}, []
+        newton, mirrors = estimator.newton_solve, estimator._mirrors
+
+        def recording_newton(family, marginal, initial, **kwargs):
+            runs[tuple(initial)] = newton(family, marginal, initial, **kwargs)
+            return runs[tuple(initial)]
+
+        def recording_mirrors(start, other):
+            if mirrors(start, other):
+                twins.append((start, other))
+                return True
+            return False
+
+        monkeypatch.setattr(estimator, "newton_solve", recording_newton)
+        monkeypatch.setattr(estimator, "_mirrors", recording_mirrors)
+        solve_sweep(family, marginal, 16)
+        for one, other in itertools.combinations(runs, 2):  # a start's length is its stage
+            assert not (len(one) == len(other) and mirrors(one, other)), (one, other)
+        # the right and the left extension of one seed book, the first run critical
+        assert any(
+            (start[1:] == other[:-1] or start[:-1] == other[1:])
+            and runs[other].classification != NOT_CRITICAL for start, other in twins)
+
+
+def _lattice(n):
+    """The rescue's start for the normal pair, whose data variance is 1."""
+    return tuple([(j - (n + 1) / 2) * math.sqrt(12.0) for j in range(1, n + 1)])
+
+
+class TestRescue:
+    """A mirror-symmetric stage whose Newton runs keep nothing runs one more
+    start, the lattice a_j = (j - (n+1)/2) sqrt(12 v(0)), when it lies
+    inside the support."""
+
+    @pytest.mark.parametrize("alpha,n_max,rescued", [
+        (1.5, 8, [2]), (2.2, 6, [5]), (2.0, 16, []), (10.0, 42, [40, 41, 42]),
+    ], ids=["alpha1.5", "alpha2.2", "alpha2", "alpha10"])
+    def test_one_lattice_run_where_a_stage_kept_nothing(self, alpha, n_max, rescued,
+                                                        monkeypatch):
+        """Only a stage that ran Newton and kept nothing runs the lattice,
+        once, after its own runs, and keeps what that run keeps (at alpha
+        2.2, n=5 the lattice ends on a saddle, so that stage stays empty)."""
+        family, marginal = make_normal_normal(alpha)
+        runs = []
+        newton = estimator.newton_solve
+
+        def recording_newton(family, marginal, initial, **kwargs):
+            runs.append((tuple(initial), newton(family, marginal, initial, **kwargs)))
+            return runs[-1][1]
+
+        monkeypatch.setattr(estimator, "newton_solve", recording_newton)
+        stages = solve_sweep(family, marginal, n_max)
+        found = []
+        for n, kept in stages.items():
+            ours = [(start, report) for start, report in runs if len(start) == n]
+            rescue = (len(ours) >= 2 and ours[-1][0] == _lattice(n)
+                      and not any(report.kept for _, report in ours[:-1]))
+            continuation = ours[:-1] if rescue else ours
+            assert rescue == (bool(continuation) and not any(
+                report.kept for _, report in continuation)), n
+            if rescue:
+                found.append(n)
+                assert [r.cuts for r in kept] == [r.cuts for r in _dedup_sorted([ours[-1][1]])]
+        assert found == rescued
+
+    def test_lattice_outside_the_support_is_not_run(self, monkeypatch):
+        """No SupportError escapes where the lattice leaves the support.  The
+        pair is the prior sd 2 normal truncated to (-3.2, 3.2).  Its scans
+        find no root beyond the one-cut book, as the residual does not rise
+        again before the support ends, so the root there is set at +-1.5.
+        Stages 2 and 3 then run only saddles; stage 2's lattice (+-sqrt 3)
+        is run, and stage 3's, with outer cuts at +-sqrt 12, is not."""
+        family, normal = make_normal_normal(2.0)
+        edge = 3.2
+        dist = statistics.NormalDist(0.0, BETA)
+        tail = dist.cdf(-edge)
+        log_z = math.log1p(-2.0 * tail)
+
+        def closed_form(lo, hi):
+            exact = normal.closed_form(lo, hi)
+            return exact and (exact[0] - log_z, exact[1])
+
+        marginal = dataclasses.replace(
+            normal, support_lo=-edge, support_hi=edge, closed_form=closed_form,
+            log_pdf=lambda x: normal.log_pdf(x) - log_z,
+            quantile=lambda p: dist.inv_cdf(tail + p * (1.0 - 2.0 * tail)),
+            entropy=None, carrier_constant=None, name="truncated-normal")
+        assert marginal.mirror_symmetric
+        starts = []
+        outward_root, newton = estimator._outward_root, estimator.newton_solve
+
+        def set_root(family, marginal, outer, side):
+            return side * 1.5 if outer == (0.0,) else outward_root(family, marginal, outer, side)
+
+        def recording_newton(family, marginal, initial, **kwargs):
+            starts.append(tuple(initial))
+            return newton(family, marginal, initial, **kwargs)
+
+        monkeypatch.setattr(estimator, "_outward_root", set_root)
+        monkeypatch.setattr(estimator, "newton_solve", recording_newton)
+        stages = solve_sweep(family, marginal, 3)
+        assert ([r.cuts for r in stages[1]], stages[2], stages[3]) == ([(0.0,)], [], [])
+        assert starts == [(0.0,), (0.0, 1.5), _lattice(2), (-1.5, 0.0, 1.5)]
+        with pytest.raises(SupportError):
+            newton(family, marginal, _lattice(3))
+
+
 def _report_bits(report):
     """Every field of a report, each float by float.hex."""
     return (*_book_bits(report.codebook), report.classification, report.diagnostic,
@@ -1396,7 +1547,7 @@ class TestSeedRecords:
     """Every build of a sweep reads and fills one interval cache."""
 
     @pytest.mark.parametrize("pair,n_max,solver_integrals", [
-        (make_normal_normal(2.0), 16, 635),
+        (make_normal_normal(2.0), 16, 496),
         (make_exponential_gamma(2.0, 1.0), 5, 64),
     ], ids=["nn", "eg"])
     def test_solver_integrals_per_sweep(self, pair, n_max, solver_integrals, monkeypatch):
@@ -1406,8 +1557,10 @@ class TestSeedRecords:
         sweep made 805 while it solved both images of each mirror pair, and
         797 while its reflected reports left their intervals out of the
         cache, so a later build of a reflected book's cut integrated them,
-        and 775 while it solved the mirror twin of a stalled run from the
-        same seed book (29 builds) instead of reflecting it."""
+        775 while it solved the mirror twin of a stalled run from the same
+        seed book (29 builds) instead of reflecting it, and 635 while it
+        solved the mirror twin of a critical run from the same seed book
+        instead of reflecting it."""
         calls = []
         integrals = estimator.interval_integrals
 
