@@ -92,6 +92,11 @@ _FLOOR_ULPS = 8.0
 # The insertion root is refined until its Newton step or its bracket is this
 # share of the scan bracket: the width 30 bisection halvings reach.
 _ROOT_REL_WIDTH = 2.0**-30
+# Scan-grid indices probed, in this order, before the insertion scan walks:
+# the walk starts at the first whose oriented residual is <= 0, inside the dip
+# beside the outer cut, and from index 0 when there is none (_outward_root).
+# Of the 1 449 scans of the evidence grid's sweeps, 1 211 start at 7, 116 at 3.
+_SCAN_PROBES = (7, 3)
 
 
 @dataclass(frozen=True)
@@ -697,29 +702,59 @@ def _outward_root(
     `side` (mirror antisymmetry flips its sign on the left): so oriented, it
     diverges to +inf against the nearest cut and grows again in the far
     tail, dipping negative around the useful stationary placements.  The
-    outermost crossing back to positive marks the new outer cut.  If it
-    starts at an exact 0, as the empty book's residual is at the median of
-    a symmetric marginal by mirror symmetry, that candidate is the root.
-    Otherwise its bracket on the grid is refined by 1-D Newton from the
-    midpoint, safeguarded by the bracket: a step that leaves it, or a
-    non-finite slope, falls back to the midpoint.  Refinement stops when
+    outermost crossing back to positive marks the new outer cut.  The walk
+    over the grid stops once a crossing is followed by six rising positive
+    values.
+
+    The walk starts inside the dip where it can, sparing the residuals of
+    the narrow intervals beside the cut: at the first index of
+    ``_SCAN_PROBES`` whose residual is <= 0, else, or if no crossing
+    follows, at index 0.  There it has the state the walk from index 0 has,
+    the last value and a rising count of 0, and a crossing precedes every
+    positive value after it, so both stop at the same candidate with the
+    same bracket, unless the walk from index 0 stopped before the probe:
+    a crossing at index 1, rising values up to index 6 and a second dip at
+    index 7, where the probe takes the crossing past that dip.  No scan of
+    the sweeps of ``tests/evidence_grid.py`` has that shape.  Each residual
+    is computed once.  On the normal alpha=2 sweep to n=16 the grids take
+    239 residuals instead of 449.
+
+    If the crossing starts at an exact 0, as the empty book's residual is at
+    the median of a symmetric marginal by mirror symmetry, that candidate is
+    the root.  Otherwise its bracket on the grid is refined by 1-D Newton
+    from the midpoint, safeguarded by the bracket: a step that leaves it, or
+    a non-finite slope, falls back to the midpoint.  Refinement stops when
     the Newton step or the bracket is ``_ROOT_REL_WIDTH`` of the grid bracket.
     """
-    pick = None
-    last = None  # the last candidate evaluated, with its oriented residual
-    rising = 0
-    for x in _scan_grid(marginal, outer, side):
+    grid = _scan_grid(marginal, outer, side)
+
+    @lru_cache(maxsize=None)
+    def oriented(i: int) -> float | None:
         try:
-            f = side * _insertion_residual(family, marginal, outer, x, side)
+            return side * _insertion_residual(family, marginal, outer, grid[i], side)
         except (ValueError, ArithmeticError):
-            continue
-        if last is not None and last[1] <= 0.0 < f:
-            pick = (last, x)
-        rising = rising + 1 if f > 0.0 and (last is None or f >= last[1]) else 0
-        last = (x, f)
-        # once past the outermost dip the oriented residual only grows
-        if pick and rising >= 6:
-            break
+            return None
+
+    def walk(start: int) -> tuple[tuple[float, float], float] | None:
+        pick = None
+        last = None  # the last candidate evaluated, with its oriented residual
+        rising = 0
+        for i in range(start, len(grid)):
+            f = oriented(i)
+            if f is None:
+                continue
+            if last is not None and last[1] <= 0.0 < f:
+                pick = (last, grid[i])
+            rising = rising + 1 if f > 0.0 and (last is None or f >= last[1]) else 0
+            last = (grid[i], f)
+            # once past the outermost dip the oriented residual only grows
+            if pick and rising >= 6:
+                break
+        return pick
+
+    start = next((i for i in _SCAN_PROBES
+                  if i < len(grid) and oriented(i) is not None and oriented(i) <= 0.0), 0)
+    pick = walk(start) or walk(0)
     if pick is None:
         return None
     (near, at_near), far = pick

@@ -1,13 +1,14 @@
 """Evidence grid: which books every stage of a set of sweeps keeps.
 
-Run as ``PYTHONPATH=src python tests/evidence_grid.py``.  Each line names one
+Run as ``PYTHONPATH=src python tests/evidence_grid.py``.  It prints one line
+per sweep, those of ``GRID`` and then those of ``FURTHER``.  Each names the
 sweep and gives its kept total, its per-stage counts, the sha256 of every
 stage's list of (length, cuts), best first, and the sweep's work: its Newton
 runs, its insertion scans and its interval integrals at the solver's
-tolerance.  It prints no timings, so the outputs of two
-checkouts can be compared with ``diff``: a change that keeps every book bit
-for bit and does the same work prints the same lines.  The name has no
-``test_`` prefix, so pytest does not collect it.
+tolerance.  It prints no timings, so the outputs of two checkouts can be
+compared with ``diff``: a change that keeps every book bit for bit and does
+the same work prints the same lines.  The name has no ``test_`` prefix, so
+pytest does not collect it.
 """
 
 import hashlib
@@ -30,6 +31,22 @@ GRID = [
     ("lomax alpha=10 beta=1 n<=6", make_exponential_gamma(10.0, 1.0), 6),
     ("lomax alpha=1.05 beta=1 n<=5", make_exponential_gamma(1.05, 1.0), 5),
 ]
+
+# (name, model pair, n_max): 75 further sweeps, about a second in all.  The
+# normal prior's scale in steps of 0.05 over its windows of empty stages, wider
+# priors to n=30, the Lomax pair's shape at beta=1 and its scale at alpha=2.
+FURTHER = (
+    [(f"normal alpha={a:g} n<=6", make_normal_normal(a), 6)
+     for a in (round(0.05 * k, 2) for k in range(6, 61))]
+    + [(f"normal alpha={a:g} n<=30", make_normal_normal(a), 30)
+       for a in (3.5, 5.0, 7.0, 12.0, 20.0)]
+    + [(f"normal alpha={a:g} n<=8", make_normal_normal(a), 8) for a in (1.3, 1.5)]
+    + [("normal alpha=10 n<=45", make_normal_normal(10.0), 45)]
+    + [(f"lomax alpha={a:g} beta=1 n<=6", make_exponential_gamma(a, 1.0), 6)
+       for a in (1.02, 1.2, 3.0, 5.0, 20.0, 40.0)]
+    + [(f"lomax alpha=2 beta={b:g} n<=5", make_exponential_gamma(2.0, b), 5)
+       for b in (1e-10, 1e-3, 1e3, 1e10, 1e50, 1e100)]
+)
 
 # the calls counted as a sweep's work: one per Newton run, one per scan and one
 # per interval integral at the solver's tolerance
@@ -72,7 +89,7 @@ def describe(name, stages, counts):
 
 
 def main():
-    for name, (family, marginal), n_max in GRID:
+    for name, (family, marginal), n_max in GRID + FURTHER:
         print(describe(name, *counted_sweep(family, marginal, n_max)), flush=True)
 
 
